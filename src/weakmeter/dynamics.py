@@ -14,6 +14,10 @@ Sign and ordering conventions (fixed once, used everywhere):
   second-order cross term matches the retained g g' t term, and it is a
   physical choice, not bookkeeping: the fitted pointer response depends
   on it at first order in g' t.
+
+Every coupling is diagonal in the pointer position (see ``COUPLINGS``), so
+evolution works on the (system, grid) amplitude array and never forms a
+joint system+meter operator.
 """
 
 from __future__ import annotations
@@ -22,18 +26,20 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AnnihilationError, IllConditionedFitError, SignatureError
-from .hilbert import Ket, Operator, SpaceSignature, extend, tensor
-from .meter import DiscreteGaussianMeter, MeterReadout, meter_readout, position_operator
+from .hilbert import Ket, Operator, SpaceSignature, extend, mat_exp, tensor
+from .meter import DiscreteGaussianMeter, MeterReadout, meter_readout, q_grid
 from .optics import METER, ORBITAL, named_state
 from .weakvalue import observable
 
 __all__ = [
     "VARIANTS",
+    "COUPLINGS",
+    "Coupling",
     "CouplingSpec",
     "EffectiveWeakValueFit",
+    "coupling_terms",
     "build_hamiltonian",
     "evolve_exact",
     "evolve_dyson2",
@@ -43,20 +49,40 @@ __all__ = [
     "parallel_arm_readout",
 ]
 
-VARIANTS = (
-    "noiseless_kick",
-    "spin_orbit",
-    "parallel_1",
-    "parallel_2",
-    "three_body",
-    "measure_sigma_zR",
-    "measure_sigma_zR_noisy",
-    "measure_LxSx_L",
-    "measure_LxSx_R",
-)
 
-_STATIC_NOISE = {"spin_orbit": "Lx_sigma_x", "parallel_1": "Lx_sigma_z", "parallel_2": "Lz_sigma_z"}
-_TIME_EXTENDED = ("spin_orbit", "parallel_1", "parallel_2", "measure_LxSx_L", "measure_LxSx_R")
+@dataclass(frozen=True)
+class Coupling:
+    """Catalog ids of kick strength * (A (x) q_hat + B (x) 1) and static g' S (x) 1.
+
+    ``strength`` names the :class:`CouplingSpec` attribute scaling the kick;
+    ``b`` and ``s`` are None where the term is absent.
+    """
+
+    strength: str
+    a: str
+    b: str | None = None
+    s: str | None = None
+
+
+# One row per (variant, measure_arm).  The three-body kick couples q_hat to
+# sigma_z - L_x sigma_x, which the catalog holds as effective_three_body.
+COUPLINGS = {
+    ("noiseless_kick", None): Coupling("g", "sigma_z"),
+    ("spin_orbit", None): Coupling("g", "sigma_z", s="Lx_sigma_x"),
+    ("parallel_1", None): Coupling("g", "sigma_z", s="Lx_sigma_z"),
+    ("parallel_1", "R"): Coupling("g", "sigma_z_R", "sigma_z_L", "Lx_sigma_z"),
+    ("parallel_1", "L"): Coupling("g", "Lx_sigma_z_L", "Lx_sigma_z_R", "Lx_sigma_z"),
+    ("parallel_2", None): Coupling("g", "sigma_z", s="Lz_sigma_z"),
+    ("parallel_2", "R"): Coupling("g", "sigma_z_R", "sigma_z_L", "Lz_sigma_z"),
+    ("parallel_2", "L"): Coupling("g", "Lz_sigma_z_L", "Lz_sigma_z_R", "Lz_sigma_z"),
+    ("three_body", None): Coupling("g", "effective_three_body"),
+    ("measure_sigma_zR", None): Coupling("g", "sigma_z_R", "sigma_z_L"),
+    ("measure_sigma_zR_noisy", None): Coupling("g", "sigma_z_R", "sigma_z_L"),
+    ("measure_LxSx_L", None): Coupling("gprime_t", "Lx_sigma_x_L", "Lx_sigma_x_R"),
+    ("measure_LxSx_R", None): Coupling("gprime_t", "Lx_sigma_x_R", "Lx_sigma_x_L"),
+}
+
+VARIANTS = tuple(dict.fromkeys(variant for variant, _ in COUPLINGS))
 
 FIT_SUPPORT_ATOL = 1e-8
 
@@ -82,19 +108,27 @@ class CouplingSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown coupling variant {self.variant!r}; valid: {VARIANTS}")
+        numbers = (self.g, self.gprime, self.t, self.resolved_kick_time)
+        if not np.all(np.isfinite(numbers)):
+            raise ValueError(f"coupling parameters must be finite, got {numbers}")
         if self.g < 0 or self.gprime < 0:
             raise ValueError("coupling constants must be nonnegative")
-        if self.variant in _TIME_EXTENDED and self.t <= 0:
-            raise ValueError(f"variant {self.variant!r} needs a positive duration t")
-        if self.kick_time is not None and not 0.0 <= self.kick_time <= self.t:
-            raise ValueError(f"kick_time must lie in [0, t], got {self.kick_time}")
         if self.measure_arm is not None:
-            if self.variant not in ("parallel_1", "parallel_2"):
+            if (self.variant, "R") not in COUPLINGS:
                 raise ValueError("measure_arm applies to the parallel variants only")
             if self.measure_arm not in ("L", "R"):
                 raise ValueError(f"measure_arm must be 'L' or 'R', got {self.measure_arm!r}")
+        row = self.coupling
+        if (row.s is not None or row.strength == "gprime_t") and self.t <= 0:
+            raise ValueError(f"variant {self.variant!r} needs a positive duration t")
+        if self.kick_time is not None and not 0.0 <= self.kick_time <= self.t:
+            raise ValueError(f"kick_time must lie in [0, t], got {self.kick_time}")
         if self.kick_sign not in (1, -1):
             raise ValueError(f"kick_sign must be +1 or -1, got {self.kick_sign}")
+
+    @property
+    def coupling(self) -> Coupling:
+        return COUPLINGS[self.variant, self.measure_arm]
 
     @property
     def resolved_kick_time(self) -> float:
@@ -107,14 +141,12 @@ class CouplingSpec:
     @property
     def fit_coupling(self) -> float:
         """Coupling in front of q in the kick: what the pointer fit divides by."""
-        if self.variant in ("measure_LxSx_L", "measure_LxSx_R"):
-            return self.gprime * self.t
-        return self.g
+        return getattr(self, self.coupling.strength)
 
     @property
     def in_regime(self) -> bool:
         """g/g' << t << sqrt(g)/g' with factor-of-10 margins on both sides."""
-        if self.variant not in _STATIC_NOISE or self.gprime == 0.0:
+        if self.coupling.s is None or self.gprime == 0.0:
             return True
         if self.g <= 0.0:
             return False
@@ -136,8 +168,10 @@ class EffectiveWeakValueFit:
     residual: float
 
 
-def _meter_axis(sig: SpaceSignature) -> int:
-    return sig.axis_of(METER)
+def _system_signature(joint: SpaceSignature) -> SpaceSignature:
+    if joint.axis_of(METER) != len(joint.factors) - 1:
+        raise SignatureError("joint state must carry the meter as its last factor")
+    return joint.drop([METER])
 
 
 def _orbital_dim(sig: SpaceSignature) -> int:
@@ -147,101 +181,64 @@ def _orbital_dim(sig: SpaceSignature) -> int:
         return 2
 
 
-def _meter_position(sig: SpaceSignature) -> Operator:
-    half = (sig.dimension_of(METER) - 1) // 2
-    return extend(position_operator(half, METER), sig)
+def coupling_terms(spec: CouplingSpec,
+                   system: SpaceSignature) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(strength, A, B, static) as matrices on the system signature.
 
+    The kick generator is strength * (A (x) q_hat + B (x) 1); the static
+    Hamiltonian is static (x) 1 with static = g' S.  Absent terms are zero.
+    """
+    row = spec.coupling
+    d = _orbital_dim(system)
 
-def _zero(sig: SpaceSignature) -> Operator:
-    return Operator(sig, np.zeros((sig.dim, sig.dim), dtype=complex))
+    def matrix(obs_id: str | None) -> np.ndarray:
+        if obs_id is None:
+            return np.zeros((system.dim, system.dim), dtype=complex)
+        return extend(observable(obs_id, orbital_dim=d), system).matrix
+
+    return (getattr(spec, row.strength), matrix(row.a), matrix(row.b),
+            spec.gprime * matrix(row.s))
 
 
 def build_hamiltonian(spec: CouplingSpec, sig: SpaceSignature) -> tuple[Operator, Operator]:
-    """(kick generator, static Hamiltonian) on the full system+meter signature.
+    """(kick generator, static Hamiltonian) as dense operators on the joint signature.
 
     The kick generator carries its coupling strength and is exponentiated
     as exp(+i kick_sign * kick) at ``kick_time``; the static part is a
     per-unit-time Hamiltonian evolved as exp(-i static * duration).  For
     the three-body variant both couplings sit in the kick and static = 0.
+    This is a reference view of :func:`coupling_terms` with the meter as the
+    last factor; the evolution routines never build it.
     """
-    d = _orbital_dim(sig)
-    q_op = _meter_position(sig)
-
-    def ext(obs_id: str) -> Operator:
-        return extend(observable(obs_id, orbital_dim=d), sig)
-
-    def arm_kick(q_obs: str, flat_obs: str, strength: float) -> Operator:
-        return strength * (ext(q_obs) @ q_op + ext(flat_obs))
-
-    v = spec.variant
-    if v == "noiseless_kick":
-        return spec.g * (ext("sigma_z") @ q_op), _zero(sig)
-    if v == "spin_orbit":
-        return spec.g * (ext("sigma_z") @ q_op), spec.gprime * ext("Lx_sigma_x")
-    if v in ("parallel_1", "parallel_2"):
-        noise = _STATIC_NOISE[v]
-        static = spec.gprime * ext(noise)
-        if spec.measure_arm is None:
-            kick = spec.g * (ext("sigma_z") @ q_op)
-        elif spec.measure_arm == "R":
-            kick = arm_kick("sigma_z_R", "sigma_z_L", spec.g)
-        else:
-            kick = arm_kick(noise + "_L", noise + "_R", spec.g)
-        return kick, static
-    if v == "three_body":
-        return spec.g * ((ext("sigma_z") - ext("Lx_sigma_x")) @ q_op), _zero(sig)
-    if v in ("measure_sigma_zR", "measure_sigma_zR_noisy"):
-        return arm_kick("sigma_z_R", "sigma_z_L", spec.g), _zero(sig)
-    if v == "measure_LxSx_L":
-        return arm_kick("Lx_sigma_x_L", "Lx_sigma_x_R", spec.gprime * spec.t), _zero(sig)
-    if v == "measure_LxSx_R":
-        return arm_kick("Lx_sigma_x_R", "Lx_sigma_x_L", spec.gprime * spec.t), _zero(sig)
-    raise AssertionError(v)
-
-
-def _apply_exponential(matrix: np.ndarray, coeff: complex, psi: np.ndarray,
-                       sig: SpaceSignature) -> np.ndarray:
-    """exp(coeff * matrix) @ psi, block-diagonalized over the meter grid when possible."""
-    if not np.any(matrix):
-        return psi
-    axis = _meter_axis(sig)
-    if axis == len(sig.factors) - 1:
-        size = sig.dimension_of(METER)
-        sys_dim = sig.dim // size
-        blocks = matrix.reshape(sys_dim, size, sys_dim, size)
-        diag = np.ascontiguousarray(np.einsum("aqbq->qab", blocks))
-        off_mass = float(np.abs(blocks).sum() - np.abs(diag).sum())
-        if off_mass <= 1e-12 * (1.0 + float(np.abs(diag).sum())):
-            herm_defect = float(np.max(np.abs(diag - diag.conj().transpose(0, 2, 1))))
-            if herm_defect <= 1e-12 * max(1.0, float(np.max(np.abs(diag)))):
-                w, v = np.linalg.eigh(diag)  # batched over the grid
-                cols = psi.reshape(sys_dim, size).T  # (grid, sys)
-                rotated = np.einsum("qji,qj->qi", v.conj(), cols)
-                rotated *= np.exp(coeff * w)
-                cols = np.einsum("qij,qj->qi", v, rotated)
-                return cols.T.reshape(-1)
-    return scipy.linalg.expm(coeff * matrix) @ psi
+    strength, a, b, static = coupling_terms(spec, _system_signature(sig))
+    size = sig.dimension_of(METER)
+    eye = np.eye(size)
+    kick = strength * (np.kron(a, np.diag(q_grid((size - 1) // 2))) + np.kron(b, eye))
+    return Operator(sig, kick), Operator(sig, np.kron(static, eye))
 
 
 def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter) -> Ket:
     """Joint state after static noise, the kick, and the remaining noise.
 
     exp(-i static (t - kick_time)) exp(+i kick_sign kick) exp(-i static kick_time)
-    applied to pre_system (x) meter.
+    applied to pre_system (x) meter.  The kick is one Hermitian eigenproblem
+    per grid point, so time and memory grow linearly in the grid size.
     """
     joint = tensor(pre_system, meter.ket(METER))
-    sig = joint.signature
-    kick, static = build_hamiltonian(spec, sig)
+    strength, a, b, static = coupling_terms(spec, pre_system.signature)
+    psi = joint.amplitudes.reshape(-1, meter.size)  # (system, grid)
     before = spec.resolved_kick_time
     after = spec.t - before
-    psi = joint.amplitudes
-    has_static = np.any(static.matrix)
+    has_static = np.any(static)
     if has_static and before:
-        psi = _apply_exponential(static.matrix, -1j * before, psi, sig)
-    psi = _apply_exponential(kick.matrix, 1j * spec.kick_sign, psi, sig)
+        psi = mat_exp(static, -1j * before) @ psi
+    w, v = np.linalg.eigh(strength * (a * meter.q[:, None, None] + b))  # batched over the grid
+    rotated = np.einsum("qji,jq->qi", v.conj(), psi)
+    rotated *= np.exp(1j * spec.kick_sign * w)
+    psi = np.einsum("qij,qj->iq", v, rotated)
     if has_static and after:
-        psi = _apply_exponential(static.matrix, -1j * after, psi, sig)
-    return Ket(sig, psi)
+        psi = mat_exp(static, -1j * after) @ psi
+    return Ket(joint.signature, psi)
 
 
 def evolve_dyson2(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter) -> Ket:
@@ -259,22 +256,25 @@ def evolve_dyson2(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMe
             stacklevel=2,
         )
     joint = tensor(pre_system, meter.ket(METER))
-    sig = joint.signature
-    kick, static = build_hamiltonian(spec, sig)
+    strength, a, b, static = coupling_terms(spec, pre_system.signature)
+
+    def kick(x: np.ndarray) -> np.ndarray:
+        return strength * ((a @ x) * meter.q + b @ x)
+
     s = spec.kick_sign
-    psi = joint.amplitudes
-    k_psi = kick.matrix @ psi
+    psi = joint.amplitudes.reshape(-1, meter.size)  # (system, grid)
+    k_psi = kick(psi)
     out = psi + 1j * s * k_psi
-    if np.any(static.matrix):
+    if np.any(static):
         before = spec.resolved_kick_time
         after = spec.t - before
-        n_psi = static.matrix @ psi
-        out = out - 1j * spec.t * n_psi - 0.5 * spec.t**2 * (static.matrix @ n_psi)
+        n_psi = static @ psi
+        out = out - 1j * spec.t * n_psi - 0.5 * spec.t**2 * (static @ n_psi)
         if before:
-            out = out + s * before * (kick.matrix @ n_psi)
+            out = out + s * before * kick(n_psi)
         if after:
-            out = out + s * after * (static.matrix @ k_psi)
-    return Ket(sig, out)
+            out = out + s * after * (static @ k_psi)
+    return Ket(joint.signature, out)
 
 
 def post_select_meter(joint: Ket, post_system: Ket) -> Ket:
@@ -283,10 +283,7 @@ def post_select_meter(joint: Ket, post_system: Ket) -> Ket:
     The squared norm of the result is the post-selection probability.
     """
     sig = joint.signature
-    axis = _meter_axis(sig)
-    if axis != len(sig.factors) - 1:
-        raise SignatureError("joint state must carry the meter as its last factor")
-    expected = sig.drop([METER])
+    expected = _system_signature(sig)
     if post_system.signature != expected:
         raise SignatureError(
             f"post-selection on {post_system.signature} does not match system "

@@ -101,6 +101,8 @@ def _reject_unknown(mapping: dict, allowed, where: str) -> None:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterRangeError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= float(np.finfo(float).max):  # false for NaN too
+        raise ParameterRangeError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 

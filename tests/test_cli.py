@@ -55,6 +55,21 @@ class TestRun:
         assert code == EXIT_PARSE
         assert "zap" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "bundle:disembodiment", "--set", "coupling.g=.nan"),
+        ("run", "bundle:disembodiment", "--set", "coupling.t=.inf"),
+        ("run", "bundle:disembodiment", "--set", "coupling.gprime=-.inf"),
+        ("run", "bundle:disembodiment", "--set", "coupling.g=1" + "0" * 400),
+        ("sweep", "bundle:disembodiment", "--param", "preselect.theta",
+         "--start", "nan", "--stop", "0.5", "--steps", "2"),
+    ], ids=["g-nan", "t-inf", "gprime-minus-inf", "g-int-overflow", "sweep-start-nan"])
+    def test_non_finite_number_gives_parse_exit(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_records_format(self, capsys):
         import json
 

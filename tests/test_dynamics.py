@@ -1,11 +1,15 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from weakmeter.dynamics import (
+    COUPLINGS,
     CouplingSpec,
     build_hamiltonian,
+    coupling_terms,
     disembodied_measurement,
     evolve_dyson2,
     evolve_exact,
@@ -29,6 +33,27 @@ def run_and_fit(spec, pre, post, meter):
     return fit_effective_weak_value(final, meter, spec.fit_coupling)
 
 
+# every (variant, measure_arm) row, each kick sign, and the kick at the start,
+# inside and at the end of the noise window; the triplet disembody signature
+# (dim 12) carries every coupling's observables
+ALL_COUPLINGS = pytest.mark.parametrize("variant, arm", list(COUPLINGS))
+KICK_SIGNS = pytest.mark.parametrize("kick_sign", [1, -1])
+KICK_TIMES = pytest.mark.parametrize("kick_time", [0.0, 0.4, 1.5],
+                                     ids=["start", "interior", "end"])
+
+
+def random_pre_and_meter(seed):
+    rng = np.random.default_rng(seed)
+    template = named_state("disembody_in", theta=0.9, orbital_dim=3)
+    amps = rng.normal(size=12) + 1j * rng.normal(size=12)
+    return Ket(template.signature, amps / np.linalg.norm(amps)), make_meter(6, 1.2)
+
+
+def dense_spec(variant, arm, kick_sign, kick_time):
+    return CouplingSpec(variant=variant, g=0.3, gprime=0.2, t=1.5, kick_time=kick_time,
+                        measure_arm=arm, kick_sign=kick_sign)
+
+
 class TestCouplingSpec:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -37,6 +62,12 @@ class TestCouplingSpec:
     def test_negative_coupling(self):
         with pytest.raises(ValueError):
             CouplingSpec(variant="noiseless_kick", g=-1.0)
+
+    @pytest.mark.parametrize("field", ["g", "gprime", "t", "kick_time"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingSpec(variant="spin_orbit", **{field: value})
 
     def test_kick_time_range(self):
         with pytest.raises(ValueError):
@@ -158,27 +189,40 @@ class TestEvolveExact:
             fits.append(run_and_fit(spec, pre, post, METER64).value)
         assert fits[1] == pytest.approx(-fits[0], abs=1e-8)
 
-    def test_matches_dense_matrix_exponentials(self):
-        # the meter-blockwise exponentials against brute-force dense expm
-        import scipy.linalg
-
-        rng = np.random.default_rng(31)
-        meter = make_meter(6, 1.2)
-        template = named_state("disembody_in", theta=0.9)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        pre = Ket(template.signature, amps / np.linalg.norm(amps))
-        spec = CouplingSpec(variant="parallel_1", g=0.3, gprime=0.2, t=1.5,
-                            kick_time=0.4, measure_arm="R")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = evolve_exact(spec, pre, meter)
+    @KICK_TIMES
+    @KICK_SIGNS
+    @ALL_COUPLINGS
+    def test_matches_dense_matrix_exponentials(self, variant, arm, kick_sign, kick_time):
+        # the per-grid-point exponentials against brute-force dense expm
+        pre, meter = random_pre_and_meter(31)
+        spec = dense_spec(variant, arm, kick_sign, kick_time)
+        _, *terms = coupling_terms(spec, pre.signature)
+        for term in terms:  # A, B and g' S
+            np.testing.assert_array_equal(term, term.conj().T)
+        got = evolve_exact(spec, pre, meter)
 
         joint = tensor(pre, meter.ket(METER))
         kick, static = build_hamiltonian(spec, joint.signature)
-        u = (scipy.linalg.expm(-1j * static.matrix * (spec.t - 0.4))
-             @ scipy.linalg.expm(1j * kick.matrix)
-             @ scipy.linalg.expm(-1j * static.matrix * 0.4))
+        u = (scipy.linalg.expm(-1j * static.matrix * (spec.t - kick_time))
+             @ scipy.linalg.expm(1j * kick_sign * kick.matrix)
+             @ scipy.linalg.expm(-1j * static.matrix * kick_time))
         np.testing.assert_allclose(got.amplitudes, u @ joint.amplitudes, atol=1e-12)
+
+    def test_wide_grid_is_lean_and_unitary(self):
+        pre = named_state("disembody_in", theta=np.pi / 2, orbital_dim=3)
+        spec = CouplingSpec(variant="parallel_1", g=1e-3, gprime=1e-3, t=100.0,
+                            measure_arm="R")
+        meter = make_meter(128, 4.0)
+        tracemalloc.start()
+        try:
+            evolve_exact(spec, pre, meter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense joint operator here would take (12 * 257)^2 * 16 B = 145 MiB
+        assert peak < 32 * 2**20
+        joint = evolve_exact(spec, pre, make_meter(1024, 4.0))
+        assert joint.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDyson2:
@@ -192,6 +236,23 @@ class TestDyson2:
         joint = tensor(pre, METER32.ket(METER))
         kick, _ = build_hamiltonian(spec, joint.signature)
         expected = joint.amplitudes + 1j * (kick.matrix @ joint.amplitudes)
+        np.testing.assert_allclose(got.amplitudes, expected, atol=1e-14)
+
+    @KICK_TIMES
+    @KICK_SIGNS
+    @ALL_COUPLINGS
+    def test_matches_dense_second_order_expansion(self, variant, arm, kick_sign, kick_time):
+        pre, meter = random_pre_and_meter(32)
+        spec = dense_spec(variant, arm, kick_sign, kick_time)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = evolve_dyson2(spec, pre, meter)
+
+        joint = tensor(pre, meter.ket(METER))
+        kick, static = build_hamiltonian(spec, joint.signature)
+        k, n, psi, s, t = kick.matrix, static.matrix, joint.amplitudes, kick_sign, spec.t
+        expected = (psi + 1j * s * (k @ psi) - 1j * t * (n @ psi) - 0.5 * t**2 * (n @ n @ psi)
+                    + s * kick_time * (k @ n @ psi) + s * (t - kick_time) * (n @ k @ psi))
         np.testing.assert_allclose(got.amplitudes, expected, atol=1e-14)
 
     def test_norm_deviation_is_second_order(self):
