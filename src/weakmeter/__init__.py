@@ -34,7 +34,6 @@ from .hilbert import (
     dft_q_to_p,
     extend,
     identity,
-    idft_p_to_q,
     inner,
     mat_exp,
     tensor,

@@ -26,6 +26,7 @@ from .optics import (
 )
 from .scenario import (
     ScenarioDoc,
+    ScenarioLoader,
     apply_override,
     parse_scenario,
     records_to_csv,
@@ -76,7 +77,7 @@ def _parse_set(pairs) -> list[tuple[str, object]]:
             raise ScenarioError(f"--set expects path=value, got {pair!r}")
         path, raw = pair.split("=", 1)
         path = _OVERRIDE_ALIASES.get(path, path)
-        out.append((path, yaml.safe_load(raw)))
+        out.append((path, yaml.load(raw, Loader=ScenarioLoader)))
     return out
 
 

@@ -39,7 +39,9 @@ __all__ = [
     "Coupling",
     "CouplingSpec",
     "EffectiveWeakValueFit",
+    "KickFactors",
     "coupling_terms",
+    "kick_factors",
     "build_hamiltonian",
     "evolve_exact",
     "evolve_dyson2",
@@ -217,27 +219,71 @@ def build_hamiltonian(spec: CouplingSpec, sig: SpaceSignature) -> tuple[Operator
     return Operator(sig, kick), Operator(sig, np.kron(static, eye))
 
 
-def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter) -> Ket:
+@dataclass(frozen=True, eq=False)
+class KickFactors:
+    """The factors :func:`evolve_exact` applies for one (coupling, system, grid) key.
+
+    ``before`` and ``after`` are the static factors exp(-i static time) on
+    either side of the kick, None where static or time is zero.  At grid
+    point q_k the kick acts as vectors[k] diag(phases[k]) vectors[k]^dagger.
+    """
+
+    spec: CouplingSpec
+    system: SpaceSignature
+    before: np.ndarray | None
+    after: np.ndarray | None
+    vectors: np.ndarray
+    phases: np.ndarray
+
+
+def kick_factors(spec: CouplingSpec, system: SpaceSignature,
+                 meter: DiscreteGaussianMeter) -> KickFactors:
+    """Static factors and the kick's batched eigendecomposition over the meter grid.
+
+    They depend on the coupling, the system signature and the grid size
+    only, so one set serves every pre-state of a sweep at that key.
+    """
+    strength, a, b, static = coupling_terms(spec, system)
+    before = spec.resolved_kick_time
+    after = spec.t - before
+    has_static = np.any(static)
+    w, v = np.linalg.eigh(strength * (a * meter.q[:, None, None] + b))  # batched over the grid
+    factors = KickFactors(
+        spec=spec, system=system,
+        before=mat_exp(static, -1j * before) if has_static and before else None,
+        after=mat_exp(static, -1j * after) if has_static and after else None,
+        vectors=v, phases=np.exp(1j * spec.kick_sign * w),
+    )
+    for array in (factors.before, factors.after, factors.vectors, factors.phases):
+        if array is not None:
+            array.setflags(write=False)  # shared by every point at this key
+    return factors
+
+
+def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter,
+                 factors: KickFactors | None = None) -> Ket:
     """Joint state after static noise, the kick, and the remaining noise.
 
     exp(-i static (t - kick_time)) exp(+i kick_sign kick) exp(-i static kick_time)
     applied to pre_system (x) meter.  The kick is one Hermitian eigenproblem
     per grid point, so time and memory grow linearly in the grid size.
+    ``factors`` from :func:`kick_factors` skips rebuilding them; they must
+    belong to this spec, system signature and grid.
     """
+    if factors is None:
+        factors = kick_factors(spec, pre_system.signature, meter)
+    elif (factors.spec != spec or factors.system != pre_system.signature
+          or len(factors.phases) != meter.size):
+        raise ValueError("kick factors were built for another coupling, system or meter grid")
     joint = tensor(pre_system, meter.ket(METER))
-    strength, a, b, static = coupling_terms(spec, pre_system.signature)
     psi = joint.amplitudes.reshape(-1, meter.size)  # (system, grid)
-    before = spec.resolved_kick_time
-    after = spec.t - before
-    has_static = np.any(static)
-    if has_static and before:
-        psi = mat_exp(static, -1j * before) @ psi
-    w, v = np.linalg.eigh(strength * (a * meter.q[:, None, None] + b))  # batched over the grid
-    rotated = np.einsum("qji,jq->qi", v.conj(), psi)
-    rotated *= np.exp(1j * spec.kick_sign * w)
-    psi = np.einsum("qij,qj->iq", v, rotated)
-    if has_static and after:
-        psi = mat_exp(static, -1j * after) @ psi
+    if factors.before is not None:
+        psi = factors.before @ psi
+    rotated = np.einsum("qji,jq->qi", factors.vectors.conj(), psi)
+    rotated *= factors.phases
+    psi = np.einsum("qij,qj->iq", factors.vectors, rotated)
+    if factors.after is not None:
+        psi = factors.after @ psi
     return Ket(joint.signature, psi)
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "mat_exp",
     "dft_matrix",
     "dft_q_to_p",
-    "idft_p_to_q",
 ]
 
 FLAG_ATOL = 1e-12
@@ -320,11 +319,3 @@ def dft_q_to_p(meter_amplitudes) -> np.ndarray:
     if len(vec) % 2 == 0:
         raise ValueError(f"meter grid must have odd length 2N+1, got {len(vec)}")
     return _centered_dft_kernel(len(vec)) @ vec
-
-
-def idft_p_to_q(meter_amplitudes) -> np.ndarray:
-    """Inverse of :func:`dft_q_to_p`."""
-    vec = np.asarray(meter_amplitudes, dtype=complex).reshape(-1)
-    if len(vec) % 2 == 0:
-        raise ValueError(f"meter grid must have odd length 2N+1, got {len(vec)}")
-    return _centered_dft_kernel(len(vec)).conj().T @ vec

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnnihilationError
-from .hilbert import Ket, Operator, SpaceSignature, dft_matrix, dft_q_to_p
+from .hilbert import Ket, Operator, SpaceSignature, dft_q_to_p
 
 __all__ = [
     "GRID_UNITS",
@@ -24,7 +24,6 @@ __all__ = [
     "q_grid",
     "p_grid",
     "position_operator",
-    "momentum_operator",
     "moments",
     "meter_readout",
     "continuous_reference",
@@ -51,17 +50,6 @@ def position_operator(half_width: int, label: str = "meter") -> Operator:
     size = 2 * half_width + 1
     sig = SpaceSignature(((label, size),))
     return Operator(sig, np.diag(q_grid(half_width)).astype(complex), hermitian=True)
-
-
-def momentum_operator(half_width: int, label: str = "meter") -> Operator:
-    """p_hat = F^dagger diag(p_l) F, expressed in the position basis."""
-    size = 2 * half_width + 1
-    sig = SpaceSignature(((label, size),))
-    kernel = dft_matrix(size)
-    matrix = kernel.conj().T @ (p_grid(half_width)[:, None] * kernel)
-    # exactly Hermitian up to roundoff; symmetrize the roundoff away
-    matrix = (matrix + matrix.conj().T) / 2
-    return Operator(sig, matrix, hermitian=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .dynamics import (
     CouplingSpec,
     evolve_exact,
     fit_effective_weak_value,
+    kick_factors,
     post_select_meter,
 )
 from .errors import (
@@ -36,6 +38,7 @@ from .weakvalue import observable, observable_ids, weak_value
 
 __all__ = [
     "DEFAULTS",
+    "ScenarioLoader",
     "ScenarioDoc",
     "ResultRecord",
     "parse_scenario",
@@ -59,6 +62,20 @@ _METER_KEYS = ("N", "delta")
 _SWEEP_KEYS = ("start", "stop", "steps", "values")
 # residuals above this mark the exponential-shift fit as unreliable
 MAX_FIT_RESIDUAL = 1e-2
+
+
+class ScenarioLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats such as 2e-3 and 1e308.
+
+    YAML 1.1 needs a dot and a signed exponent, so it reads those as strings.
+    """
+
+
+ScenarioLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 @dataclass(frozen=True)
@@ -281,7 +298,7 @@ def parse_scenario(text: str) -> ScenarioDoc:
     kick_time unset (the kick then fires at the end of the noise window).
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=ScenarioLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -336,14 +353,20 @@ def _sweep_points(doc: ScenarioDoc):
     if not paths:
         yield {}
         return
+    data = doc.to_dict()
     grids = []
     for path in paths:
         spec = doc.sweep[path]
         if "values" in spec:
-            grids.append([float(v) for v in spec["values"]])
+            values = [float(v) for v in spec["values"]]
         else:
-            grids.append([float(v) for v in
-                          np.linspace(spec["start"], spec["stop"], spec["steps"])])
+            values = [float(v) for v in np.linspace(spec["start"], spec["stop"], spec["steps"])]
+        node, leaf = _resolve_path(data, path)
+        if isinstance(node[leaf], int) and not isinstance(node[leaf], bool):
+            # an integer field (meter.N) takes integral values as int; any
+            # other value fails its own point at re-validation
+            values = [int(v) if v.is_integer() else v for v in values]
+        grids.append(values)
     index = [0] * len(paths)
     while True:
         yield {path: grids[i][index[i]] for i, path in enumerate(paths)}
@@ -360,29 +383,68 @@ def _angles(section: dict) -> dict:
     return {k: float(v) * np.pi for k, v in section.items() if k != "id"}
 
 
-def _run_point(doc: ScenarioDoc, chash: str, point: dict) -> ResultRecord:
-    for path, value in point.items():
-        doc = apply_override(doc, path, value)
-    coupling = doc.coupling
-    orbital_dim = 3 if coupling["variant"] in ("parallel_1", "parallel_2") else 2
+class _Reuse:
+    """Point-invariant objects of one run_scenario call.
+
+    Keys are the repr of the point's validated values, which round-trips
+    floats exactly, so only bit-equal inputs share an object.  Small objects
+    (meters, coupling specs, extended observables, named states) are kept
+    for the whole call; the grid-sized kick factors only for the current
+    (coupling, system, grid) key.
+    """
+
+    def __init__(self):
+        self._small: dict = {}
+        self._kick_key = None
+        self._kick = None
+
+    def get(self, key: tuple, build):
+        key = repr(key)
+        if key not in self._small:
+            self._small[key] = build()
+        return self._small[key]
+
+    def kick_factors(self, spec: CouplingSpec, system, meter):
+        key = repr((spec, system, meter.size))
+        if key != self._kick_key:
+            self._kick = None  # release the previous set before building the next
+            self._kick = kick_factors(spec, system, meter)
+            self._kick_key = key
+        return self._kick
+
+
+def _state(reuse: _Reuse, section: dict, orbital_dim: int):
+    return reuse.get(("state", section, orbital_dim),
+                     lambda: named_state(section["id"], orbital_dim=orbital_dim,
+                                         **_angles(section)))
+
+
+def _run_point(doc: ScenarioDoc, chash: str, point: dict, reuse: _Reuse) -> ResultRecord:
     weak_values: dict = {}
     try:
-        pre = named_state(doc.preselect["id"], orbital_dim=orbital_dim,
-                          **_angles(doc.preselect))
-        post = named_state(doc.postselect["id"], orbital_dim=orbital_dim,
-                           **_angles(doc.postselect))
+        for path, value in point.items():
+            doc = apply_override(doc, path, value)
+        coupling = doc.coupling
+        orbital_dim = 3 if coupling["variant"] in ("parallel_1", "parallel_2") else 2
+        pre = _state(reuse, doc.preselect, orbital_dim)
+        post = _state(reuse, doc.postselect, orbital_dim)
         gprime_t = coupling["gprime"] * coupling["t"]
         for obs_id in doc.observables:
-            op = observable(obs_id, orbital_dim=orbital_dim, gprime_t=gprime_t)
-            weak_values[obs_id] = weak_value(pre, post, extend(op, pre.signature)).value
+            op = reuse.get(
+                ("observable", obs_id, orbital_dim, gprime_t, pre.signature),
+                lambda: extend(observable(obs_id, orbital_dim=orbital_dim, gprime_t=gprime_t),
+                               pre.signature),
+            )
+            weak_values[obs_id] = weak_value(pre, post, op).value
 
-        meter = make_meter(doc.meter["N"], doc.meter["delta"])
-        spec = CouplingSpec(
+        meter = reuse.get(("meter", doc.meter["N"], doc.meter["delta"]),
+                          lambda: make_meter(doc.meter["N"], doc.meter["delta"]))
+        spec = reuse.get(("coupling", coupling), lambda: CouplingSpec(
             variant=coupling["variant"], g=coupling["g"], gprime=coupling["gprime"],
             t=coupling["t"], kick_time=coupling["kick_time"],
             measure_arm=coupling["measure_arm"], kick_sign=coupling["kick_sign"],
-        )
-        joint = evolve_exact(spec, pre, meter)
+        ))
+        joint = evolve_exact(spec, pre, meter, reuse.kick_factors(spec, pre.signature, meter))
         final = post_select_meter(joint, post)
         readout = meter_readout(final)
         fit = fit_effective_weak_value(final, meter, spec.fit_coupling)
@@ -408,11 +470,14 @@ def _run_point(doc: ScenarioDoc, chash: str, point: dict) -> ResultRecord:
 def run_scenario(doc: ScenarioDoc) -> list[ResultRecord]:
     """Execute every sweep point in deterministic declaration order.
 
-    Degenerate post-selections and annihilated meters become per-record
-    error fields; they never abort the remaining points.
+    Out-of-range swept values, degenerate post-selections and annihilated
+    meters become per-record error fields; they never abort the remaining
+    points.  Objects that do not change between points are built once per
+    call (see :class:`_Reuse`).
     """
     chash = doc.config_hash()
-    return [_run_point(doc, chash, point) for point in _sweep_points(doc)]
+    reuse = _Reuse()
+    return [_run_point(doc, chash, point, reuse) for point in _sweep_points(doc)]
 
 
 CSV_COLUMNS = ("scenario", "observable", "wv_re", "wv_im", "mean_q", "mean_p",

@@ -1,7 +1,18 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
-from weakmeter.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY, list_bundles, main
+from weakmeter.cli import (
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    list_bundles,
+    load_bundle,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +81,27 @@ class TestRun:
         assert err.startswith("error: ") and "must be finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_exponent_float_override_matches_decimal(self, capsys):
+        code, exponent, err = run_cli(capsys, "run", "bundle:disembodiment",
+                                      "--set", "coupling.g=2e-3")
+        assert code == EXIT_OK, err
+        code, decimal, _ = run_cli(capsys, "run", "bundle:disembodiment",
+                                   "--set", "coupling.g=0.002")
+        assert code == EXIT_OK
+        assert exponent == decimal
+
+    def test_bad_swept_value_gets_its_own_row(self, tmp_path, capsys):
+        doc = tmp_path / "sweep.yaml"
+        doc.write_text(load_bundle("amplification").replace(
+            "values: [0.16666666666666666, 0.25, 0.5, 0.6666666666666666, 0.9]",
+            "values: [0.3, 1.5]"))
+        code, out, err = run_cli(capsys, "run", str(doc))
+        assert code == EXIT_OK, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[1] for row in rows] == ["0.29999999999999999"] * 6 + ["1.5"]
+        assert all(row[-1] == "" for row in rows[:6])
+        assert rows[6][-1].startswith("ParameterRangeError: preselect.theta = 1.5")
+
     def test_records_format(self, capsys):
         import json
 
@@ -125,6 +157,26 @@ class TestSweep:
         assert lines[0].split(",")[1] == "preselect.theta"
         # 5 points x 4 observables
         assert len(lines) == 1 + 20
+
+
+    def test_meter_n_sweep(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "bundle:disembodiment", "--param", "meter.N",
+                                 "--start", "32", "--stop", "64", "--steps", "3")
+        assert code == EXIT_OK, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[1] for row in rows[::4]] == ["32", "48", "64"]
+        assert all(row[-1] == "" for row in rows)
+
+    def test_non_integral_meter_n_fails_its_point_only(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "bundle:disembodiment", "--param", "meter.N",
+                                 "--start", "32", "--stop", "64", "--steps", "4")
+        assert code == EXIT_OK, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[1] for row in rows] == ["32"] * 4 + ["42.666666666666664",
+                                                         "53.333333333333329"] + ["64"] * 4
+        failed = [row for row in rows if row[-1]]
+        assert [row[1] for row in failed] == ["42.666666666666664", "53.333333333333329"]
+        assert all("meter.N must be a positive integer" in row[-1] for row in failed)
 
 
 class TestShowState:

@@ -14,6 +14,7 @@ from weakmeter.dynamics import (
     evolve_dyson2,
     evolve_exact,
     fit_effective_weak_value,
+    kick_factors,
     parallel_arm_readout,
     post_select_meter,
 )
@@ -207,6 +208,30 @@ class TestEvolveExact:
              @ scipy.linalg.expm(1j * kick_sign * kick.matrix)
              @ scipy.linalg.expm(-1j * static.matrix * kick_time))
         np.testing.assert_allclose(got.amplitudes, u @ joint.amplitudes, atol=1e-12)
+
+    @KICK_TIMES
+    @ALL_COUPLINGS
+    def test_shared_kick_factors_give_identical_states(self, variant, arm, kick_time):
+        # one factor set serves any pre-state at its key, bit for bit
+        spec = dense_spec(variant, arm, 1, kick_time)
+        pre, meter = random_pre_and_meter(31)
+        factors = kick_factors(spec, pre.signature, meter)
+        for seed in (31, 32):
+            pre, _ = random_pre_and_meter(seed)
+            np.testing.assert_array_equal(evolve_exact(spec, pre, meter, factors).amplitudes,
+                                          evolve_exact(spec, pre, meter).amplitudes)
+
+    def test_factors_of_another_key_rejected(self):
+        pre, meter = random_pre_and_meter(31)
+        spec = dense_spec("parallel_1", "R", 1, 0.4)
+        factors = kick_factors(spec, pre.signature, meter)
+        doublet = named_state("disembody_in", theta=0.9)
+        others = [(dense_spec("parallel_1", "R", -1, 0.4), pre, meter),
+                  (spec, pre, make_meter(7, 1.2)),
+                  (spec, doublet, meter)]
+        for other_spec, other_pre, other_meter in others:
+            with pytest.raises(ValueError, match="kick factors"):
+                evolve_exact(other_spec, other_pre, other_meter, factors)
 
     def test_wide_grid_is_lean_and_unitary(self):
         pre = named_state("disembody_in", theta=np.pi / 2, orbital_dim=3)

@@ -259,3 +259,137 @@ sweep:
         error_field = rows[1][-1]
         assert "Degenerate" in error_field
         assert rows[1][2] == ""  # no observable column content on a failed row
+
+
+PARALLEL_MULTI = """
+name: parallel-multi
+preselect: {id: disembody_in, theta: 0.3}
+postselect: {id: disembody_f, alpha: 0.2}
+coupling: {variant: parallel_1, g: 1.0e-3, gprime: 1.0e-3, t: 100.0, measure_arm: R}
+meter: {N: 8, delta: 1.0}
+observables: [sigma_z_R, Lx_sigma_z_L, effective_parallel_lx]
+sweep:
+  meter.N: {values: [8, 10]}
+  meter.delta: {values: [1.0, 1.5]}
+  coupling.g: {values: [0.001, 0.002]}
+  coupling.gprime: {values: [0.001, 0.0015]}
+  preselect.theta: {values: [0.3, 0.4]}
+"""
+
+ANGLE_GRID = DISEMBODY_SWEEP.replace(
+    "  preselect.theta: {start: 0.07, stop: 0.87, steps: 9}",
+    "  preselect.theta: {values: [0.2, 0.4, 0.6]}\n"
+    "  postselect.alpha: {values: [0.1, 0.2, 0.3]}",
+)
+
+
+def count_kick_factors(monkeypatch):
+    import weakmeter.scenario as scenario
+
+    calls = []
+    original = scenario.kick_factors
+
+    def counted(spec, system, meter):
+        calls.append((spec, meter.size))
+        return original(spec, system, meter)
+
+    monkeypatch.setattr(scenario, "kick_factors", counted)
+    return calls
+
+
+class TestReuse:
+    def test_multi_path_sweep_matches_single_point_runs(self):
+        # every point must equal a fresh single-point run of its overrides,
+        # so a reuse key that misses a field shows up as a differing record
+        import dataclasses
+
+        doc = parse_scenario(PARALLEL_MULTI)
+        records = run_scenario(doc)
+        assert len(records) == 32
+        base = dataclasses.replace(doc, sweep={})
+        for rec in records:
+            single = base
+            for path, value in rec.point.items():
+                single = apply_override(single, path, value)
+            (alone,) = run_scenario(single)
+            alone = dataclasses.replace(alone, point=rec.point, config_hash=rec.config_hash)
+            assert records_to_jsonl([rec]) == records_to_jsonl([alone]), rec.point
+
+    def test_angle_grid_builds_kick_factors_once(self, monkeypatch):
+        calls = count_kick_factors(monkeypatch)
+        records = run_scenario(parse_scenario(ANGLE_GRID))
+        assert len(records) == 9
+        assert all(rec.error == "" for rec in records)
+        assert len(calls) == 1
+
+    def test_only_the_current_kick_key_is_kept(self, monkeypatch):
+        # g varying fastest changes the key at every point: a released set is
+        # rebuilt, so four points with two keys build four times
+        calls = count_kick_factors(monkeypatch)
+        text = NOISY + """
+sweep:
+  postselect.alpha: {values: [0.2, 0.25]}
+  coupling.g: {values: [0.001, 0.002]}
+"""
+        records = run_scenario(parse_scenario(text))
+        assert [rec.point["coupling.g"] for rec in records] == [0.001, 0.002] * 2
+        assert [spec.g for spec, _ in calls] == [0.001, 0.002] * 2
+        calls.clear()
+        text = NOISY + """
+sweep:
+  coupling.g: {values: [0.001, 0.002]}
+  postselect.alpha: {values: [0.2, 0.25]}
+"""
+        run_scenario(parse_scenario(text))
+        assert [spec.g for spec, _ in calls] == [0.001, 0.002]
+
+    def test_bad_swept_value_fails_alone(self):
+        text = """
+name: bad-theta
+preselect: {id: amp_in, theta: 0.5}
+postselect: {id: amp_f}
+coupling: {variant: measure_sigma_zR, g: 1.0e-3}
+meter: {N: 16, delta: 2.0}
+observables: [sigma_z_R]
+sweep:
+  preselect.theta: {values: [0.3, 1.5, 0.5]}
+"""
+        records = run_scenario(parse_scenario(text))
+        assert len(records) == 3
+        assert records[0].error == "" and records[2].error == ""
+        assert records[1].error.startswith("ParameterRangeError: preselect.theta = 1.5")
+        assert records[1].weak_values == {} and records[1].fit_value is None
+        assert records[2].weak_values["sigma_z_R"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_meter_n_sweep_takes_integers(self):
+        text = DISEMBODY_SWEEP.replace(
+            "  preselect.theta: {start: 0.07, stop: 0.87, steps: 9}",
+            "  meter.N: {start: 16, stop: 24, steps: 3}",
+        )
+        records = run_scenario(parse_scenario(text))
+        points = [rec.point["meter.N"] for rec in records]
+        assert points == [16, 20, 24]
+        assert all(type(n) is int for n in points)
+        assert all(rec.error == "" for rec in records)
+
+    def test_non_integral_meter_n_fails_alone(self):
+        text = DISEMBODY_SWEEP.replace(
+            "  preselect.theta: {start: 0.07, stop: 0.87, steps: 9}",
+            "  meter.N: {values: [16, 17.5, 18]}",
+        )
+        records = run_scenario(parse_scenario(text))
+        assert [rec.point["meter.N"] for rec in records] == [16, 17.5, 18]
+        assert records[0].error == "" and records[2].error == ""
+        assert records[1].error.startswith("ParameterRangeError: meter.N must be a positive integer")
+
+
+class TestYamlFloats:
+    def test_exponent_floats_parse_as_numbers(self):
+        text = NOISY.replace("g: 1.0e-3, gprime: 1.0e-3, t: 100.0", "g: 2e-3, gprime: 1E-3, t: 1e2")
+        doc = parse_scenario(text)
+        assert (doc.coupling["g"], doc.coupling["gprime"], doc.coupling["t"]) == (0.002, 0.001, 100.0)
+
+    def test_plain_safe_load_is_untouched(self):
+        import yaml
+
+        assert yaml.safe_load("2e-3") == "2e-3"
