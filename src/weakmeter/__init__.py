@@ -23,6 +23,7 @@ from .errors import (
     AnnihilationError,
     DegeneratePostselectionError,
     IllConditionedFitError,
+    NumericalOverflowError,
     ScenarioError,
     SignatureError,
     WeakmeterError,

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnnihilationError, IllConditionedFitError, SignatureError
+from .errors import (
+    AnnihilationError,
+    IllConditionedFitError,
+    NumericalOverflowError,
+    SignatureError,
+)
 from .hilbert import Ket, Operator, SpaceSignature, extend, mat_exp, tensor
 from .meter import DiscreteGaussianMeter, MeterReadout, meter_readout, q_grid
 from .optics import METER, ORBITAL, named_state
@@ -241,13 +246,22 @@ def kick_factors(spec: CouplingSpec, system: SpaceSignature,
     """Static factors and the kick's batched eigendecomposition over the meter grid.
 
     They depend on the coupling, the system signature and the grid size
-    only, so one set serves every pre-state of a sweep at that key.
+    only, so one set serves every pre-state of a sweep at that key.  Raises
+    :class:`NumericalOverflowError` when the kick generator leaves the float
+    range on the grid.
     """
     strength, a, b, static = coupling_terms(spec, system)
     before = spec.resolved_kick_time
     after = spec.t - before
     has_static = np.any(static)
-    w, v = np.linalg.eigh(strength * (a * meter.q[:, None, None] + b))  # batched over the grid
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        generator = strength * (a * meter.q[:, None, None] + b)  # batched over the grid
+    if not np.all(np.isfinite(generator)):
+        raise NumericalOverflowError(
+            f"kick generator {spec.coupling.strength} * (A q + B) is not finite on the grid "
+            f"|q| <= {meter.half_width} ({spec.coupling.strength} = {strength!r})"
+        )
+    w, v = np.linalg.eigh(generator)
     factors = KickFactors(
         spec=spec, system=system,
         before=mat_exp(static, -1j * before) if has_static and before else None,
@@ -355,7 +369,7 @@ def fit_effective_weak_value(final_meter, reference: DiscreteGaussianMeter,
     points below the 1e-8 support threshold are excluded.
     """
     if g <= 0:
-        raise ValueError(f"fit requires a positive coupling, got g={g}")
+        raise IllConditionedFitError(f"fit requires a positive coupling, got g={g}")
     final = np.asarray(final_meter.amplitudes if isinstance(final_meter, Ket) else final_meter,
                        dtype=complex).reshape(-1)
     ref = np.asarray(reference.amplitudes)

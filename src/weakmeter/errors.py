@@ -8,6 +8,7 @@ __all__ = [
     "DegeneratePostselectionError",
     "AnnihilationError",
     "IllConditionedFitError",
+    "NumericalOverflowError",
     "ScenarioError",
     "ScenarioSyntaxError",
     "UnknownIdError",
@@ -42,7 +43,11 @@ class AnnihilationError(WeakmeterError):
 
 
 class IllConditionedFitError(WeakmeterError):
-    """Pointer fit has no usable spread across the grid."""
+    """Pointer fit has no usable spread across the grid, or no coupling to divide by."""
+
+
+class NumericalOverflowError(WeakmeterError):
+    """A finite input drove an intermediate quantity out of the float range."""
 
 
 class ScenarioError(WeakmeterError):

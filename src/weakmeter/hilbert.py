@@ -8,12 +8,10 @@ Everything is immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SignatureError
 
@@ -26,7 +24,6 @@ __all__ = [
     "extend",
     "inner",
     "mat_exp",
-    "dft_matrix",
     "dft_q_to_p",
 ]
 
@@ -276,7 +273,8 @@ def mat_exp(op, scale: complex = 1.0):
     """exp(scale * H) for an :class:`Operator` or a raw square matrix.
 
     Hermitian inputs go through an eigendecomposition (exactness over speed);
-    anything else falls back to scaling-and-squaring.
+    anything else falls back to scaling-and-squaring.  scipy is imported only
+    on that fallback, so ``import weakmeter`` does not load it.
     """
     if isinstance(op, Operator):
         return Operator(op.signature, mat_exp(op.matrix, scale))
@@ -290,32 +288,19 @@ def mat_exp(op, scale: complex = 1.0):
     if np.max(np.abs(mat - mat.conj().T)) <= tol:
         w, v = np.linalg.eigh(mat)
         return (v * np.exp(scale * w)) @ v.conj().T
+    import scipy.linalg
+
     return scipy.linalg.expm(scale * mat)
-
-
-@functools.lru_cache(maxsize=32)
-def _centered_dft_kernel(size: int) -> np.ndarray:
-    n = (size - 1) // 2
-    k = np.arange(-n, n + 1)
-    kernel = np.exp(-2j * np.pi * np.outer(k, k) / size) / np.sqrt(size)
-    kernel.setflags(write=False)
-    return kernel
-
-
-def dft_matrix(size: int) -> np.ndarray:
-    """The unitary centered DFT kernel as a read-only (size x size) matrix."""
-    if size % 2 == 0:
-        raise ValueError(f"meter grid must have odd length 2N+1, got {size}")
-    return _centered_dft_kernel(size)
 
 
 def dft_q_to_p(meter_amplitudes) -> np.ndarray:
     """Unitary centered DFT from the q grid to the p grid.
 
     Kernel exp(-i 2pi k l / (2N+1)) / sqrt(2N+1) with k, l in {-N..N}; the
-    momentum grid is p_l = 2*pi*l/(2N+1).  Norm is preserved to 1e-12.
+    momentum grid is p_l = 2*pi*l/(2N+1).  Computed as an FFT of the grid
+    rotated so that k = 0 comes first, in O(N log N) time and O(N) memory.
     """
     vec = np.asarray(meter_amplitudes, dtype=complex).reshape(-1)
     if len(vec) % 2 == 0:
         raise ValueError(f"meter grid must have odd length 2N+1, got {len(vec)}")
-    return _centered_dft_kernel(len(vec)) @ vec
+    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(vec), norm="ortho"))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnnihilationError
-from .hilbert import Ket, Operator, SpaceSignature, dft_q_to_p
+from .hilbert import Ket, SpaceSignature
 
 __all__ = [
     "GRID_UNITS",
@@ -23,7 +23,6 @@ __all__ = [
     "make_meter",
     "q_grid",
     "p_grid",
-    "position_operator",
     "moments",
     "meter_readout",
     "continuous_reference",
@@ -43,13 +42,6 @@ def q_grid(half_width: int) -> np.ndarray:
 def p_grid(half_width: int) -> np.ndarray:
     size = 2 * half_width + 1
     return 2.0 * np.pi * np.arange(-half_width, half_width + 1, dtype=float) / size
-
-
-def position_operator(half_width: int, label: str = "meter") -> Operator:
-    """q_hat: diagonal in the position grid."""
-    size = 2 * half_width + 1
-    sig = SpaceSignature(((label, size),))
-    return Operator(sig, np.diag(q_grid(half_width)).astype(complex), hermitian=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,22 +145,27 @@ def _as_vector(meter_amplitudes) -> np.ndarray:
 
 
 def moments(meter_amplitudes, representation: str = "q") -> tuple[float, float]:
-    """(mean, variance) of the normalized pointer density on the q or p grid."""
+    """(mean, variance) of the normalized pointer density on the q or p grid.
+
+    The p density is |FFT(vec)|^2 / (2N+1), taken against the p grid in FFT
+    order, 2*pi*fftfreq(2N+1) = ifftshift(p_grid(N)).  A density does not see
+    the phase that centering the transform would add, so no shift is needed.
+    """
     vec = _as_vector(meter_amplitudes)
-    if len(vec) % 2 == 0:
+    size = len(vec)
+    if size % 2 == 0:
         raise ValueError("meter grid must have odd length 2N+1")
     weight = float(np.sum(np.abs(vec) ** 2))
     if weight <= 0.0:
         raise AnnihilationError("zero meter state: post-selection annihilated it")
-    n = (len(vec) - 1) // 2
     if representation == "q":
-        grid = q_grid(n)
+        grid = q_grid((size - 1) // 2)
+        density = np.abs(vec) ** 2 / weight
     elif representation == "p":
-        grid = p_grid(n)
-        vec = dft_q_to_p(vec)
+        grid = 2.0 * np.pi * np.fft.fftfreq(size)
+        density = np.abs(np.fft.fft(vec)) ** 2 / (size * weight)
     else:
         raise ValueError(f"representation must be 'q' or 'p', got {representation!r}")
-    density = np.abs(vec) ** 2 / weight
     mean = float(np.sum(grid * density))
     var = float(np.sum((grid - mean) ** 2 * density))
     return mean, var

@@ -170,6 +170,11 @@ def _validate_coupling(section) -> dict:
         raise ParameterRangeError("coupling constants g, gprime must be nonnegative")
     if out["t"] <= 0:
         raise ParameterRangeError(f"coupling.t must be positive, got {out['t']}")
+    if not np.isfinite(out["gprime"] * out["t"]):
+        # the catalog's effective observables and static factors take g' t
+        raise ParameterRangeError(
+            f"coupling.gprime * coupling.t must be finite, got {out['gprime']} * {out['t']}"
+        )
     if out["kick_time"] is not None:
         out["kick_time"] = _require_number(out["kick_time"], "coupling.kick_time")
         if not 0.0 <= out["kick_time"] <= out["t"]:

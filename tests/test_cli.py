@@ -81,6 +81,27 @@ class TestRun:
         assert err.startswith("error: ") and "must be finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("value,cause", [
+        ("0", "IllConditionedFitError: fit requires a positive coupling"),
+        ("1e308", "NumericalOverflowError: kick generator g * (A q + B) is not finite"),
+    ], ids=["g-zero", "g-overflow"])
+    def test_unusable_coupling_fails_its_row(self, capsys, value, cause):
+        code, out, err = run_cli(capsys, "run", "bundle:disembodiment",
+                                 "--set", f"coupling.g={value}")
+        assert code == EXIT_OK, err
+        assert "Traceback" not in err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 4
+        assert all(row[-1].startswith(cause) for row in rows)
+
+    def test_overflowing_noise_product_gives_parse_exit(self, capsys):
+        code, out, err = run_cli(capsys, "run", "bundle:noisy_spin_orbit",
+                                 "--set", "coupling.gprime=1e308")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: ") and "gprime * coupling.t must be finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_exponent_float_override_matches_decimal(self, capsys):
         code, exponent, err = run_cli(capsys, "run", "bundle:disembodiment",
                                       "--set", "coupling.g=2e-3")

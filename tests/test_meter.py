@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weakmeter.errors import AnnihilationError
-from weakmeter.hilbert import dft_matrix, dft_q_to_p
+from weakmeter.hilbert import dft_q_to_p
 from weakmeter.meter import (
     GRID_UNITS,
     continuous_reference,
@@ -12,7 +12,6 @@ from weakmeter.meter import (
     meter_readout,
     moments,
     p_grid,
-    position_operator,
     q_grid,
 )
 
@@ -154,6 +153,15 @@ class TestGrids:
         assert p[32] == 0.0
 
 
+def dft_matrix(size):
+    """Dense centered DFT kernel exp(-2 pi i k l / size) / sqrt(size), k, l in {-N..N}.
+
+    k l is reduced mod size before scaling, so the phases stay exact at large size.
+    """
+    k = np.arange(size) - (size - 1) // 2
+    return np.exp(-2j * np.pi * (np.outer(k, k) % size) / size) / np.sqrt(size)
+
+
 def p_hat(half_width):
     """p_hat = F^dagger diag(p_l) F in the position basis."""
     kernel = dft_matrix(2 * half_width + 1)
@@ -164,8 +172,8 @@ class TestGridOperators:
     def test_position_operator_expectation(self):
         meter = make_meter(32, 3.0)
         shifted = np.roll(meter.amplitudes, 5)
-        q_op = position_operator(32)
-        expect = np.vdot(shifted, q_op.matrix @ shifted).real
+        q_op = np.diag(q_grid(32))
+        expect = np.vdot(shifted, q_op @ shifted).real
         assert expect == pytest.approx(moments(shifted, "q")[0], abs=1e-12)
 
     def test_momentum_operator_expectation(self):
@@ -180,3 +188,28 @@ class TestGridOperators:
         kernel = dft_matrix(17)
         rotated = kernel @ p_hat(8) @ kernel.conj().T
         np.testing.assert_allclose(rotated, np.diag(p_grid(8)), atol=1e-12)
+
+
+class TestFftReadout:
+    @pytest.mark.parametrize("n", [1, 2, 32, 64, 128, 1024])
+    def test_matches_dense_kernel(self, n):
+        size = 2 * n + 1
+        rng = np.random.default_rng(n)
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+        dense = dft_matrix(size) @ vec
+        tol = 1e-13 * np.max(np.abs(dense))
+        assert np.max(np.abs(dft_q_to_p(vec) - dense)) <= tol
+        # moments of the dense density on the centered p grid
+        density = np.abs(dense) ** 2 / np.sum(np.abs(vec) ** 2)
+        p = p_grid(n)
+        mean = np.sum(p * density)
+        var = np.sum((p - mean) ** 2 * density)
+        got_mean, got_var = moments(vec, "p")
+        assert abs(got_mean - mean) <= 1e-13 * np.pi
+        assert abs(got_var - var) <= 1e-13 * var
+
+    @pytest.mark.parametrize("n", [1, 2, 32, 64, 128, 1024])
+    def test_fft_order_grid_is_shifted_p_grid(self, n):
+        # the same values up to the order of the rounded products: 2 pi (l / M) vs 2 pi l / M
+        np.testing.assert_allclose(2 * np.pi * np.fft.fftfreq(2 * n + 1),
+                                   np.fft.ifftshift(p_grid(n)), rtol=1e-15, atol=0)

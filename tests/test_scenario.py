@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,18 @@ sweep:
         assert rec.mean_q == pytest.approx(ref.mean_q, rel=2e-2, abs=1e-6)
         assert rec.var_q == pytest.approx(ref.var_q, rel=1e-3)
         assert rec.var_p == pytest.approx(ref.var_p, rel=1e-3)
+
+    def test_wide_meter_point_memory_is_linear(self):
+        doc = apply_override(parse_scenario(NOISY), "meter.N", 4096)
+        tracemalloc.start()
+        try:
+            records = run_scenario(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records[0].error == ""
+        # a dense (2N+1)^2 readout kernel alone would take 8193^2 * 16 B = 1 GiB
+        assert peak < 100 * 2**20
 
 
 class TestSerialization:
