@@ -32,7 +32,6 @@ from .hilbert import (
     Ket,
     Operator,
     SpaceSignature,
-    dft_q_to_p,
     extend,
     identity,
     inner,

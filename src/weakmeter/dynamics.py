@@ -22,6 +22,7 @@ joint system+meter operator.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +32,9 @@ from .errors import (
     AnnihilationError,
     IllConditionedFitError,
     NumericalOverflowError,
+    ParameterRangeError,
     SignatureError,
+    UnknownIdError,
 )
 from .hilbert import Ket, Operator, SpaceSignature, extend, mat_exp, tensor
 from .meter import DiscreteGaussianMeter, MeterReadout, meter_readout, q_grid
@@ -101,7 +104,10 @@ class CouplingSpec:
     ``measure_arm`` applies to the parallel-noise variants only: 'R' reads
     the signal (sigma_z in the right arm) and 'L' reads the arm-resolved
     noise observable in the left arm; unset means the linear (no-path)
-    arrangement.
+    arrangement.  Construction holds the only copy of the coupling rules
+    (scenario validation builds a spec to apply them), so a bad value raises
+    :class:`ParameterRangeError`, or :class:`UnknownIdError` for an unknown
+    variant, with the scenario's ``coupling.*`` field in the message.
     """
 
     variant: str
@@ -114,24 +120,29 @@ class CouplingSpec:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown coupling variant {self.variant!r}; valid: {VARIANTS}")
+            raise UnknownIdError(f"unknown coupling variant {self.variant!r}; valid: {VARIANTS}")
         numbers = (self.g, self.gprime, self.t, self.resolved_kick_time)
-        if not np.all(np.isfinite(numbers)):
-            raise ValueError(f"coupling parameters must be finite, got {numbers}")
+        if not all(map(math.isfinite, numbers)):
+            raise ParameterRangeError(f"coupling parameters must be finite, got {numbers}")
         if self.g < 0 or self.gprime < 0:
-            raise ValueError("coupling constants must be nonnegative")
+            raise ParameterRangeError("coupling constants g, gprime must be nonnegative")
+        if self.t <= 0:
+            raise ParameterRangeError(f"coupling.t must be positive, got {self.t}")
+        if not math.isfinite(self.gprime_t):
+            # the catalog's effective observables and static factors take g' t
+            raise ParameterRangeError(
+                f"coupling.gprime * coupling.t must be finite, got {self.gprime} * {self.t}"
+            )
+        if self.kick_time is not None and not 0.0 <= self.kick_time <= self.t:
+            raise ParameterRangeError(f"coupling.kick_time = {self.kick_time} outside [0, t={self.t}]")
         if self.measure_arm is not None:
             if (self.variant, "R") not in COUPLINGS:
-                raise ValueError("measure_arm applies to the parallel variants only")
+                raise ParameterRangeError("coupling.measure_arm applies to the parallel variants only")
             if self.measure_arm not in ("L", "R"):
-                raise ValueError(f"measure_arm must be 'L' or 'R', got {self.measure_arm!r}")
-        row = self.coupling
-        if (row.s is not None or row.strength == "gprime_t") and self.t <= 0:
-            raise ValueError(f"variant {self.variant!r} needs a positive duration t")
-        if self.kick_time is not None and not 0.0 <= self.kick_time <= self.t:
-            raise ValueError(f"kick_time must lie in [0, t], got {self.kick_time}")
+                raise ParameterRangeError(
+                    f"coupling.measure_arm must be L or R, got {self.measure_arm!r}")
         if self.kick_sign not in (1, -1):
-            raise ValueError(f"kick_sign must be +1 or -1, got {self.kick_sign}")
+            raise ParameterRangeError(f"coupling.kick_sign must be 1 or -1, got {self.kick_sign!r}")
 
     @property
     def coupling(self) -> Coupling:

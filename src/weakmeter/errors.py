@@ -51,7 +51,7 @@ class NumericalOverflowError(WeakmeterError):
 
 
 class ScenarioError(WeakmeterError):
-    """Base class for scenario-file problems."""
+    """Base class for bad input: scenario files and the parameter rules they share."""
 
 
 class ScenarioSyntaxError(ScenarioError):
@@ -67,7 +67,7 @@ class ScenarioSyntaxError(ScenarioError):
 
 
 class UnknownIdError(ScenarioError):
-    """A state or observable id is not in the catalog."""
+    """A state id, observable id or coupling variant is not in the catalog."""
 
 
 class UnknownKeyError(ScenarioError):
@@ -75,4 +75,9 @@ class UnknownKeyError(ScenarioError):
 
 
 class ParameterRangeError(ScenarioError):
-    """A scenario parameter is outside its allowed range."""
+    """A coupling, meter or state parameter is missing or outside its allowed range.
+
+    Raised alike by the library constructors (``CouplingSpec``,
+    ``make_meter``, ``named_state``) and by scenario validation, which calls
+    their rules; messages name the scenario field (``coupling.t``, ``meter.N``).
+    """

@@ -24,7 +24,6 @@ __all__ = [
     "extend",
     "inner",
     "mat_exp",
-    "dft_q_to_p",
 ]
 
 FLAG_ATOL = 1e-12
@@ -292,15 +291,3 @@ def mat_exp(op, scale: complex = 1.0):
 
     return scipy.linalg.expm(scale * mat)
 
-
-def dft_q_to_p(meter_amplitudes) -> np.ndarray:
-    """Unitary centered DFT from the q grid to the p grid.
-
-    Kernel exp(-i 2pi k l / (2N+1)) / sqrt(2N+1) with k, l in {-N..N}; the
-    momentum grid is p_l = 2*pi*l/(2N+1).  Computed as an FFT of the grid
-    rotated so that k = 0 comes first, in O(N log N) time and O(N) memory.
-    """
-    vec = np.asarray(meter_amplitudes, dtype=complex).reshape(-1)
-    if len(vec) % 2 == 0:
-        raise ValueError(f"meter grid must have odd length 2N+1, got {len(vec)}")
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(vec), norm="ortho"))

@@ -7,12 +7,13 @@ All readouts carry this unit tag.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnnihilationError
+from .errors import AnnihilationError, ParameterRangeError
 from .hilbert import Ket, SpaceSignature
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "DiscreteGaussianMeter",
     "MeterReadout",
     "ContinuousMoments",
+    "check_meter",
     "make_meter",
     "q_grid",
     "p_grid",
@@ -73,18 +75,38 @@ class DiscreteGaussianMeter:
         return Ket(sig, self.amplitudes, normalized=True)
 
 
+def check_meter(half_width, width) -> None:
+    """Raise :class:`ParameterRangeError` unless ``make_meter`` can take these values.
+
+    ``half_width`` (a scenario's ``meter.N``) must be an integer >= 1 and
+    ``width`` (``meter.delta``) positive, with 4 width^2 a nonzero finite
+    float because the amplitudes divide by it.  Builds no grid.
+    """
+    integral = isinstance(half_width, (int, np.integer)) and not isinstance(half_width, bool)
+    if not integral or half_width < 1:
+        raise ParameterRangeError(f"meter.N must be a positive integer, got {half_width!r}")
+    _check_width(width)
+
+
+def _check_width(width) -> float:
+    delta = float(width)
+    if not (delta > 0 and 0.0 < 4.0 * delta * delta < math.inf):  # no float ** (OverflowError)
+        raise ParameterRangeError(
+            f"meter.delta must be positive with 4 delta^2 a nonzero finite float, got {width!r}"
+        )
+    return delta
+
+
 def make_meter(half_width: int, width: float) -> DiscreteGaussianMeter:
     """Build the normalized discrete Gaussian meter.
 
-    Warns when ``width > half_width / 5``: the lost tail mass then exceeds
-    the tolerance the continuous-limit comparisons assume.
+    Raises :class:`ParameterRangeError` for values :func:`check_meter`
+    rejects.  Warns when ``width > half_width / 5``: the lost tail mass then
+    exceeds the tolerance the continuous-limit comparisons assume.
     """
+    check_meter(half_width, width)
     n = int(half_width)
     delta = float(width)
-    if n < 1:
-        raise ValueError(f"half_width must be >= 1, got {half_width}")
-    if delta <= 0:
-        raise ValueError(f"width must be positive, got {width}")
     if delta > n / TRUNCATION_GUARD:
         warnings.warn(
             f"meter width {delta} exceeds half_width/{TRUNCATION_GUARD:.0f} = "
@@ -193,10 +215,9 @@ def continuous_reference(width: float, g: float, weak_value: complex) -> Continu
     -2 g width^2 Im(A_w).  The q-shift relation is not derived here from
     first principles; it is the standard complex-weak-value readout and is
     cross-checked against direct quadrature of the final state in the tests.
+    ``width`` follows the meter's delta rule (see :func:`check_meter`).
     """
-    delta = float(width)
-    if delta <= 0:
-        raise ValueError("width must be positive")
+    delta = _check_width(width)
     a_w = complex(weak_value)
     return ContinuousMoments(
         mean_q=-2.0 * g * delta**2 * a_w.imag,

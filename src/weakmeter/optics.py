@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SignatureError, UnknownIdError
+from .errors import ParameterRangeError, SignatureError, UnknownIdError
 from .hilbert import Ket, Operator, SpaceSignature, extend, identity, tensor
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "path_ket", "pol_ket", "pol_from_hv", "pol_matrix_from_hv", "hv_components",
     "orbital_vector", "orbital_ket", "orbital_matrix",
     "Component", "Pipeline", "component_unitary",
-    "prepare_preselected", "named_state", "STATE_IDS",
+    "prepare_preselected", "named_state", "STATE_IDS", "check_state",
 ]
 
 PATH = "path"
@@ -257,8 +257,7 @@ def prepare_preselected(theta: float) -> Ket:
     exactly (to 1e-12), not merely up to phase.
     """
     theta = float(theta)
-    if not -np.pi < theta < np.pi:
-        raise ValueError(f"theta must lie in (-pi, pi), got {theta}")
+    check_state("amp_in", {"theta": theta / np.pi}, "prepare_preselected")
     sig = path_signature().concat(polarization_signature())
     pol_in = Ket(polarization_signature(), pol_from_hv(np.cos(theta / 2), np.sin(theta / 2)))
     source = tensor(path_ket("L"), pol_in)
@@ -314,22 +313,38 @@ STATE_IDS = {
 }
 
 
+def check_state(name, angles: dict, where: str) -> None:
+    """Raise unless ``name`` is a catalog id and ``angles`` holds each angle it declares.
+
+    ``angles`` maps ``theta``/``alpha`` to values in units of pi, the unit of
+    scenario files; each angle ``STATE_IDS`` declares must be present and lie
+    in (-1, 1), that is (-pi, pi) in radians.  Extra keys are ignored.
+    Messages name the field as ``{where}.theta``.
+    """
+    if not isinstance(name, str) or name not in STATE_IDS:
+        raise UnknownIdError(
+            f"unknown state id {name!r} in {where}; valid ids: {sorted(STATE_IDS)}"
+        )
+    for param in STATE_IDS[name]:
+        value = angles.get(param)
+        if value is None:
+            raise ParameterRangeError(f"{where}: state {name!r} requires {param!r}")
+        if not -1.0 < value < 1.0:
+            raise ParameterRangeError(
+                f"{where}.{param} = {value} out of range (-1, 1) (units of pi)"
+            )
+
+
 def named_state(name: str, *, theta: float | None = None, alpha: float | None = None,
                 orbital_dim: int = 2) -> Ket:
     """Pre/post-selected states by id, exactly as their closed forms read.
 
     Angles are radians here; ``orbital_dim`` selects the doublet (default)
-    or the full triplet embedding of the orbital factor.
+    or the full triplet embedding of the orbital factor.  Raises
+    :class:`ParameterRangeError` for an angle :func:`check_state` rejects.
     """
-    if name not in STATE_IDS:
-        raise UnknownIdError(
-            f"unknown state id {name!r}; valid ids: {sorted(STATE_IDS)}"
-        )
-    needs = STATE_IDS[name]
     given = {"theta": theta, "alpha": alpha}
-    for param in needs:
-        if given[param] is None:
-            raise ValueError(f"state {name!r} requires parameter {param!r}")
+    check_state(name, {k: v / np.pi for k, v in given.items() if v is not None}, "named_state")
 
     if name == "cheshire_in":
         return ((1j * tensor(path_ket("L"), pol_ket("H"))
@@ -337,8 +352,6 @@ def named_state(name: str, *, theta: float | None = None, alpha: float | None = 
     if name in ("cheshire_f", "amp_f"):
         return _cheshire_f()
     if name == "amp_in":
-        if not -np.pi < theta < np.pi:
-            raise ValueError(f"theta must lie in (-pi, pi), got {theta}")
         return _amp_in(theta)
     if name == "noisy_in":
         return tensor(_orbital_superposition(orbital_dim), pol_ket("H"))
@@ -346,8 +359,6 @@ def named_state(name: str, *, theta: float | None = None, alpha: float | None = 
         pol = Ket(polarization_signature(), pol_from_hv(np.cos(alpha), np.sin(alpha)))
         return tensor(orbital_ket("va", orbital_dim), pol)
     if name == "disembody_in":
-        if not -np.pi < theta < np.pi:
-            raise ValueError(f"theta must lie in (-pi, pi), got {theta}")
         return _insert_orbital(_amp_in(theta), _orbital_superposition(orbital_dim))
     if name == "disembody_f":
         post_pol = (np.cos(alpha) * tensor(path_ket("L"), pol_ket("H"))

@@ -17,7 +17,6 @@ import numpy as np
 import yaml
 
 from .dynamics import (
-    VARIANTS,
     CouplingSpec,
     evolve_exact,
     fit_effective_weak_value,
@@ -32,8 +31,8 @@ from .errors import (
     WeakmeterError,
 )
 from .hilbert import extend
-from .meter import make_meter, meter_readout
-from .optics import STATE_IDS, named_state
+from .meter import check_meter, make_meter, meter_readout
+from .optics import STATE_IDS, check_state, named_state
 from .weakvalue import observable, observable_ids, weak_value
 
 __all__ = [
@@ -128,27 +127,10 @@ def _validate_state(section, where: str) -> dict:
         raise ScenarioSyntaxError(f"{where} must be a mapping with an 'id'")
     if "id" not in section:
         raise ParameterRangeError(f"{where} needs an 'id' field")
-    state_id = section["id"]
-    if state_id not in STATE_IDS:
-        raise UnknownIdError(
-            f"unknown state id {state_id!r} in {where}; valid ids: {sorted(STATE_IDS)}"
-        )
-    needs = STATE_IDS[state_id]
-    _reject_unknown(section, ("id",) + needs, where)
-    out = {"id": state_id}
-    for param in needs:
-        if param not in section:
-            raise ParameterRangeError(f"{where}: state {state_id!r} requires {param!r}")
-        value = _require_number(section[param], f"{where}.{param}")
-        if param == "theta" and not -1.0 < value < 1.0:
-            raise ParameterRangeError(
-                f"{where}.theta = {value} out of range (-1, 1) (units of pi)"
-            )
-        if param == "alpha" and not -1.0 < value < 1.0:
-            raise ParameterRangeError(
-                f"{where}.alpha = {value} out of range (-1, 1) (units of pi)"
-            )
-        out[param] = value
+    out = {"id": section["id"]}
+    out.update((k, _require_number(v, f"{where}.{k}")) for k, v in section.items() if k != "id")
+    check_state(out["id"], out, where)
+    _reject_unknown(section, ("id",) + STATE_IDS[out["id"]], where)
     return out
 
 
@@ -160,31 +142,11 @@ def _validate_coupling(section) -> dict:
     _reject_unknown(section, _COUPLING_KEYS, "coupling")
     out = dict(DEFAULTS["coupling"])
     out.update(section)
-    if out["variant"] not in VARIANTS:
-        raise UnknownIdError(
-            f"unknown coupling variant {out['variant']!r}; valid: {VARIANTS}"
-        )
     for key in ("g", "gprime", "t"):
         out[key] = _require_number(out[key], f"coupling.{key}")
-    if out["g"] < 0 or out["gprime"] < 0:
-        raise ParameterRangeError("coupling constants g, gprime must be nonnegative")
-    if out["t"] <= 0:
-        raise ParameterRangeError(f"coupling.t must be positive, got {out['t']}")
-    if not np.isfinite(out["gprime"] * out["t"]):
-        # the catalog's effective observables and static factors take g' t
-        raise ParameterRangeError(
-            f"coupling.gprime * coupling.t must be finite, got {out['gprime']} * {out['t']}"
-        )
     if out["kick_time"] is not None:
         out["kick_time"] = _require_number(out["kick_time"], "coupling.kick_time")
-        if not 0.0 <= out["kick_time"] <= out["t"]:
-            raise ParameterRangeError(
-                f"coupling.kick_time = {out['kick_time']} outside [0, t={out['t']}]"
-            )
-    if out["measure_arm"] not in (None, "L", "R"):
-        raise ParameterRangeError(f"coupling.measure_arm must be L or R, got {out['measure_arm']!r}")
-    if out["kick_sign"] not in (1, -1):
-        raise ParameterRangeError(f"coupling.kick_sign must be 1 or -1, got {out['kick_sign']!r}")
+    CouplingSpec(**out)  # raises if a coupling rule fails
     return out
 
 
@@ -196,11 +158,8 @@ def _validate_meter(section) -> dict:
     _reject_unknown(section, _METER_KEYS, "meter")
     out = dict(DEFAULTS["meter"])
     out.update(section)
-    if isinstance(out["N"], bool) or not isinstance(out["N"], int) or out["N"] < 1:
-        raise ParameterRangeError(f"meter.N must be a positive integer, got {out['N']!r}")
     out["delta"] = _require_number(out["delta"], "meter.delta")
-    if out["delta"] <= 0:
-        raise ParameterRangeError(f"meter.delta must be positive, got {out['delta']}")
+    check_meter(out["N"], out["delta"])
     return out
 
 
@@ -318,19 +277,12 @@ def parse_scenario(text: str) -> ScenarioDoc:
 def apply_override(doc: ScenarioDoc, path: str, value) -> ScenarioDoc:
     """Set one dotted-path field (e.g. coupling.g) and re-validate strictly.
 
-    A leaf outside the schema is rejected by the strict re-validation, so
-    unknown override paths surface as :class:`UnknownKeyError`.
+    A path that addresses no field of the validated document raises
+    :class:`UnknownKeyError`.
     """
     data = doc.to_dict()
-    parts = path.split(".")
-    node = data
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise UnknownKeyError(f"override path {path!r} does not address a scenario field")
-        node = node[part]
-    if not isinstance(node, dict):
-        raise UnknownKeyError(f"override path {path!r} does not address a scenario field")
-    node[parts[-1]] = value
+    node, leaf = _resolve_path(data, path)
+    node[leaf] = value
     return _validate(data)
 
 
@@ -444,11 +396,7 @@ def _run_point(doc: ScenarioDoc, chash: str, point: dict, reuse: _Reuse) -> Resu
 
         meter = reuse.get(("meter", doc.meter["N"], doc.meter["delta"]),
                           lambda: make_meter(doc.meter["N"], doc.meter["delta"]))
-        spec = reuse.get(("coupling", coupling), lambda: CouplingSpec(
-            variant=coupling["variant"], g=coupling["g"], gprime=coupling["gprime"],
-            t=coupling["t"], kick_time=coupling["kick_time"],
-            measure_arm=coupling["measure_arm"], kick_sign=coupling["kick_sign"],
-        ))
+        spec = reuse.get(("coupling", coupling), lambda: CouplingSpec(**coupling))
         joint = evolve_exact(spec, pre, meter, reuse.kick_factors(spec, pre.signature, meter))
         final = post_select_meter(joint, post)
         readout = meter_readout(final)

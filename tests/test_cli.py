@@ -102,6 +102,35 @@ class TestRun:
         assert err.startswith("error: ") and "gprime * coupling.t must be finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "bundle:noisy_spin_orbit", "--set", "coupling.measure_arm=R"),
+        ("run", "bundle:disembodiment", "--set", "meter.delta=1e-200"),
+        ("run", "bundle:disembodiment", "--set", "meter.delta=1e300"),
+        ("run", "bundle:cheshire", "--set", "preselect.id=[1]"),
+        ("show-state", "amp_in", "--theta", "1.5"),
+        ("show-state", "amp_in"),
+        ("show-state", "noisy_f", "--alpha", "7"),
+    ], ids=["arm-on-linear-variant", "delta-underflow", "delta-overflow", "unhashable-state-id",
+            "theta-out-of-range", "theta-missing", "alpha-out-of-range"])
+    def test_rejected_parameter_gives_parse_exit(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_bad_swept_meter_delta_gets_its_own_row(self, tmp_path, capsys):
+        doc = tmp_path / "sweep.yaml"
+        doc.write_text(load_bundle("disembodiment")
+                       + "sweep:\n  meter.delta: {values: [4.0, 1e-200, 1e300]}\n")
+        code, out, err = run_cli(capsys, "run", str(doc))
+        assert code == EXIT_OK, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 6  # four observables on the good point, one row per bad one
+        assert all(row[-1] == "" for row in rows[:4])
+        assert all(row[-1].startswith("ParameterRangeError: meter.delta must be positive with "
+                                      "4 delta^2 a nonzero finite float") for row in rows[4:])
+
     def test_exponent_float_override_matches_decimal(self, capsys):
         code, exponent, err = run_cli(capsys, "run", "bundle:disembodiment",
                                       "--set", "coupling.g=2e-3")

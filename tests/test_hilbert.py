@@ -6,7 +6,6 @@ from weakmeter.hilbert import (
     Ket,
     Operator,
     SpaceSignature,
-    dft_q_to_p,
     extend,
     identity,
     inner,
@@ -190,47 +189,6 @@ class TestMatExp:
         bad = np.array([[np.inf, 0], [0, 1]])
         with pytest.raises(ValueError):
             mat_exp(bad, 1.0)
-
-
-class TestDft:
-    def test_uniform_maps_to_zero_momentum(self):
-        vec = np.ones(9) / 3.0
-        out = dft_q_to_p(vec)
-        expected = np.zeros(9, complex)
-        expected[4] = 1.0
-        np.testing.assert_allclose(out, expected, atol=1e-14)
-
-    def test_round_trip(self):
-        # the centered kernel F is symmetric, so F^dagger x = conj(F conj(x))
-        rng = np.random.default_rng(2)
-        vec = rng.normal(size=65) + 1j * rng.normal(size=65)
-        back = dft_q_to_p(dft_q_to_p(vec).conj()).conj()
-        np.testing.assert_allclose(back, vec, atol=1e-12)
-
-    def test_gaussian_momentum_variance(self):
-        # continuous-limit closed form: density variance 1/(4 delta^2)
-        n, delta = 32, 2.0
-        q = np.arange(-n, n + 1)
-        amps = np.exp(-(q**2) / (4 * delta**2))
-        amps = amps / np.linalg.norm(amps)
-        p = 2 * np.pi * np.arange(-n, n + 1) / (2 * n + 1)
-        density = np.abs(dft_q_to_p(amps)) ** 2
-        var = np.sum(p**2 * density) - np.sum(p * density) ** 2
-        assert var == pytest.approx(1 / (4 * delta**2), rel=1e-3)
-
-    @pytest.mark.parametrize("n", [5, 64, 512])
-    def test_inner_products_preserved(self, n):
-        rng = np.random.default_rng(n)
-        size = 2 * n + 1
-        a = rng.normal(size=size) + 1j * rng.normal(size=size)
-        b = rng.normal(size=size) + 1j * rng.normal(size=size)
-        before = np.vdot(a, b)
-        after = np.vdot(dft_q_to_p(a), dft_q_to_p(b))
-        assert abs(after - before) < 1e-12 * max(1.0, abs(before))
-
-    def test_even_length_rejected(self):
-        with pytest.raises(ValueError):
-            dft_q_to_p(np.ones(8))
 
 
 class TestKetOperatorInvariants:

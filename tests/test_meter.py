@@ -3,8 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from weakmeter.errors import AnnihilationError
-from weakmeter.hilbert import dft_q_to_p
+from weakmeter.errors import AnnihilationError, ParameterRangeError
 from weakmeter.meter import (
     GRID_UNITS,
     continuous_reference,
@@ -99,6 +98,12 @@ class TestContinuousReference:
         assert ref.mean_p == pytest.approx(0.01)
         assert ref.var_p == pytest.approx(1 / 64.0)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, 1e-200, 1e300])
+    def test_width_follows_the_meter_delta_rule(self, width):
+        # 1e-200 divided by zero and 1e300 overflowed a Python float square
+        with pytest.raises(ParameterRangeError, match="meter.delta must be positive"):
+            continuous_reference(width, 0.01, 1.0)
+
     def test_position_shift_against_quadrature_oracle(self):
         # integrate the final state exp(+i g q A_w) exp(-q^2/4 delta^2) directly
         delta, g = 4.0, 0.01
@@ -137,10 +142,6 @@ class TestConvergenceToContinuum:
         errs = [self.max_rel_err(n, delta) for n in sizes]
         for earlier, later in zip(errs, errs[1:]):
             assert later <= max(earlier / 2, 1e-6)
-
-    def test_norm_preserved_in_momentum(self):
-        meter = make_meter(64, 4.0)
-        assert np.linalg.norm(dft_q_to_p(meter.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGrids:
@@ -197,8 +198,6 @@ class TestFftReadout:
         rng = np.random.default_rng(n)
         vec = rng.normal(size=size) + 1j * rng.normal(size=size)
         dense = dft_matrix(size) @ vec
-        tol = 1e-13 * np.max(np.abs(dense))
-        assert np.max(np.abs(dft_q_to_p(vec) - dense)) <= tol
         # moments of the dense density on the centered p grid
         density = np.abs(dense) ** 2 / np.sum(np.abs(vec) ** 2)
         p = p_grid(n)

@@ -1,0 +1,149 @@
+"""One rule set per parameter: library constructors and scenario files agree.
+
+Every row is one bad value for one rule.  The rule lives with the object it
+guards (``CouplingSpec``, ``meter.check_meter``, ``optics.check_state``), and
+the scenario layer calls it, so the library constructor, ``parse_scenario``,
+``apply_override`` and a sweep row all reject the value with the same error
+type and the same rule text.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import yaml
+
+from weakmeter.dynamics import CouplingSpec
+from weakmeter.errors import ParameterRangeError, UnknownIdError
+from weakmeter.meter import make_meter
+from weakmeter.optics import named_state
+from weakmeter.scenario import apply_override, parse_scenario, run_scenario
+
+PLAIN = """
+name: plain
+preselect: {id: amp_in, theta: 0.5}
+postselect: {id: amp_f}
+coupling: {variant: noiseless_kick, g: 1.0e-3, gprime: 1.0e-3, t: 10.0, kick_time: 10.0}
+meter: {N: 8, delta: 1.0}
+observables: [sigma_z_R]
+"""
+
+PARALLEL = """
+name: parallel
+preselect: {id: disembody_in, theta: 0.5}
+postselect: {id: disembody_f, alpha: 0.25}
+coupling: {variant: parallel_1, g: 1.0e-3, gprime: 1.0e-3, t: 100.0, measure_arm: R}
+meter: {N: 8, delta: 1.0}
+observables: [sigma_z_R]
+"""
+
+# (base, path, bad value, error type, rule text every route must carry)
+RULES = [
+    (PLAIN, "coupling.variant", "bogus", UnknownIdError, "unknown coupling variant 'bogus'"),
+    (PLAIN, "coupling.g", math.nan, ParameterRangeError, "must be finite"),
+    (PLAIN, "coupling.g", -1.0, ParameterRangeError,
+     "coupling constants g, gprime must be nonnegative"),
+    (PLAIN, "coupling.gprime", -1.0, ParameterRangeError,
+     "coupling constants g, gprime must be nonnegative"),
+    # moved: the library accepted t = 0 for a variant without static noise
+    (PLAIN, "coupling.t", 0.0, ParameterRangeError, "coupling.t must be positive, got 0.0"),
+    # moved: the library accepted an overflowing g' t
+    (PLAIN, "coupling.gprime", 1e308, ParameterRangeError,
+     "coupling.gprime * coupling.t must be finite, got 1e+308 * 10.0"),
+    (PLAIN, "coupling.kick_time", 11.0, ParameterRangeError,
+     "coupling.kick_time = 11.0 outside [0, t=10.0]"),
+    (PLAIN, "coupling.measure_arm", "R", ParameterRangeError,
+     "coupling.measure_arm applies to the parallel variants only"),
+    (PARALLEL, "coupling.measure_arm", "X", ParameterRangeError,
+     "coupling.measure_arm must be L or R, got 'X'"),
+    (PLAIN, "coupling.kick_sign", 2, ParameterRangeError, "coupling.kick_sign must be 1 or -1"),
+    (PLAIN, "meter.N", 0, ParameterRangeError, "meter.N must be a positive integer, got 0"),
+    # moved: make_meter truncated a non-integral half-width with int()
+    (PLAIN, "meter.N", 8.5, ParameterRangeError, "meter.N must be a positive integer, got 8.5"),
+    (PLAIN, "meter.delta", -1.0, ParameterRangeError, "meter.delta must be positive"),
+    (PLAIN, "meter.delta", 1e-200, ParameterRangeError,
+     "4 delta^2 a nonzero finite float, got 1e-200"),
+    (PLAIN, "meter.delta", 1e300, ParameterRangeError,
+     "4 delta^2 a nonzero finite float, got 1e+300"),
+    (PLAIN, "preselect.id", "noisy_f", ParameterRangeError, "state 'noisy_f' requires 'alpha'"),
+    (PLAIN, "preselect.theta", 1.5, ParameterRangeError,
+     ".theta = 1.5 out of range (-1, 1) (units of pi)"),
+    (PLAIN, "preselect.theta", -1.0, ParameterRangeError,
+     ".theta = -1.0 out of range (-1, 1) (units of pi)"),
+    # moved: named_state took any alpha
+    (PARALLEL, "postselect.alpha", 7.0, ParameterRangeError,
+     ".alpha = 7.0 out of range (-1, 1) (units of pi)"),
+]
+
+IDS = [f"{path}={value}" for _, path, value, _, _ in RULES]
+
+
+def with_value(base: str, path: str, value) -> dict:
+    data = yaml.safe_load(base)
+    section, leaf = path.split(".")
+    data[section][leaf] = value
+    return data
+
+
+def library_call(base: str, path: str, value):
+    """The constructor that owns the field, called with the base values and the bad one."""
+    data = with_value(base, path, value)
+    section = path.split(".")[0]
+    if section == "coupling":
+        return CouplingSpec(**data["coupling"])
+    if section == "meter":
+        return make_meter(data["meter"]["N"], data["meter"]["delta"])
+    state = dict(data[section])
+    return named_state(state.pop("id"), **{k: v * np.pi for k, v in state.items()})
+
+
+@pytest.mark.parametrize("base,path,value,kind,text", RULES, ids=IDS)
+def test_library_rejects(base, path, value, kind, text):
+    with pytest.raises(kind) as err:
+        library_call(base, path, value)
+    assert type(err.value) is kind
+    assert text in str(err.value)
+
+
+@pytest.mark.parametrize("base,path,value,kind,text", RULES, ids=IDS)
+def test_parse_rejects(base, path, value, kind, text):
+    with pytest.raises(kind) as err:
+        parse_scenario(yaml.safe_dump(with_value(base, path, value)))
+    assert type(err.value) is kind
+    assert text in str(err.value)
+
+
+@pytest.mark.parametrize("base,path,value,kind,text", RULES, ids=IDS)
+def test_override_rejects(base, path, value, kind, text):
+    with pytest.raises(kind) as err:
+        apply_override(parse_scenario(base), path, value)
+    assert type(err.value) is kind
+    assert text in str(err.value)
+
+
+# a sweep list takes finite numbers only
+SWEPT = [row for row in RULES if isinstance(row[2], (int, float)) and math.isfinite(row[2])]
+
+
+@pytest.mark.parametrize("base,path,value,kind,text", SWEPT,
+                         ids=[f"{path}={value}" for _, path, value, _, _ in SWEPT])
+def test_sweep_row_rejects(base, path, value, kind, text):
+    section, leaf = path.split(".")
+    good = parse_scenario(base).to_dict()[section][leaf]
+    doc = parse_scenario(base + f"sweep:\n  {path}: {{values: [{good!r}, {value!r}]}}\n")
+    first, bad = run_scenario(doc)
+    assert first.error == ""
+    assert bad.error.startswith(f"{kind.__name__}: ")
+    assert text in bad.error
+    assert bad.weak_values == {} and bad.mean_p is None
+
+
+@pytest.mark.parametrize("value", [math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), -0.0])
+def test_angles_just_inside_the_range_pass_every_route(value):
+    doc = apply_override(parse_scenario(PLAIN), "preselect.theta", value)
+    assert doc.preselect["theta"] == value
+    (record,) = run_scenario(doc)
+    assert "ParameterRangeError" not in record.error  # theta -> +-pi may degenerate the overlap
+    # the radian round trip of named_state keeps the value inside (-pi, pi)
+    named_state("amp_in", theta=value * np.pi)
+    named_state("noisy_f", alpha=value * np.pi)
