@@ -189,6 +189,40 @@ def cmd_show_state(args) -> int:
     return EXIT_OK
 
 
+# options whose value may be any float, negative ones included
+_NUMBER_OPTIONS = ("--theta", "--alpha", "--start", "--stop")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """Rewrite ``--theta -1e-5`` as ``--theta=-1e-5`` for the number options.
+
+    argparse takes a token that starts with '-' for an option unless it reads
+    like -1 or -1.5, so -1e-5 and -inf would otherwise lose their option.
+    """
+    out, i = [], 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--":  # everything after it is positional
+            out.extend(argv[i:])
+            break
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if token in _NUMBER_OPTIONS and value.startswith("-") and _is_float(value):
+            out.append(f"{token}={value}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weakmeter",
@@ -241,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_numbers(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

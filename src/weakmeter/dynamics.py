@@ -17,7 +17,9 @@ Sign and ordering conventions (fixed once, used everywhere):
 
 Every coupling is diagonal in the pointer position (see ``COUPLINGS``), so
 evolution works on the (system, grid) amplitude array and never forms a
-joint system+meter operator.
+joint system+meter operator.  For the same reason a post-selected pointer is
+the meter times the transfer amplitude f(q) = <post| U(q) |pre>, which
+``transfer_amplitudes`` computes for many pre- and post-states at once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     UnknownIdError,
 )
 from .hilbert import Ket, Operator, SpaceSignature, extend, mat_exp, tensor
-from .meter import DiscreteGaussianMeter, MeterReadout, meter_readout, q_grid
+from .meter import DiscreteGaussianMeter, MeterReadout, meter_readout, meter_readouts, q_grid
 from .optics import METER, ORBITAL, named_state
 from .weakvalue import observable
 
@@ -54,6 +56,8 @@ __all__ = [
     "evolve_exact",
     "evolve_dyson2",
     "post_select_meter",
+    "transfer_amplitudes",
+    "transfer_readouts",
     "fit_effective_weak_value",
     "disembodied_measurement",
     "parallel_arm_readout",
@@ -237,11 +241,12 @@ def build_hamiltonian(spec: CouplingSpec, sig: SpaceSignature) -> tuple[Operator
 
 @dataclass(frozen=True, eq=False)
 class KickFactors:
-    """The factors :func:`evolve_exact` applies for one (coupling, system, grid) key.
+    """What :func:`evolve_exact` and :func:`transfer_amplitudes` apply at one key.
 
-    ``before`` and ``after`` are the static factors exp(-i static time) on
-    either side of the kick, None where static or time is zero.  At grid
-    point q_k the kick acts as vectors[k] diag(phases[k]) vectors[k]^dagger.
+    A key is a (coupling, system, grid) triple.  ``before`` and ``after``
+    are the static factors exp(-i static time) on either side of the kick,
+    None where static or time is zero.  At grid point q_k the kick acts as
+    vectors[k] diag(phases[k]) vectors[k]^dagger.
     """
 
     spec: CouplingSpec
@@ -348,28 +353,117 @@ def evolve_dyson2(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMe
     return Ket(joint.signature, out)
 
 
+def _require_system(post_system: Ket, system: SpaceSignature) -> None:
+    if post_system.signature != system:
+        raise SignatureError(
+            f"post-selection on {post_system.signature} does not match system "
+            f"factors {system}"
+        )
+
+
+def _require_survivor(norm: float, scale: float) -> None:
+    if norm <= 1e-14 * max(scale, 1e-300):
+        raise AnnihilationError(
+            f"post-selection annihilated the state (residual norm {norm:.3e})"
+        )
+
+
 def post_select_meter(joint: Ket, post_system: Ket) -> Ket:
     """Partial inner product <post_system| joint>, an unnormalized meter ket.
 
     The squared norm of the result is the post-selection probability.
     """
     sig = joint.signature
-    expected = _system_signature(sig)
-    if post_system.signature != expected:
-        raise SignatureError(
-            f"post-selection on {post_system.signature} does not match system "
-            f"factors {expected}"
-        )
+    _require_system(post_system, _system_signature(sig))
     size = sig.dimension_of(METER)
     sys_dim = sig.dim // size
     meter_amps = post_system.amplitudes.conj() @ joint.amplitudes.reshape(sys_dim, size)
-    norm = float(np.linalg.norm(meter_amps))
-    scale = joint.norm() * post_system.norm()
-    if norm <= 1e-14 * max(scale, 1e-300):
-        raise AnnihilationError(
-            f"post-selection annihilated the state (residual norm {norm:.3e})"
-        )
+    _require_survivor(float(np.linalg.norm(meter_amps)), joint.norm() * post_system.norm())
     return Ket(SpaceSignature(((METER, size),)), meter_amps)
+
+
+def _transfer_rows(factors: KickFactors, pres, posts):
+    """Iterator over F[:, r, :] of :func:`transfer_amplitudes`, one pre-state at a time.
+
+    The states are checked and the post side is computed before it returns.
+    """
+    for pre in pres:
+        if pre.signature != factors.system:
+            raise SignatureError(
+                f"pre-state on {pre.signature} does not match the kick factors' "
+                f"system {factors.system}"
+            )
+    for post in posts:
+        _require_system(post, factors.system)
+    vectors = factors.vectors
+
+    def project(x: np.ndarray) -> np.ndarray:  # (V_k^T x)_i = sum_j V_k[j, i] x_j
+        return x @ vectors
+
+    after_h = None if factors.after is None else factors.after.conj().T
+    # conj(V_k^dagger S_after^dagger |post>), one (grid, system) block per post
+    bras = np.empty((len(posts),) + vectors.shape[:2], dtype=complex)
+    for bra, post in zip(bras, posts):
+        bra[...] = project((post.amplitudes if after_h is None
+                            else after_h @ post.amplitudes).conj())
+
+    def rows():
+        for pre in pres:
+            ket = pre.amplitudes if factors.before is None else factors.before @ pre.amplitudes
+            # diag(phases_k) V_k^dagger S_before |pre>, one (grid, system) block
+            kicked = factors.phases * project(ket.conj()).conj()
+            yield np.einsum("pki,ki->pk", bras, kicked)
+
+    return rows()
+
+
+def transfer_amplitudes(factors: KickFactors, pres, posts) -> np.ndarray:
+    """F[p, r, k] = <posts[p]| S_after U(q_k) S_before |pres[r]> on the meter grid.
+
+    Every coupling is diagonal in q, so post-selecting the evolved
+    pres[r] (x) meter on posts[p] leaves exactly F[p, r] * meter.amplitudes
+    (:func:`evolve_exact` then :func:`post_select_meter`, without forming the
+    joint state).  An entry's bits depend on its own pre- and post-state only,
+    never on the rest of the batch.
+    """
+    out = np.empty((len(posts), len(pres), len(factors.phases)), dtype=complex)
+    for r, row in enumerate(_transfer_rows(factors, pres, posts)):
+        out[:, r] = row
+    return out
+
+
+def _weighted_line_fits(y: np.ndarray, w: np.ndarray, q: np.ndarray, g: float):
+    """Closed-form weighted least squares of y = a + i g q A, row by row.
+
+    ``y`` and ``w`` are (rows, K) log-ratios and weights at the grid points
+    ``q``; a zero weight drops its point.  Returns the arrays (A, a, weighted
+    rms residual, support size, weighted spread of q) with one entry per row.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s0 = np.sum(w, axis=-1)
+        q_mean = np.sum(w * q, axis=-1) / s0
+        dq = q - q_mean[:, None]
+        spread = np.sum(w * dq * dq, axis=-1)
+        y_mean = np.sum(w * y, axis=-1) / s0
+        dy = y - y_mean[:, None]
+        slope = np.sum(w * dq * dy, axis=-1) / spread
+        resid = dy - slope[:, None] * dq
+        residual = np.sqrt(np.sum(w * np.abs(resid) ** 2, axis=-1) / s0)
+        return (slope / (1j * g), y_mean - slope * q_mean, residual,
+                np.count_nonzero(w, axis=-1), spread)
+
+
+def _require_coupling(g: float) -> None:
+    if g <= 0:
+        raise IllConditionedFitError(f"fit requires a positive coupling, got g={g}")
+
+
+def _fit_row(fits, row: int) -> EffectiveWeakValueFit:
+    value, offset, residual, support, spread = (part[row] for part in fits)
+    if support < 2 or not spread > 0.0:
+        raise IllConditionedFitError("all fit weight sits at a single grid point")
+    return EffectiveWeakValueFit(value=complex(value), offset=complex(offset),
+                                 residual=float(residual))
 
 
 def fit_effective_weak_value(final_meter, reference: DiscreteGaussianMeter,
@@ -377,34 +471,59 @@ def fit_effective_weak_value(final_meter, reference: DiscreteGaussianMeter,
     """Weighted least squares for log(final_k / reference_k) = a + i g q_k A.
 
     Grid points are weighted by |reference|^2 so tail noise cannot dominate;
-    points below the 1e-8 support threshold are excluded.
+    points below the 1e-8 support threshold are excluded.  The two-parameter
+    fit is solved in closed form (weighted covariance of the log-ratio with q).
     """
-    if g <= 0:
-        raise IllConditionedFitError(f"fit requires a positive coupling, got g={g}")
+    _require_coupling(g)
     final = np.asarray(final_meter.amplitudes if isinstance(final_meter, Ket) else final_meter,
                        dtype=complex).reshape(-1)
     ref = np.asarray(reference.amplitudes)
     if final.shape != ref.shape:
         raise SignatureError("final and reference meters live on different grids")
     if not np.any(final):
-        raise ValueError("final meter state is zero")
+        raise AnnihilationError("final meter state is zero")
     # zeros of the post-selected meter have no usable log-ratio
     mask = (np.abs(ref) > FIT_SUPPORT_ATOL) & (np.abs(final) > 0.0)
-    q = reference.q[mask]
-    weights = np.abs(ref[mask]) ** 2
-    if mask.sum() < 2:
-        raise IllConditionedFitError("all fit weight sits at a single grid point")
-    spread = float(np.sum(weights * q**2) - np.sum(weights * q) ** 2 / np.sum(weights))
-    if spread <= 0.0:
-        raise IllConditionedFitError("all fit weight sits at a single grid point")
     y = np.log(final[mask] / ref[mask])
-    design = np.stack([np.ones(mask.sum(), dtype=complex), 1j * g * q], axis=1)
-    root_w = np.sqrt(weights)
-    beta, *_ = np.linalg.lstsq(design * root_w[:, None], y * root_w, rcond=None)
-    resid = y - design @ beta
-    residual = float(np.sqrt(np.sum(weights * np.abs(resid) ** 2) / np.sum(weights)))
-    return EffectiveWeakValueFit(value=complex(beta[1]), offset=complex(beta[0]),
-                                 residual=residual)
+    fits = _weighted_line_fits(y[None], np.abs(ref[mask])[None] ** 2, reference.q[mask], g)
+    return _fit_row(fits, 0)
+
+
+def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, posts):
+    """Readout and pointer fit of each post-selected meter F[p, r] * meter.amplitudes.
+
+    Yields one list per pre-state r with one entry per post-state p: the
+    pair (:class:`MeterReadout`, :class:`EffectiveWeakValueFit`) that
+    :func:`meter_readout` and :func:`fit_effective_weak_value` give for that
+    meter, or the error :func:`post_select_meter` or the fit would raise
+    (returned, not raised).  The fit takes log F directly.  Grid-sized arrays
+    are held for one pre-state at a time, and no entry depends on the others.
+    """
+    if len(factors.phases) != meter.size:
+        raise ValueError("kick factors were built for another meter grid")
+    g = factors.spec.fit_coupling
+    amps = meter.amplitudes
+    support = np.flatnonzero(np.abs(amps) > FIT_SUPPORT_ATOL)
+    weights = amps[support] ** 2
+    post_norms = [post.norm() for post in posts]
+    for pre, f in zip(pres, _transfer_rows(factors, pres, posts)):
+        pre_norm = pre.norm()
+        final = amps * f
+        readouts = meter_readouts(final)
+        on_support = final[:, support] != 0.0  # zeros have no usable log
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fits = _weighted_line_fits(np.log(np.where(on_support, f[:, support], 1.0)),
+                                       np.where(on_support, weights, 0.0), meter.q[support], g)
+        row = []
+        for p, readout in enumerate(readouts):
+            try:
+                _require_survivor(math.sqrt(readout.success_probability),
+                                  pre_norm * post_norms[p])
+                _require_coupling(g)
+                row.append((readout, _fit_row(fits, p)))
+            except (AnnihilationError, IllConditionedFitError) as exc:
+                row.append(exc)
+        yield row
 
 
 _DISEMBODY_TARGETS = {

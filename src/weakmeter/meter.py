@@ -27,6 +27,7 @@ __all__ = [
     "p_grid",
     "moments",
     "meter_readout",
+    "meter_readouts",
     "continuous_reference",
 ]
 
@@ -166,6 +167,37 @@ def _as_vector(meter_amplitudes) -> np.ndarray:
     return np.asarray(meter_amplitudes, dtype=complex).reshape(-1)
 
 
+def _row_moments(vecs: np.ndarray, abs2: np.ndarray, weight, representation: str):
+    """(mean, variance) along the last axis; each row reduces on its own.
+
+    ``abs2`` is ``|vecs|^2`` and ``weight`` its sum per row.
+    """
+    size = vecs.shape[-1]
+    weight = np.asarray(weight)[..., None]
+    if representation == "q":
+        grid = q_grid((size - 1) // 2)
+        density = abs2 / weight
+    elif representation == "p":
+        grid = 2.0 * np.pi * np.fft.fftfreq(size)
+        density = np.abs(np.fft.fft(vecs, axis=-1)) ** 2 / (size * weight)
+    else:
+        raise ValueError(f"representation must be 'q' or 'p', got {representation!r}")
+    mean = np.sum(grid * density, axis=-1)
+    var = np.sum((grid - mean[..., None]) ** 2 * density, axis=-1)
+    return mean, var
+
+
+def _weighed(meter_amplitudes) -> tuple[np.ndarray, np.ndarray, float]:
+    vec = _as_vector(meter_amplitudes)
+    if len(vec) % 2 == 0:
+        raise ValueError("meter grid must have odd length 2N+1")
+    abs2 = np.abs(vec) ** 2
+    weight = float(np.sum(abs2))
+    if weight <= 0.0:
+        raise AnnihilationError("zero meter state: post-selection annihilated it")
+    return vec, abs2, weight
+
+
 def moments(meter_amplitudes, representation: str = "q") -> tuple[float, float]:
     """(mean, variance) of the normalized pointer density on the q or p grid.
 
@@ -173,38 +205,30 @@ def moments(meter_amplitudes, representation: str = "q") -> tuple[float, float]:
     order, 2*pi*fftfreq(2N+1) = ifftshift(p_grid(N)).  A density does not see
     the phase that centering the transform would add, so no shift is needed.
     """
-    vec = _as_vector(meter_amplitudes)
-    size = len(vec)
-    if size % 2 == 0:
-        raise ValueError("meter grid must have odd length 2N+1")
-    weight = float(np.sum(np.abs(vec) ** 2))
-    if weight <= 0.0:
-        raise AnnihilationError("zero meter state: post-selection annihilated it")
-    if representation == "q":
-        grid = q_grid((size - 1) // 2)
-        density = np.abs(vec) ** 2 / weight
-    elif representation == "p":
-        grid = 2.0 * np.pi * np.fft.fftfreq(size)
-        density = np.abs(np.fft.fft(vec)) ** 2 / (size * weight)
-    else:
-        raise ValueError(f"representation must be 'q' or 'p', got {representation!r}")
-    mean = float(np.sum(grid * density))
-    var = float(np.sum((grid - mean) ** 2 * density))
-    return mean, var
+    mean, var = _row_moments(*_weighed(meter_amplitudes), representation)
+    return float(mean), float(var)
 
 
 def meter_readout(meter_amplitudes) -> MeterReadout:
     """Full readout: q and p moments plus the post-selection probability."""
-    vec = _as_vector(meter_amplitudes)
-    mean_q, var_q = moments(vec, "q")
-    mean_p, var_p = moments(vec, "p")
-    return MeterReadout(
-        mean_q=mean_q,
-        mean_p=mean_p,
-        var_q=var_q,
-        var_p=var_p,
-        success_probability=float(np.sum(np.abs(vec) ** 2)),
-    )
+    vec, _, _ = _weighed(meter_amplitudes)
+    return meter_readouts(vec[None])[0]
+
+
+def meter_readouts(rows: np.ndarray) -> list[MeterReadout]:
+    """:func:`meter_readout` of each row of a (rows, 2N+1) array.
+
+    A row's values do not depend on the other rows, and a zero row reads
+    NaN moments rather than raising.
+    """
+    abs2 = np.abs(rows) ** 2
+    weights = np.sum(abs2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_q, var_q = _row_moments(rows, abs2, weights, "q")
+        mean_p, var_p = _row_moments(rows, abs2, weights, "p")
+    return [MeterReadout(mean_q=float(mq), mean_p=float(mp), var_q=float(vq), var_p=float(vp),
+                         success_probability=float(w))
+            for mq, mp, vq, vp, w in zip(mean_q, mean_p, var_q, var_p, weights)]
 
 
 def continuous_reference(width: float, g: float, weak_value: complex) -> ContinuousMoments:

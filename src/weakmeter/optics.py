@@ -272,33 +272,8 @@ def prepare_preselected(theta: float) -> Ket:
     return pipeline.apply(source)
 
 
-def _amp_in(theta: float) -> Ket:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return (c * tensor(path_ket("L"), pol_ket("H"))
-            - 1j * s * tensor(path_ket("R"), pol_ket("H")))
-
-
-def _cheshire_f() -> Ket:
-    return ((tensor(path_ket("L"), pol_ket("H")) + tensor(path_ket("R"), pol_ket("V")))
-            * (1 / np.sqrt(2.0)))
-
-
-def _orbital_superposition(dim: int) -> Ket:
-    amps = (orbital_vector("va", dim) + 1j * orbital_vector("vb", dim)) / np.sqrt(2.0)
-    return Ket(orbital_signature(dim), amps, normalized=True)
-
-
-def _insert_orbital(path_pol: Ket, orb: Ket) -> Ket:
-    """Reorder path (x) pol (x) orbital into the canonical path, orbital, pol order."""
-    sig = SpaceSignature((
-        (PATH, 2),
-        (ORBITAL, orb.signature.dim),
-        (POLARIZATION, 2),
-    ))
-    amps = np.kron(path_pol.amplitudes.reshape(2, 2), orb.amplitudes).reshape(
-        2, 2, orb.signature.dim
-    )
-    return Ket(sig, amps.transpose(0, 2, 1).reshape(-1))
+def _orbital_superposition(dim: int) -> np.ndarray:
+    return (orbital_vector("va", dim) + 1j * orbital_vector("vb", dim)) / np.sqrt(2.0)
 
 
 STATE_IDS = {
@@ -342,26 +317,39 @@ def named_state(name: str, *, theta: float | None = None, alpha: float | None = 
     Angles are radians here; ``orbital_dim`` selects the doublet (default)
     or the full triplet embedding of the orbital factor.  Raises
     :class:`ParameterRangeError` for an angle :func:`check_state` rejects.
+    Each closed form is written straight into one amplitude array:
+    (path, polarization) rows, with the orbital factor placed between them.
     """
     given = {"theta": theta, "alpha": alpha}
     check_state(name, {k: v / np.pi for k, v in given.items() if v is not None}, "named_state")
+    h, v = _HV_TO_PM.T  # |H>, |V> in (+, -) coordinates
+    if name in ("noisy_in", "noisy_f"):  # orbital (x) polarization
+        if name == "noisy_in":
+            orbital, pol = _orbital_superposition(orbital_dim), h
+        else:
+            orbital = orbital_vector("va", orbital_dim)
+            pol = _HV_TO_PM @ np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
+        return Ket(orbital_signature(orbital_dim).concat(polarization_signature()),
+                   orbital[:, None] * pol)
 
+    # path (x) [orbital (x)] polarization, built from one polarization row per arm
+    half = 1 / np.sqrt(2.0)
+    orbital = None
     if name == "cheshire_in":
-        return ((1j * tensor(path_ket("L"), pol_ket("H"))
-                 + tensor(path_ket("R"), pol_ket("H"))) * (1 / np.sqrt(2.0)))
-    if name in ("cheshire_f", "amp_f"):
-        return _cheshire_f()
-    if name == "amp_in":
-        return _amp_in(theta)
-    if name == "noisy_in":
-        return tensor(_orbital_superposition(orbital_dim), pol_ket("H"))
-    if name == "noisy_f":
-        pol = Ket(polarization_signature(), pol_from_hv(np.cos(alpha), np.sin(alpha)))
-        return tensor(orbital_ket("va", orbital_dim), pol)
-    if name == "disembody_in":
-        return _insert_orbital(_amp_in(theta), _orbital_superposition(orbital_dim))
-    if name == "disembody_f":
-        post_pol = (np.cos(alpha) * tensor(path_ket("L"), pol_ket("H"))
-                    + np.sin(alpha) * tensor(path_ket("R"), pol_ket("V")))
-        return _insert_orbital(post_pol, orbital_ket("va", orbital_dim))
-    raise AssertionError(name)
+        arms = (1j * h * half, h * half)
+    elif name in ("cheshire_f", "amp_f"):
+        arms = (h * half, v * half)
+    elif name in ("amp_in", "disembody_in"):
+        arms = (np.cos(theta / 2) * h, -1j * np.sin(theta / 2) * h)
+        if name == "disembody_in":
+            orbital = _orbital_superposition(orbital_dim)
+    elif name == "disembody_f":
+        arms = (np.cos(alpha) * h, np.sin(alpha) * v)
+        orbital = orbital_vector("va", orbital_dim)
+    else:
+        raise AssertionError(name)
+    path_pol = np.stack(arms)
+    if orbital is None:
+        return Ket(path_signature().concat(polarization_signature()), path_pol)
+    sig = SpaceSignature(((PATH, 2), (ORBITAL, len(orbital)), (POLARIZATION, 2)))
+    return Ket(sig, path_pol[:, None, :] * orbital[:, None])

@@ -8,21 +8,17 @@ identical inputs produce bit-identical CSV and record streams.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from .dynamics import (
-    CouplingSpec,
-    evolve_exact,
-    fit_effective_weak_value,
-    kick_factors,
-    post_select_meter,
-)
+from .dynamics import CouplingSpec, kick_factors, transfer_readouts
 from .errors import (
     ParameterRangeError,
     ScenarioSyntaxError,
@@ -30,10 +26,10 @@ from .errors import (
     UnknownKeyError,
     WeakmeterError,
 )
-from .hilbert import extend
-from .meter import check_meter, make_meter, meter_readout
+from .hilbert import Ket, extend
+from .meter import check_meter, make_meter
 from .optics import STATE_IDS, check_state, named_state
-from .weakvalue import observable, observable_ids, weak_value
+from .weakvalue import check_overlap, observable, observable_ids, weak_value_tables
 
 __all__ = [
     "DEFAULTS",
@@ -117,7 +113,7 @@ def _reject_unknown(mapping: dict, allowed, where: str) -> None:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterRangeError(f"{where} must be a number, got {value!r}")
-    if not abs(value) <= float(np.finfo(float).max):  # false for NaN too
+    if not abs(value) <= sys.float_info.max:  # false for NaN too
         raise ParameterRangeError(f"{where} must be finite, got {value!r}")
     return float(value)
 
@@ -340,97 +336,206 @@ def _angles(section: dict) -> dict:
     return {k: float(v) * np.pi for k, v in section.items() if k != "id"}
 
 
-class _Reuse:
-    """Point-invariant objects of one run_scenario call.
+def _shared(memo: dict, key: tuple, build):
+    """``build()`` once per run_scenario call and key.
 
-    Keys are the repr of the point's validated values, which round-trips
-    floats exactly, so only bit-equal inputs share an object.  Small objects
-    (meters, coupling specs, extended observables, named states) are kept
-    for the whole call; the grid-sized kick factors only for the current
-    (coupling, system, grid) key.
+    Keys are compared by their repr, which round-trips floats exactly, so
+    only bit-equal inputs share an object.
     """
-
-    def __init__(self):
-        self._small: dict = {}
-        self._kick_key = None
-        self._kick = None
-
-    def get(self, key: tuple, build):
-        key = repr(key)
-        if key not in self._small:
-            self._small[key] = build()
-        return self._small[key]
-
-    def kick_factors(self, spec: CouplingSpec, system, meter):
-        key = repr((spec, system, meter.size))
-        if key != self._kick_key:
-            self._kick = None  # release the previous set before building the next
-            self._kick = kick_factors(spec, system, meter)
-            self._kick_key = key
-        return self._kick
+    key = repr(key)
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
-def _state(reuse: _Reuse, section: dict, orbital_dim: int):
-    return reuse.get(("state", section, orbital_dim),
-                     lambda: named_state(section["id"], orbital_dim=orbital_dim,
-                                         **_angles(section)))
+@dataclass(frozen=True)
+class _Job:
+    """One valid sweep point: its validated document and its states."""
+
+    index: int
+    point: dict
+    doc: ScenarioDoc
+    orbital_dim: int
+    pre: Ket
+    post: Ket
 
 
-def _run_point(doc: ScenarioDoc, chash: str, point: dict, reuse: _Reuse) -> ResultRecord:
-    weak_values: dict = {}
+# the sections a sweep path can address, in the order _validate checks them
+_SECTION_RULES = {
+    "preselect": lambda section: _validate_state(section, "preselect"),
+    "postselect": lambda section: _validate_state(section, "postselect"),
+    "coupling": _validate_coupling,
+    "meter": _validate_meter,
+}
+
+
+def _at_point(doc: ScenarioDoc, point: dict, memo: dict) -> ScenarioDoc:
+    """``doc`` with all of the point's values set, each touched section validated.
+
+    Sweep paths address numeric fields of these sections only (checked at
+    parse time), and every rule lives within one section, so this is
+    :func:`apply_override` of every value followed by one validation.  A
+    section that passed is not checked again for the same values: points
+    with equal values share one validated section object, so within a call
+    a section's identity stands for its values.
+    """
+    data: dict = {}
+    for path, value in point.items():
+        section = path.split(".", 1)[0]
+        data.setdefault(section, dict(getattr(doc, section)))
+        node, leaf = _resolve_path(data, path)
+        node[leaf] = value
+    checked = {
+        section: _shared(memo, ("section", section, data[section]),
+                         lambda: rule(data[section]))
+        for section, rule in _SECTION_RULES.items() if section in data
+    }
+    return dataclasses.replace(doc, sweep={}, **checked)
+
+
+def _job(doc: ScenarioDoc, index: int, point: dict, memo: dict) -> _Job:
+    doc = _at_point(doc, point, memo)
+    orbital_dim = 3 if doc.coupling["variant"] in ("parallel_1", "parallel_2") else 2
+
+    def state(section: dict):
+        return _shared(memo, ("state", id(section), orbital_dim),
+                       lambda: named_state(section["id"], orbital_dim=orbital_dim,
+                                           **_angles(section)))
+
+    return _Job(index, point, doc, orbital_dim, state(doc.preselect), state(doc.postselect))
+
+
+def _distinct(kets) -> tuple[list, dict]:
+    """The distinct ket objects in first-seen order, and id -> position."""
+    out, at = [], {}
+    for ket in kets:
+        if id(ket) not in at:
+            at[id(ket)] = len(out)
+            out.append(ket)
+    return out, at
+
+
+def _observables(job: _Job, memo: dict) -> tuple[list, WeakmeterError | None]:
+    """The job's extended observables in order, up to the first that fails, and its error."""
+    gprime_t = job.doc.coupling["gprime"] * job.doc.coupling["t"]
+    system = job.pre.signature
+    ops = []
+    for obs_id in job.doc.observables:
+        try:
+            ops.append(_shared(
+                memo, ("observable", obs_id, job.orbital_dim, gprime_t, system),
+                lambda: extend(observable(obs_id, orbital_dim=job.orbital_dim,
+                                          gprime_t=gprime_t), system),
+            ))
+        except WeakmeterError as exc:
+            return ops, exc
+    return ops, None
+
+
+def _record(name: str, point: dict, chash: str, weak_values: dict, result) -> ResultRecord:
+    """A point's record from its (readout, fit) pair, or from the error that stopped it."""
+    if isinstance(result, WeakmeterError):
+        return ResultRecord(scenario=name, point=point, weak_values=weak_values,
+                            config_hash=chash, error=f"{type(result).__name__}: {result}")
+    readout, fit = result
+    error = ""
+    if fit.residual > MAX_FIT_RESIDUAL:
+        error = f"fit-residual: {fit.residual:.3e} exceeds {MAX_FIT_RESIDUAL:.0e}"
+    return ResultRecord(
+        scenario=name, point=point, weak_values=weak_values,
+        mean_q=readout.mean_q, mean_p=readout.mean_p,
+        var_q=readout.var_q, var_p=readout.var_p,
+        success_probability=readout.success_probability,
+        fit_value=fit.value, fit_offset=fit.offset, fit_residual=fit.residual,
+        config_hash=chash, error=error,
+    )
+
+
+def _run_key(jobs: list, memo: dict, chash: str, records: list) -> None:
+    """Fill the records of the points sharing one (coupling, states' spaces, meter) key.
+
+    Each point meets the checks of a single-point run in the same order: a
+    degenerate overlap (when there are observables), an observable that does
+    not fit the states, the kick's overflow, annihilation, the fit's
+    conditioning, then the residual flag.
+    """
+    first = jobs[0]
+    ops, op_error = _observables(first, memo)
+    pres, pre_at = _distinct(job.pre for job in jobs)
+    posts, post_at = _distinct(job.post for job in jobs)
+
+    def fill(job: _Job, weak_values: dict, result) -> None:
+        records[job.index] = _record(job.doc.name, job.point, chash, weak_values, result)
+
+    if ops:
+        try:
+            overlaps, tables = weak_value_tables(pres, posts, ops)
+        except WeakmeterError as exc:  # pre- and post-states on different spaces
+            for job in jobs:
+                fill(job, {}, exc)
+            return
+        scales = np.outer([post.norm() for post in posts], [pre.norm() for pre in pres])
+    pending = []
+    for job in jobs:
+        r, p = pre_at[id(job.pre)], post_at[id(job.post)]
+        weak_values = {}
+        try:
+            if ops:
+                check_overlap(overlaps[p, r], scales[p, r])
+                weak_values = {obs_id: complex(table[p, r])
+                               for obs_id, table in zip(first.doc.observables, tables)}
+            if op_error is not None:
+                raise op_error
+        except WeakmeterError as exc:
+            fill(job, weak_values, exc)
+            continue
+        pending.append((job, weak_values))
+    if not pending:
+        return
+
+    meter_doc, coupling = first.doc.meter, first.doc.coupling
+    meter = _shared(memo, ("meter", meter_doc["N"], meter_doc["delta"]),
+                    lambda: make_meter(meter_doc["N"], meter_doc["delta"]))
+    spec = _shared(memo, ("coupling", coupling), lambda: CouplingSpec(**coupling))
     try:
-        for path, value in point.items():
-            doc = apply_override(doc, path, value)
-        coupling = doc.coupling
-        orbital_dim = 3 if coupling["variant"] in ("parallel_1", "parallel_2") else 2
-        pre = _state(reuse, doc.preselect, orbital_dim)
-        post = _state(reuse, doc.postselect, orbital_dim)
-        gprime_t = coupling["gprime"] * coupling["t"]
-        for obs_id in doc.observables:
-            op = reuse.get(
-                ("observable", obs_id, orbital_dim, gprime_t, pre.signature),
-                lambda: extend(observable(obs_id, orbital_dim=orbital_dim, gprime_t=gprime_t),
-                               pre.signature),
-            )
-            weak_values[obs_id] = weak_value(pre, post, op).value
-
-        meter = reuse.get(("meter", doc.meter["N"], doc.meter["delta"]),
-                          lambda: make_meter(doc.meter["N"], doc.meter["delta"]))
-        spec = reuse.get(("coupling", coupling), lambda: CouplingSpec(**coupling))
-        joint = evolve_exact(spec, pre, meter, reuse.kick_factors(spec, pre.signature, meter))
-        final = post_select_meter(joint, post)
-        readout = meter_readout(final)
-        fit = fit_effective_weak_value(final, meter, spec.fit_coupling)
-        error = ""
-        if fit.residual > MAX_FIT_RESIDUAL:
-            error = f"fit-residual: {fit.residual:.3e} exceeds {MAX_FIT_RESIDUAL:.0e}"
-        return ResultRecord(
-            scenario=doc.name, point=point, weak_values=weak_values,
-            mean_q=readout.mean_q, mean_p=readout.mean_p,
-            var_q=readout.var_q, var_p=readout.var_p,
-            success_probability=readout.success_probability,
-            fit_value=fit.value, fit_offset=fit.offset, fit_residual=fit.residual,
-            config_hash=chash, error=error,
-        )
-    except WeakmeterError as exc:
-        kind = type(exc).__name__
-        return ResultRecord(
-            scenario=doc.name, point=point, weak_values=weak_values,
-            config_hash=chash, error=f"{kind}: {exc}",
-        )
+        # the key's factors live only in this call: one key's grid arrays at a time
+        factors = kick_factors(spec, first.pre.signature, meter)
+        results = list(transfer_readouts(factors, meter, pres, posts))
+    except WeakmeterError as exc:  # the kick overflows, or the states' spaces differ
+        for job, weak_values in pending:
+            fill(job, weak_values, exc)
+        return
+    for job, weak_values in pending:
+        fill(job, weak_values, results[pre_at[id(job.pre)]][post_at[id(job.post)]])
 
 
 def run_scenario(doc: ScenarioDoc) -> list[ResultRecord]:
-    """Execute every sweep point in deterministic declaration order.
+    """Execute every sweep point; records come back in declaration order.
 
     Out-of-range swept values, degenerate post-selections and annihilated
     meters become per-record error fields; they never abort the remaining
-    points.  Objects that do not change between points are built once per
-    call (see :class:`_Reuse`).
+    points.  Points are grouped by (coupling, states' spaces, meter): each
+    group builds its kick factors once and reads every point from the
+    transfer amplitudes <post| U(q) |pre> of its distinct states
+    (:func:`weakmeter.dynamics.transfer_readouts`).  Objects that do not
+    change between points are built once per call.
     """
     chash = doc.config_hash()
-    reuse = _Reuse()
-    return [_run_point(doc, chash, point, reuse) for point in _sweep_points(doc)]
+    memo: dict = {}
+    records: list = []
+    groups: dict = {}
+    for index, point in enumerate(_sweep_points(doc)):
+        records.append(None)
+        try:
+            job = _job(doc, index, point, memo)
+        except WeakmeterError as exc:
+            records[index] = _record(doc.name, point, chash, {}, exc)
+            continue
+        key = (id(job.doc.coupling), id(job.doc.meter), job.pre.signature, job.post.signature)
+        groups.setdefault(key, []).append(job)
+    for jobs in groups.values():
+        _run_key(jobs, memo, chash, records)
+    return records
 
 
 CSV_COLUMNS = ("scenario", "observable", "wv_re", "wv_im", "mean_q", "mean_p",

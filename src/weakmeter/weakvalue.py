@@ -22,6 +22,8 @@ __all__ = [
     "observable",
     "observable_ids",
     "weak_value",
+    "check_overlap",
+    "weak_value_tables",
     "cheshire_table",
     "noisy_effective_weak_value",
     "three_body_comparison",
@@ -146,6 +148,19 @@ class WeakValueResult:
     params: dict = field(default_factory=dict)
 
 
+def check_overlap(overlap: complex, scale: float, eps_overlap: float = EPS_OVERLAP) -> None:
+    """Raise :class:`DegeneratePostselectionError` unless |overlap| > eps_overlap * scale.
+
+    ``scale`` is the product of the two state norms.
+    """
+    if scale == 0.0 or abs(overlap) <= eps_overlap * scale:
+        raise DegeneratePostselectionError(
+            f"post-selection is degenerate: normalized overlap "
+            f"{abs(overlap) / scale if scale else 0.0:.3e} <= {eps_overlap:.0e}",
+            overlap_abs=abs(overlap) / scale if scale else 0.0,
+        )
+
+
 def weak_value(pre: Ket, post: Ket, a: Operator, *, observable_id: str = "",
                pre_id: str = "", post_id: str = "", params: dict | None = None,
                eps_overlap: float = EPS_OVERLAP) -> WeakValueResult:
@@ -160,18 +175,30 @@ def weak_value(pre: Ket, post: Ket, a: Operator, *, observable_id: str = "",
     else:
         op = a
     ovl = inner(post, pre)
-    scale = pre.norm() * post.norm()
-    if scale == 0.0 or abs(ovl) <= eps_overlap * scale:
-        raise DegeneratePostselectionError(
-            f"post-selection is degenerate: normalized overlap "
-            f"{abs(ovl) / scale if scale else 0.0:.3e} <= {eps_overlap:.0e}",
-            overlap_abs=abs(ovl) / scale if scale else 0.0,
-        )
+    check_overlap(ovl, pre.norm() * post.norm(), eps_overlap)
     value = inner(post, op.apply(pre)) / ovl
     return WeakValueResult(
         value=value, overlap=ovl, observable=observable_id,
         pre_id=pre_id, post_id=post_id, params=dict(params or {}),
     )
+
+
+def weak_value_tables(pres, posts, ops) -> tuple[np.ndarray, list[np.ndarray]]:
+    """<post|pre> and <post|A|pre> / <post|pre> for every (post, pre) pair.
+
+    Returns the overlaps and one table per operator in ``ops``, each indexed
+    [post, pre].  The overlaps are :func:`inner` itself, as in
+    :func:`weak_value`; each operator is one contraction over all the states,
+    in which every entry sums over the system axis on its own, so its bits
+    do not depend on the other states.  Degenerate pairs are not rejected
+    here (see :func:`check_overlap`); their entries may be inf or NaN.
+    """
+    overlaps = np.array([[inner(post, pre) for pre in pres] for post in posts])
+    kets = np.array([ket.amplitudes for ket in pres])
+    bras = np.array([ket.amplitudes for ket in posts]).conj()[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return overlaps, [np.sum(bras * np.sum(op.matrix * kets[:, None, :], axis=-1), axis=-1)
+                          / overlaps for op in ops]
 
 
 _CHESHIRE_OBS = ("pi_L", "pi_R", "sigma_z_L", "sigma_z_R", "sigma_x_L", "sigma_x_R")

@@ -209,6 +209,22 @@ class TestSweep:
         assert len(lines) == 1 + 20
 
 
+    def test_negative_exponent_bounds(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "bundle:cheshire", "--param", "coupling.g",
+                                 "--start", "-1e-5", "--stop", "-1e-6", "--steps", "2")
+        assert code == EXIT_OK, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [float(row[1]) for row in rows] == [-1e-5, -1e-6]
+        assert all(row[-1] == "ParameterRangeError: coupling constants g, gprime must be "
+                              "nonnegative" for row in rows)
+
+    def test_negative_infinite_bound_gives_parse_exit(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "bundle:cheshire", "--param", "coupling.g",
+                                 "--start", "-inf", "--stop", "1e-3", "--steps", "2")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "error: sweep.coupling.g.start must be finite, got -inf\n"
+
     def test_meter_n_sweep(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "bundle:disembodiment", "--param", "meter.N",
                                  "--start", "32", "--stop", "64", "--steps", "3")
@@ -241,6 +257,22 @@ class TestShowState:
         assert code == EXIT_OK
         assert "(L,H): +0.707106781187" in out
         assert "(R,V): +0.707106781187" in out
+
+    @pytest.mark.parametrize("option, value, line", [
+        ("--theta", "-1e-5", "(R,H): +0.000000000000+0.000015707963j"),
+        ("--theta", "-2.5E-1", "(R,H): +0.000000000000+0.382683432365j"),
+    ], ids=["exponent", "upper-case-exponent"])
+    def test_negative_exponent_angle(self, capsys, option, value, line):
+        code, out, err = run_cli(capsys, "show-state", "amp_in", option, value)
+        assert code == EXIT_OK, err
+        assert line in out
+
+    def test_negative_infinite_angle_gives_parse_exit(self, capsys):
+        code, out, err = run_cli(capsys, "show-state", "noisy_f", "--alpha", "-inf")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: ") and "alpha = -inf out of range" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_bad_id_is_usage_error_listing_choices(self, capsys):
         code, _, err = run_cli(capsys, "show-state", "nonsense")

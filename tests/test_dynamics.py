@@ -17,10 +17,12 @@ from weakmeter.dynamics import (
     kick_factors,
     parallel_arm_readout,
     post_select_meter,
+    transfer_amplitudes,
+    transfer_readouts,
 )
-from weakmeter.errors import AnnihilationError, IllConditionedFitError
+from weakmeter.errors import AnnihilationError, IllConditionedFitError, SignatureError
 from weakmeter.hilbert import Ket, SpaceSignature, extend, inner, tensor
-from weakmeter.meter import make_meter, moments
+from weakmeter.meter import make_meter, meter_readout, moments
 from weakmeter.optics import METER, named_state
 from weakmeter.weakvalue import observable, weak_value
 
@@ -336,7 +338,125 @@ class TestPostSelectMeter:
         assert final.norm() ** 2 == pytest.approx(0.25, abs=1e-2)
 
 
+def random_kets(seed, count, signature):
+    rng = np.random.default_rng(seed)
+    kets = []
+    for _ in range(count):
+        amps = rng.normal(size=signature.dim) + 1j * rng.normal(size=signature.dim)
+        kets.append(Ket(signature, amps / np.linalg.norm(amps)))
+    return kets
+
+
+class TestTransferAmplitudes:
+    @KICK_TIMES
+    @KICK_SIGNS
+    @ALL_COUPLINGS
+    def test_equals_evolve_then_post_select(self, variant, arm, kick_sign, kick_time):
+        pre, meter = random_pre_and_meter(31)
+        spec = dense_spec(variant, arm, kick_sign, kick_time)
+        pres = random_kets(5, 2, pre.signature) + [pre]
+        posts = random_kets(6, 3, pre.signature)
+        got = transfer_amplitudes(kick_factors(spec, pre.signature, meter), pres, posts)
+        assert got.shape == (3, 3, meter.size)
+        for p, post in enumerate(posts):
+            for r, ket in enumerate(pres):
+                want = post_select_meter(evolve_exact(spec, ket, meter), post).amplitudes
+                np.testing.assert_allclose(got[p, r] * meter.amplitudes, want, rtol=0, atol=1e-15)
+
+    @ALL_COUPLINGS
+    def test_entries_do_not_depend_on_the_batch(self, variant, arm):
+        pre, meter = random_pre_and_meter(31)
+        factors = kick_factors(dense_spec(variant, arm, 1, 0.4), pre.signature, meter)
+        pres, posts = random_kets(7, 4, pre.signature), random_kets(8, 5, pre.signature)
+        batch = transfer_amplitudes(factors, pres, posts)
+        for p, post in enumerate(posts):
+            for r, ket in enumerate(pres):
+                np.testing.assert_array_equal(batch[p, r],
+                                              transfer_amplitudes(factors, [ket], [post])[0, 0])
+
+    def test_states_off_the_factors_space_rejected(self):
+        pre, meter = random_pre_and_meter(31)
+        factors = kick_factors(dense_spec("parallel_1", "R", 1, 0.4), pre.signature, meter)
+        doublet = named_state("disembody_f", alpha=0.3)
+        with pytest.raises(SignatureError, match="post-selection on"):
+            transfer_amplitudes(factors, [pre], [doublet])
+        with pytest.raises(SignatureError, match="pre-state on"):
+            transfer_amplitudes(factors, [doublet], [pre])
+
+
+class TestTransferReadouts:
+    def test_match_readout_and_fit_of_the_post_selected_meter(self):
+        spec = CouplingSpec(variant="measure_sigma_zR_noisy", g=1e-3)
+        pres = [named_state("disembody_in", theta=t) for t in (0.6, 1.4)]
+        posts = [named_state("disembody_f", alpha=a) for a in (0.3, 0.7, 1.1)]
+        factors = kick_factors(spec, pres[0].signature, METER64)
+        rows = list(transfer_readouts(factors, METER64, pres, posts))
+        assert [len(row) for row in rows] == [3, 3]
+        for r, pre in enumerate(pres):
+            for p, post in enumerate(posts):
+                readout, fit = rows[r][p]
+                final = post_select_meter(evolve_exact(spec, pre, METER64), post)
+                want = meter_readout(final)
+                for field in ("mean_q", "mean_p", "var_q", "var_p", "success_probability"):
+                    assert getattr(readout, field) == pytest.approx(getattr(want, field),
+                                                                    rel=1e-13, abs=1e-14)
+                want_fit = fit_effective_weak_value(final, METER64, spec.fit_coupling)
+                assert fit.value == pytest.approx(want_fit.value, rel=1e-12)
+                assert fit.offset == pytest.approx(want_fit.offset, rel=1e-12)
+                assert fit.residual == pytest.approx(want_fit.residual, rel=1e-9, abs=1e-15)
+
+    def test_failed_pairs_are_returned_with_the_chain_s_error(self):
+        sig = named_state("cheshire_in").signature
+        pre = Ket(sig, [1, 0, 0, 0])
+        post = Ket(sig, [0, 1, 0, 0])
+        spec = CouplingSpec(variant="measure_sigma_zR", g=1e-3)
+        factors = kick_factors(spec, sig, METER32)
+        (row,) = transfer_readouts(factors, METER32, [pre], [post, pre])
+        with pytest.raises(AnnihilationError) as chain:
+            post_select_meter(evolve_exact(spec, pre, METER32), post)
+        assert isinstance(row[0], AnnihilationError) and str(row[0]) == str(chain.value)
+        readout, fit = row[1]
+        assert readout.success_probability == pytest.approx(1.0, abs=1e-12)
+        zero = CouplingSpec(variant="measure_sigma_zR", g=0.0)
+        (row,) = transfer_readouts(kick_factors(zero, sig, METER32), METER32, [pre], [pre])
+        assert isinstance(row[0], IllConditionedFitError)
+        assert str(row[0]) == "fit requires a positive coupling, got g=0.0"
+
+
+def lstsq_fit(final, meter, g):
+    """The weighted least-squares pointer fit solved densely, as the reference."""
+    ref = meter.amplitudes
+    mask = (np.abs(ref) > 1e-8) & (np.abs(final) > 0.0)
+    q, weights = meter.q[mask], np.abs(ref[mask]) ** 2
+    y = np.log(final[mask] / ref[mask])
+    design = np.stack([np.ones(mask.sum(), dtype=complex), 1j * g * q], axis=1)
+    root_w = np.sqrt(weights)
+    beta, *_ = np.linalg.lstsq(design * root_w[:, None], y * root_w, rcond=None)
+    resid = y - design @ beta
+    return beta[1], beta[0], np.sqrt(np.sum(weights * np.abs(resid) ** 2) / np.sum(weights))
+
+
 class TestFit:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("g", [1e-3, 0.05])
+    @pytest.mark.parametrize("holes", [False, True], ids=["full", "holes"])
+    def test_closed_form_matches_dense_lstsq(self, seed, g, holes):
+        rng = np.random.default_rng(seed)
+        a, offset = complex(*rng.normal(size=2)) * 3, complex(*rng.normal(size=2))
+        noise = 1e-3 * (rng.normal(size=METER64.size) + 1j * rng.normal(size=METER64.size))
+        final = np.exp(offset + 1j * g * METER64.q * a + noise) * METER64.amplitudes
+        if holes:  # exact zeros on one side leave a lopsided fit support
+            final[rng.choice(np.arange(40, 64), size=6, replace=False)] = 0.0
+        fit = fit_effective_weak_value(final, METER64, g)
+        value, off, residual = lstsq_fit(final, METER64, g)
+        assert abs(fit.value - value) <= 1e-13 * abs(value)
+        assert abs(fit.offset - off) <= 1e-13 * abs(off)
+        assert abs(fit.residual - residual) <= 1e-13 * residual
+
+    def test_zero_final_meter_is_annihilation(self):
+        with pytest.raises(AnnihilationError, match="final meter state is zero"):
+            fit_effective_weak_value(np.zeros(METER64.size), METER64, 1e-3)
+
     def test_identical_states_fit_to_zero(self):
         fit = fit_effective_weak_value(METER64.ket(METER), METER64, 1e-3)
         assert abs(fit.value) < 1e-12

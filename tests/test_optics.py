@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from weakmeter.errors import UnknownIdError
-from weakmeter.hilbert import SpaceSignature, inner, tensor
+from weakmeter.hilbert import Ket, SpaceSignature, inner, tensor
 from weakmeter.optics import (
     Component,
     Pipeline,
+    STATE_IDS,
     component_unitary,
     hv_components,
     named_state,
+    orbital_ket,
     orbital_matrix,
     orbital_signature,
     orbital_vector,
@@ -218,3 +220,63 @@ class TestNamedStates:
             k2 = named_state("disembody_in", theta=theta, orbital_dim=2)
             k3 = named_state("disembody_in", theta=theta, orbital_dim=3)
             assert k2.norm() == pytest.approx(k3.norm(), abs=1e-12)
+
+
+def composed_state(name, theta=None, alpha=None, orbital_dim=2):
+    """Each named state composed from basis kets, tensor products and sums.
+
+    This is the construction named_state used before it wrote the closed
+    forms into one array; it is kept here as the reference.
+    """
+    def amp_in(theta):
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        return (c * tensor(path_ket("L"), pol_ket("H"))
+                - 1j * s * tensor(path_ket("R"), pol_ket("H")))
+
+    def cheshire_f():
+        return ((tensor(path_ket("L"), pol_ket("H")) + tensor(path_ket("R"), pol_ket("V")))
+                * (1 / np.sqrt(2.0)))
+
+    def orbital_superposition(dim):
+        amps = (orbital_vector("va", dim) + 1j * orbital_vector("vb", dim)) / np.sqrt(2.0)
+        return Ket(orbital_signature(dim), amps, normalized=True)
+
+    def insert_orbital(path_pol, orb):
+        sig = SpaceSignature((("path", 2), ("orbital", orb.signature.dim), ("polarization", 2)))
+        amps = np.kron(path_pol.amplitudes.reshape(2, 2), orb.amplitudes).reshape(
+            2, 2, orb.signature.dim)
+        return Ket(sig, amps.transpose(0, 2, 1).reshape(-1))
+
+    if name == "cheshire_in":
+        return ((1j * tensor(path_ket("L"), pol_ket("H"))
+                 + tensor(path_ket("R"), pol_ket("H"))) * (1 / np.sqrt(2.0)))
+    if name in ("cheshire_f", "amp_f"):
+        return cheshire_f()
+    if name == "amp_in":
+        return amp_in(theta)
+    if name == "noisy_in":
+        return tensor(orbital_superposition(orbital_dim), pol_ket("H"))
+    if name == "noisy_f":
+        pol = Ket(polarization_signature(), pol_from_hv(np.cos(alpha), np.sin(alpha)))
+        return tensor(orbital_ket("va", orbital_dim), pol)
+    if name == "disembody_in":
+        return insert_orbital(amp_in(theta), orbital_superposition(orbital_dim))
+    if name == "disembody_f":
+        post_pol = (np.cos(alpha) * tensor(path_ket("L"), pol_ket("H"))
+                    + np.sin(alpha) * tensor(path_ket("R"), pol_ket("V")))
+        return insert_orbital(post_pol, orbital_ket("va", orbital_dim))
+    raise AssertionError(name)
+
+
+ANGLE_GRID = np.linspace(-0.999, 0.999, 23) * np.pi
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", sorted(STATE_IDS))
+def test_closed_forms_match_the_composed_states(name, dim):
+    angles = [{STATE_IDS[name][0]: a} for a in ANGLE_GRID] if STATE_IDS[name] else [{}]
+    for kw in angles:
+        got = named_state(name, orbital_dim=dim, **kw)
+        want = composed_state(name, orbital_dim=dim, **kw)
+        assert got.signature == want.signature
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-15)

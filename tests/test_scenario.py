@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -337,9 +338,21 @@ class TestReuse:
         assert len(calls) == 1
 
     def test_only_the_current_kick_key_is_kept(self, monkeypatch):
-        # g varying fastest changes the key at every point: a released set is
-        # rebuilt, so four points with two keys build four times
-        calls = count_kick_factors(monkeypatch)
+        # points are grouped by key, so each key builds its factors once in
+        # either sweep order, and a key's factors are released before the
+        # next key builds: at most one key's factors are alive at a time
+        import weakmeter.scenario as scenario
+
+        built = []
+        original = scenario.kick_factors
+
+        def tracked(spec, system, meter):
+            assert all(alive() is None for _, alive in built)
+            factors = original(spec, system, meter)
+            built.append((spec.g, weakref.ref(factors)))
+            return factors
+
+        monkeypatch.setattr(scenario, "kick_factors", tracked)
         text = NOISY + """
 sweep:
   postselect.alpha: {values: [0.2, 0.25]}
@@ -347,15 +360,67 @@ sweep:
 """
         records = run_scenario(parse_scenario(text))
         assert [rec.point["coupling.g"] for rec in records] == [0.001, 0.002] * 2
-        assert [spec.g for spec, _ in calls] == [0.001, 0.002] * 2
-        calls.clear()
+        assert [g for g, _ in built] == [0.001, 0.002]
+        built.clear()
         text = NOISY + """
 sweep:
   coupling.g: {values: [0.001, 0.002]}
   postselect.alpha: {values: [0.2, 0.25]}
 """
         run_scenario(parse_scenario(text))
-        assert [spec.g for spec, _ in calls] == [0.001, 0.002]
+        assert [g for g, _ in built] == [0.001, 0.002]
+
+    def test_angle_grid_reads_transfer_amplitudes_only(self, monkeypatch):
+        # a 10 x 10 theta x alpha grid: one kick_factors build and none of
+        # the per-point chain
+        import weakmeter.dynamics as dynamics
+        import weakmeter.meter as meter
+        import weakmeter.scenario as scenario
+        import weakmeter.weakvalue as weakvalue
+
+        kicks = count_kick_factors(monkeypatch)
+        chain = []
+        for name in ("evolve_exact", "post_select_meter", "fit_effective_weak_value",
+                     "meter_readout", "weak_value"):
+            for module in (dynamics, meter, weakvalue, scenario):  # every binding of the name
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        lambda *a, _name=name, **k: chain.append(_name))
+        thetas = [round(0.08 * k, 2) for k in range(1, 11)]
+        alphas = [round(0.04 * k, 2) for k in range(1, 11)]
+        text = ANGLE_GRID.replace("[0.2, 0.4, 0.6]", repr(thetas))
+        text = text.replace("[0.1, 0.2, 0.3]", repr(alphas))
+        records = run_scenario(parse_scenario(text))
+        assert len(records) == 100
+        assert all(rec.error == "" for rec in records)
+        assert len(kicks) == 1
+        assert chain == []
+
+    def test_point_values_are_validated_together(self):
+        # a point's kick_time is checked against its own t, not the base t
+        text = NOISY.replace("t: 100.0}", "t: 100.0, kick_time: 100.0}") + """
+sweep:
+  coupling.kick_time: {values: [50.0, 150.0]}
+  coupling.t: {values: [100.0, 200.0]}
+"""
+        records = run_scenario(parse_scenario(text))
+        assert [rec.error for rec in records] == [
+            "", "", "ParameterRangeError: coupling.kick_time = 150.0 outside [0, t=100.0]", ""]
+
+    def test_large_angle_grid_memory_is_bounded(self):
+        text = ANGLE_GRID.replace("meter: {N: 16, delta: 2.0}", "meter: {N: 2048, delta: 4.0}")
+        text = text.replace("[0.2, 0.4, 0.6]", repr([round(0.04 * k, 2) for k in range(1, 21)]))
+        text = text.replace("[0.1, 0.2, 0.3]", repr([round(0.02 * k, 2) for k in range(1, 21)]))
+        doc = parse_scenario(text)
+        tracemalloc.start()
+        try:
+            records = run_scenario(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 400 and all(rec.error == "" for rec in records)
+        # the full F[post, pre, k] alone would take 20 * 20 * 4097 * 16 B = 25 MiB
+        assert peak < 64 * 2**20
 
     def test_bad_swept_value_fails_alone(self):
         text = """
@@ -395,6 +460,91 @@ sweep:
         assert [rec.point["meter.N"] for rec in records] == [16, 17.5, 18]
         assert records[0].error == "" and records[2].error == ""
         assert records[1].error.startswith("ParameterRangeError: meter.N must be a positive integer")
+
+
+ARM_SWEEP = """
+name: arm
+preselect: {id: disembody_in, theta: 0.5}
+postselect: {id: disembody_f, alpha: 0.25}
+coupling: {variant: measure_sigma_zR_noisy, g: 1.0e-3}
+meter: {N: 16, delta: 2.0}
+observables: [sigma_z_R, sigma_z_L]
+sweep:
+  coupling.g: {values: [0.0, 1.0e+308, 0.001, 0.5]}
+  preselect.theta: {values: [0.2, 0.4]}
+"""
+
+MISMATCHED = """
+name: mismatched
+preselect: {id: cheshire_in}
+postselect: {id: noisy_f, alpha: 0.25}
+"""
+
+CHESHIRE_WITH = """
+name: cheshire-with
+preselect: {id: cheshire_in}
+postselect: {id: cheshire_f}
+observables: OBSERVABLES
+"""
+
+
+class TestErrorRows:
+    # each row's error text is the one the single-point chain
+    # (weak_value, kick_factors, post_select_meter, fit) gives for that point
+
+    def test_coupling_rows_in_order(self):
+        records = run_scenario(parse_scenario(ARM_SWEEP))
+        overflow = ("NumericalOverflowError: kick generator g * (A q + B) is not finite "
+                    "on the grid |q| <= 16 (g = 1e+308)")
+        assert [rec.error for rec in records] == [
+            "IllConditionedFitError: fit requires a positive coupling, got g=0.0"] * 2 + [
+            overflow] * 2 + ["", "",
+            "fit-residual: 9.441e-02 exceeds 1e-02", "fit-residual: 2.107e-01 exceeds 1e-02"]
+        # the weak values are computed before any meter work, so failed rows keep them
+        assert all(set(rec.weak_values) == {"sigma_z_R", "sigma_z_L"} for rec in records)
+        assert all(rec.fit_value is None for rec in records[:4])
+
+    def test_degenerate_row_matches_weak_value(self):
+        from weakmeter.errors import DegeneratePostselectionError
+        from weakmeter.optics import named_state
+        from weakmeter.weakvalue import observable, weak_value
+
+        text = NOISY + """
+sweep:
+  postselect.alpha: {values: [0.25, 0.5]}
+"""
+        records = run_scenario(parse_scenario(text))
+        pre = named_state("noisy_in")
+        post = named_state("noisy_f", alpha=0.5 * np.pi)
+        with pytest.raises(DegeneratePostselectionError) as single:
+            weak_value(pre, post, observable("sigma_z"))
+        assert records[1].error == f"DegeneratePostselectionError: {single.value}"
+        assert records[1].weak_values == {} and records[1].mean_q is None
+        assert records[0].error == ""
+
+    def test_single_grid_point_row(self):
+        text = NOISY.replace("meter: {N: 32, delta: 4.0}", "meter: {N: 1, delta: 0.05}")
+        (rec,) = run_scenario(parse_scenario(text))
+        assert rec.error == "IllConditionedFitError: all fit weight sits at a single grid point"
+
+    @pytest.mark.parametrize("observables, error", [
+        ("[pi_L]", "SignatureError: inner product between different signatures: "
+                   "orbital:2 * polarization:2 vs path:2 * polarization:2"),
+        ("[]", "SignatureError: post-selection on orbital:2 * polarization:2 does not match "
+               "system factors path:2 * polarization:2"),
+    ], ids=["with-observables", "meter-only"])
+    def test_states_on_different_spaces(self, observables, error):
+        (rec,) = run_scenario(parse_scenario(MISMATCHED + f"observables: {observables}\n"))
+        assert rec.error == error and rec.weak_values == {}
+
+    @pytest.mark.parametrize("observables, kept", [
+        ("[pi_L, L_x, sigma_z_R]", {"pi_L"}), ("[L_x, pi_L]", set()),
+    ], ids=["second", "first"])
+    def test_observable_off_the_states_space(self, observables, kept):
+        (rec,) = run_scenario(parse_scenario(CHESHIRE_WITH.replace("OBSERVABLES", observables)))
+        assert rec.error == ("SignatureError: factor 'orbital' of operator absent from "
+                             "target ('path', 'polarization')")
+        assert set(rec.weak_values) == kept
 
 
 class TestYamlFloats:
