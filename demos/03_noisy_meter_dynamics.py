@@ -12,12 +12,7 @@ This script shows all three, plus the residual that certifies each fit.
 
 import numpy as np
 
-from weakmeter import (
-    CouplingSpec,
-    evolve_exact,
-    fit_effective_weak_value,
-    post_select_meter,
-)
+from weakmeter import CouplingSpec, pointer_readout
 from weakmeter.meter import make_meter
 from weakmeter.optics import named_state
 from weakmeter.weakvalue import noisy_effective_weak_value
@@ -37,8 +32,8 @@ for gpt in (0.02, 0.05, 0.1):
     for label, kick_time in (("end", None), ("start", 0.0)):
         spec = CouplingSpec(variant="spin_orbit", g=g, gprime=gpt, t=1.0,
                             kick_time=kick_time)
-        final = post_select_meter(evolve_exact(spec, pre, meter), post)
-        fits[label] = fit_effective_weak_value(final, meter, g).value
+        _, fit = pointer_readout(spec, pre, post, meter)
+        fits[label] = fit.value
     print(f"{gpt:>10.3f} {formula:>22.6f} {fits['end']:>20.6f} {fits['start']:>20.6f}")
 
 print()

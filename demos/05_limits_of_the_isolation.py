@@ -11,8 +11,7 @@ the directly computed ratio i tan(alpha) - 1.
 
 import numpy as np
 
-from weakmeter import CouplingSpec, evolve_exact, fit_effective_weak_value, \
-    parallel_arm_readout, post_select_meter
+from weakmeter import CouplingSpec, parallel_arm_readout, pointer_readout
 from weakmeter.meter import make_meter
 from weakmeter.optics import named_state
 from weakmeter.weakvalue import three_body_comparison
@@ -35,8 +34,7 @@ candidates = three_body_comparison(alpha)
 pre = named_state("noisy_in")
 post = named_state("noisy_f", alpha=alpha)
 spec = CouplingSpec(variant="three_body", g=1e-3)
-final = post_select_meter(evolve_exact(spec, pre, make_meter(64, 4.0)), post)
-fit = fit_effective_weak_value(final, make_meter(64, 4.0), 1e-3)
+_, fit = pointer_readout(spec, pre, post, make_meter(64, 4.0))
 print(f"  direct ratio     {candidates['direct']:.6f}")
 print(f"  quoted form      {candidates['quoted']:.6f}")
 print(f"  pointer fit      {fit.value:.6f}")

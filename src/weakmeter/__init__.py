@@ -17,6 +17,7 @@ from .dynamics import (
     evolve_exact,
     fit_effective_weak_value,
     parallel_arm_readout,
+    pointer_readout,
     post_select_meter,
 )
 from .errors import (

@@ -16,10 +16,11 @@ Sign and ordering conventions (fixed once, used everywhere):
   on it at first order in g' t.
 
 Every coupling is diagonal in the pointer position (see ``COUPLINGS``), so
-evolution works on the (system, grid) amplitude array and never forms a
-joint system+meter operator.  For the same reason a post-selected pointer is
-the meter times the transfer amplitude f(q) = <post| U(q) |pre>, which
-``transfer_amplitudes`` computes for many pre- and post-states at once.
+a post-selected pointer is the meter times the transfer amplitude
+f(q) = <post| U(q) |pre>, and no joint system+meter operator is formed.
+``_transfer_rows`` is the one kernel that applies the evolution: every
+pointer (``pointer_readout``, sweeps) is read from it, and ``evolve_exact``
+is its joint-state view with the system basis as post-states.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     UnknownIdError,
 )
 from .hilbert import Ket, Operator, SpaceSignature, extend, mat_exp, tensor
-from .meter import DiscreteGaussianMeter, MeterReadout, meter_readout, meter_readouts, q_grid
+from .meter import DiscreteGaussianMeter, MeterReadout, meter_readouts, q_grid
 from .optics import METER, ORBITAL, named_state
 from .weakvalue import observable
 
@@ -59,6 +60,7 @@ __all__ = [
     "transfer_amplitudes",
     "transfer_readouts",
     "fit_effective_weak_value",
+    "pointer_readout",
     "disembodied_measurement",
     "parallel_arm_readout",
 ]
@@ -290,31 +292,19 @@ def kick_factors(spec: CouplingSpec, system: SpaceSignature,
     return factors
 
 
-def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter,
-                 factors: KickFactors | None = None) -> Ket:
+def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter) -> Ket:
     """Joint state after static noise, the kick, and the remaining noise.
 
     exp(-i static (t - kick_time)) exp(+i kick_sign kick) exp(-i static kick_time)
-    applied to pre_system (x) meter.  The kick is one Hermitian eigenproblem
-    per grid point, so time and memory grow linearly in the grid size.
-    ``factors`` from :func:`kick_factors` skips rebuilding them; they must
-    belong to this spec, system signature and grid.
+    applied to pre_system (x) meter.  Every coupling is diagonal in q, so the
+    state is the meter times the transfer amplitudes onto each system basis
+    state (:func:`transfer_amplitudes` with the identity as post-states); time
+    and memory grow linearly in the grid size.
     """
-    if factors is None:
-        factors = kick_factors(spec, pre_system.signature, meter)
-    elif (factors.spec != spec or factors.system != pre_system.signature
-          or len(factors.phases) != meter.size):
-        raise ValueError("kick factors were built for another coupling, system or meter grid")
-    joint = tensor(pre_system, meter.ket(METER))
-    psi = joint.amplitudes.reshape(-1, meter.size)  # (system, grid)
-    if factors.before is not None:
-        psi = factors.before @ psi
-    rotated = np.einsum("qji,jq->qi", factors.vectors.conj(), psi)
-    rotated *= factors.phases
-    psi = np.einsum("qij,qj->iq", factors.vectors, rotated)
-    if factors.after is not None:
-        psi = factors.after @ psi
-    return Ket(joint.signature, psi)
+    system = pre_system.signature
+    factors = kick_factors(spec, system, meter)
+    (f,) = _transfer_rows(factors, [pre_system], np.eye(system.dim))
+    return Ket(system.concat(SpaceSignature(((METER, meter.size),))), f * meter.amplitudes)
 
 
 def evolve_dyson2(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter) -> Ket:
@@ -385,7 +375,9 @@ def post_select_meter(joint: Ket, post_system: Ket) -> Ket:
 def _transfer_rows(factors: KickFactors, pres, posts):
     """Iterator over F[:, r, :] of :func:`transfer_amplitudes`, one pre-state at a time.
 
-    The states are checked and the post side is computed before it returns.
+    ``posts`` holds post-state amplitude vectors on the factors' system (the
+    caller checks their space).  The pre-states are checked and the post side
+    is computed before it returns.
     """
     for pre in pres:
         if pre.signature != factors.system:
@@ -393,8 +385,6 @@ def _transfer_rows(factors: KickFactors, pres, posts):
                 f"pre-state on {pre.signature} does not match the kick factors' "
                 f"system {factors.system}"
             )
-    for post in posts:
-        _require_system(post, factors.system)
     vectors = factors.vectors
 
     def project(x: np.ndarray) -> np.ndarray:  # (V_k^T x)_i = sum_j V_k[j, i] x_j
@@ -404,8 +394,7 @@ def _transfer_rows(factors: KickFactors, pres, posts):
     # conj(V_k^dagger S_after^dagger |post>), one (grid, system) block per post
     bras = np.empty((len(posts),) + vectors.shape[:2], dtype=complex)
     for bra, post in zip(bras, posts):
-        bra[...] = project((post.amplitudes if after_h is None
-                            else after_h @ post.amplitudes).conj())
+        bra[...] = project((post if after_h is None else after_h @ post).conj())
 
     def rows():
         for pre in pres:
@@ -415,6 +404,12 @@ def _transfer_rows(factors: KickFactors, pres, posts):
             yield np.einsum("pki,ki->pk", bras, kicked)
 
     return rows()
+
+
+def _post_amplitudes(factors: KickFactors, posts) -> list:
+    for post in posts:
+        _require_system(post, factors.system)
+    return [post.amplitudes for post in posts]
 
 
 def transfer_amplitudes(factors: KickFactors, pres, posts) -> np.ndarray:
@@ -427,7 +422,7 @@ def transfer_amplitudes(factors: KickFactors, pres, posts) -> np.ndarray:
     never on the rest of the batch.
     """
     out = np.empty((len(posts), len(pres), len(factors.phases)), dtype=complex)
-    for r, row in enumerate(_transfer_rows(factors, pres, posts)):
+    for r, row in enumerate(_transfer_rows(factors, pres, _post_amplitudes(factors, posts))):
         out[:, r] = row
     return out
 
@@ -453,6 +448,25 @@ def _weighted_line_fits(y: np.ndarray, w: np.ndarray, q: np.ndarray, g: float):
                 np.count_nonzero(w, axis=-1), spread)
 
 
+def _pointer_fitter(meter: DiscreteGaussianMeter, g: float):
+    """Row fit of log(ratios) = a + i g q A, for rows of final / meter.amplitudes.
+
+    Only grid points above the 1e-8 support threshold take part, weighted by
+    |meter|^2 so tail noise cannot dominate; zeros of a row have no usable
+    log and are dropped.  Returns :func:`_weighted_line_fits` per row.
+    """
+    support = np.flatnonzero(np.abs(meter.amplitudes) > FIT_SUPPORT_ATOL)
+    weights, q = meter.amplitudes[support] ** 2, meter.q[support]
+
+    def fit(ratios: np.ndarray):
+        ratios = ratios[:, support]
+        live = ratios != 0.0
+        return _weighted_line_fits(np.log(np.where(live, ratios, 1.0)),
+                                   np.where(live, weights, 0.0), q, g)
+
+    return fit
+
+
 def _require_coupling(g: float) -> None:
     if g <= 0:
         raise IllConditionedFitError(f"fit requires a positive coupling, got g={g}")
@@ -472,7 +486,8 @@ def fit_effective_weak_value(final_meter, reference: DiscreteGaussianMeter,
 
     Grid points are weighted by |reference|^2 so tail noise cannot dominate;
     points below the 1e-8 support threshold are excluded.  The two-parameter
-    fit is solved in closed form (weighted covariance of the log-ratio with q).
+    fit is solved in closed form (weighted covariance of the log-ratio with q),
+    by the same code as :func:`transfer_readouts`.
     """
     _require_coupling(g)
     final = np.asarray(final_meter.amplitudes if isinstance(final_meter, Ket) else final_meter,
@@ -482,11 +497,9 @@ def fit_effective_weak_value(final_meter, reference: DiscreteGaussianMeter,
         raise SignatureError("final and reference meters live on different grids")
     if not np.any(final):
         raise AnnihilationError("final meter state is zero")
-    # zeros of the post-selected meter have no usable log-ratio
-    mask = (np.abs(ref) > FIT_SUPPORT_ATOL) & (np.abs(final) > 0.0)
-    y = np.log(final[mask] / ref[mask])
-    fits = _weighted_line_fits(y[None], np.abs(ref[mask])[None] ** 2, reference.q[mask], g)
-    return _fit_row(fits, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # off-support tails may be 0
+        ratio = final / ref
+    return _fit_row(_pointer_fitter(reference, g)(ratio[None]), 0)
 
 
 def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, posts):
@@ -495,25 +508,20 @@ def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, 
     Yields one list per pre-state r with one entry per post-state p: the
     pair (:class:`MeterReadout`, :class:`EffectiveWeakValueFit`) that
     :func:`meter_readout` and :func:`fit_effective_weak_value` give for that
-    meter, or the error :func:`post_select_meter` or the fit would raise
-    (returned, not raised).  The fit takes log F directly.  Grid-sized arrays
-    are held for one pre-state at a time, and no entry depends on the others.
+    meter, or the error post-selection or the fit would raise (returned, not
+    raised).  The fit takes log F directly.  Grid-sized arrays are held for
+    one pre-state at a time, and no entry depends on the others.
     """
     if len(factors.phases) != meter.size:
         raise ValueError("kick factors were built for another meter grid")
     g = factors.spec.fit_coupling
-    amps = meter.amplitudes
-    support = np.flatnonzero(np.abs(amps) > FIT_SUPPORT_ATOL)
-    weights = amps[support] ** 2
+    fit = _pointer_fitter(meter, g)
     post_norms = [post.norm() for post in posts]
-    for pre, f in zip(pres, _transfer_rows(factors, pres, posts)):
+    transfer = _transfer_rows(factors, pres, _post_amplitudes(factors, posts))
+    for pre, f in zip(pres, transfer):
         pre_norm = pre.norm()
-        final = amps * f
-        readouts = meter_readouts(final)
-        on_support = final[:, support] != 0.0  # zeros have no usable log
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fits = _weighted_line_fits(np.log(np.where(on_support, f[:, support], 1.0)),
-                                       np.where(on_support, weights, 0.0), meter.q[support], g)
+        readouts = meter_readouts(meter.amplitudes * f)
+        fits = fit(f)
         row = []
         for p, readout in enumerate(readouts):
             try:
@@ -524,6 +532,18 @@ def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, 
             except (AnnihilationError, IllConditionedFitError) as exc:
                 row.append(exc)
         yield row
+
+
+def pointer_readout(spec: CouplingSpec, pre: Ket, post: Ket,
+                    meter: DiscreteGaussianMeter) -> tuple[MeterReadout, EffectiveWeakValueFit]:
+    """Readout and pointer fit of pre (x) meter evolved under ``spec``, post-selected on post.
+
+    :func:`transfer_readouts` for one pair; its error, if any, is raised.
+    """
+    ((entry,),) = transfer_readouts(kick_factors(spec, pre.signature, meter), meter, [pre], [post])
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 _DISEMBODY_TARGETS = {
@@ -549,9 +569,7 @@ def disembodied_measurement(theta: float, alpha: float, target: str, *,
     post = named_state("disembody_f", alpha=alpha, orbital_dim=orbital_dim)
     spec = CouplingSpec(variant=_DISEMBODY_TARGETS[target], g=g, gprime=gprime, t=t,
                         kick_sign=kick_sign)
-    joint = evolve_exact(spec, pre, meter)
-    final = post_select_meter(joint, post)
-    return meter_readout(final), fit_effective_weak_value(final, meter, spec.fit_coupling)
+    return pointer_readout(spec, pre, post, meter)
 
 
 def parallel_arm_readout(variant: str, theta: float, alpha: float, arm: str, *,
@@ -569,6 +587,4 @@ def parallel_arm_readout(variant: str, theta: float, alpha: float, arm: str, *,
     post = named_state("disembody_f", alpha=alpha, orbital_dim=3)
     spec = CouplingSpec(variant=variant, g=g, gprime=gprime, t=t, measure_arm=arm,
                         kick_sign=kick_sign)
-    joint = evolve_exact(spec, pre, meter)
-    final = post_select_meter(joint, post)
-    return fit_effective_weak_value(final, meter, spec.fit_coupling)
+    return pointer_readout(spec, pre, post, meter)[1]

@@ -53,10 +53,6 @@ class SpaceSignature:
         if any(dim < 1 for _, dim in factors):
             raise SignatureError(f"factor dimensions must be positive: {factors}")
 
-    @classmethod
-    def of(cls, *factors: tuple[str, int]) -> "SpaceSignature":
-        return cls(tuple(factors))
-
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.factors)
@@ -115,12 +111,6 @@ class Ket:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def unit(self) -> "Ket":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero ket")
-        return Ket(self.signature, self.amplitudes / n, normalized=True)
 
     def __add__(self, other: "Ket") -> "Ket":
         if self.signature != other.signature:

@@ -20,10 +20,9 @@ from .dynamics import (
     disembodied_measurement,
     evolve_dyson2,
     evolve_exact,
-    fit_effective_weak_value,
     kick_factors,
-    post_select_meter,
-    transfer_amplitudes,
+    pointer_readout,
+    transfer_readouts,
 )
 from .hilbert import Ket
 from .meter import continuous_reference, make_meter, moments
@@ -45,12 +44,6 @@ class CheckResult:
         if self.informational:
             return "INFO"
         return "PASS" if self.passed else "FAIL"
-
-
-def _fit_after(spec: CouplingSpec, pre: Ket, post: Ket, meter):
-    joint = evolve_exact(spec, pre, meter)
-    final = post_select_meter(joint, post)
-    return fit_effective_weak_value(final, meter, spec.fit_coupling)
 
 
 def check_cheshire(kick_sign: int = 1) -> CheckResult:
@@ -117,7 +110,7 @@ def check_noisy_fit(kick_sign: int = 1) -> CheckResult:
             post = named_state("noisy_f", alpha=alpha)
             spec = CouplingSpec(variant="spin_orbit", g=1e-3, gprime=gpt, t=1.0,
                                 kick_sign=kick_sign)
-            fit = _fit_after(spec, pre, post, meter)
+            _, fit = pointer_readout(spec, pre, post, meter)
             elapsed = time.perf_counter() - start
             target = (gpt + 1j) * np.tan(alpha)
             rel = abs(fit.value - target) / abs(target)
@@ -188,10 +181,8 @@ def check_pointer_shift(kick_sign: int = 1) -> CheckResult:
 
         def shift_over_g(g: float) -> float:
             spec = CouplingSpec(variant=variant, g=g, kick_sign=kick_sign)
-            joint = evolve_exact(spec, pre, meter)
-            final = post_select_meter(joint, post)
-            mean_p, _ = moments(final.amplitudes, "p")
-            return mean_p / g
+            readout, _ = pointer_readout(spec, pre, post, meter)
+            return readout.mean_p / g
 
         f = [shift_over_g(1e-2 / 2**k) for k in range(3)]
         extrapolated = (8 * f[2] - 6 * f[1] + f[0]) / 3
@@ -281,8 +272,9 @@ def check_convergence(kick_sign: int = 1) -> CheckResult:
 def check_parallel_noise(kick_sign: int = 1) -> CheckResult:
     """Both arms keep a sigma_z-mediated response above 1e-3 under parallel noise.
 
-    The pipeline of :func:`parallel_arm_readout` on a 3 x 3 angle grid, read
-    through one set of kick factors and transfer amplitudes per (variant, arm).
+    The pipeline of :func:`parallel_arm_readout` on a 3 x 3 angle grid: per
+    (variant, arm), one set of kick factors and one :func:`transfer_readouts`
+    pass give all nine pointer fits.
     """
     meter = make_meter(32, 4.0)
     angles = (0.25, 0.7, 1.15)
@@ -295,11 +287,11 @@ def check_parallel_noise(kick_sign: int = 1) -> CheckResult:
             spec = CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=100.0,
                                 measure_arm=arm, kick_sign=kick_sign)
             factors = kick_factors(spec, pres[0].signature, meter)
-            amplitudes = transfer_amplitudes(factors, pres, posts)
-            worst[arm] = min(
-                abs(fit_effective_weak_value(f * meter.amplitudes, meter, spec.fit_coupling).value)
-                for f in amplitudes.reshape(-1, meter.size)
-            )
+            entries = [entry for row in transfer_readouts(factors, meter, pres, posts)
+                       for entry in row]
+            for error in (entry for entry in entries if isinstance(entry, Exception)):
+                raise error
+            worst[arm] = min(abs(fit.value) for _, fit in entries)
         good = worst["L"] > 1e-3 and worst["R"] > 1e-3
         ok &= good
         lines.append(
@@ -319,7 +311,7 @@ def check_three_body(kick_sign: int = 1) -> CheckResult:
     pre = named_state("noisy_in")
     post = named_state("noisy_f", alpha=alpha)
     spec = CouplingSpec(variant="three_body", g=1e-3, kick_sign=kick_sign)
-    fit = _fit_after(spec, pre, post, meter)
+    _, fit = pointer_readout(spec, pre, post, meter)
     probed = kick_sign * fit.value
     rel_direct = abs(probed - direct) / abs(direct)
     rel_quoted = abs(probed - quoted) / abs(quoted)

@@ -16,6 +16,7 @@ from weakmeter.dynamics import (
     fit_effective_weak_value,
     kick_factors,
     parallel_arm_readout,
+    pointer_readout,
     post_select_meter,
     transfer_amplitudes,
     transfer_readouts,
@@ -55,6 +56,15 @@ def random_pre_and_meter(seed):
 def dense_spec(variant, arm, kick_sign, kick_time):
     return CouplingSpec(variant=variant, g=0.3, gprime=0.2, t=1.5, kick_time=kick_time,
                         measure_arm=arm, kick_sign=kick_sign)
+
+
+def dense_evolution(spec, joint_signature):
+    """The joint propagator as brute-force dense matrix exponentials."""
+    kick, static = build_hamiltonian(spec, joint_signature)
+    kick_time = spec.resolved_kick_time
+    return (scipy.linalg.expm(-1j * static.matrix * (spec.t - kick_time))
+            @ scipy.linalg.expm(1j * spec.kick_sign * kick.matrix)
+            @ scipy.linalg.expm(-1j * static.matrix * kick_time))
 
 
 class TestCouplingSpec:
@@ -205,35 +215,8 @@ class TestEvolveExact:
         got = evolve_exact(spec, pre, meter)
 
         joint = tensor(pre, meter.ket(METER))
-        kick, static = build_hamiltonian(spec, joint.signature)
-        u = (scipy.linalg.expm(-1j * static.matrix * (spec.t - kick_time))
-             @ scipy.linalg.expm(1j * kick_sign * kick.matrix)
-             @ scipy.linalg.expm(-1j * static.matrix * kick_time))
+        u = dense_evolution(spec, joint.signature)
         np.testing.assert_allclose(got.amplitudes, u @ joint.amplitudes, atol=1e-12)
-
-    @KICK_TIMES
-    @ALL_COUPLINGS
-    def test_shared_kick_factors_give_identical_states(self, variant, arm, kick_time):
-        # one factor set serves any pre-state at its key, bit for bit
-        spec = dense_spec(variant, arm, 1, kick_time)
-        pre, meter = random_pre_and_meter(31)
-        factors = kick_factors(spec, pre.signature, meter)
-        for seed in (31, 32):
-            pre, _ = random_pre_and_meter(seed)
-            np.testing.assert_array_equal(evolve_exact(spec, pre, meter, factors).amplitudes,
-                                          evolve_exact(spec, pre, meter).amplitudes)
-
-    def test_factors_of_another_key_rejected(self):
-        pre, meter = random_pre_and_meter(31)
-        spec = dense_spec("parallel_1", "R", 1, 0.4)
-        factors = kick_factors(spec, pre.signature, meter)
-        doublet = named_state("disembody_in", theta=0.9)
-        others = [(dense_spec("parallel_1", "R", -1, 0.4), pre, meter),
-                  (spec, pre, make_meter(7, 1.2)),
-                  (spec, doublet, meter)]
-        for other_spec, other_pre, other_meter in others:
-            with pytest.raises(ValueError, match="kick factors"):
-                evolve_exact(other_spec, other_pre, other_meter, factors)
 
     def test_wide_grid_is_lean_and_unitary(self):
         pre = named_state("disembody_in", theta=np.pi / 2, orbital_dim=3)
@@ -352,16 +335,19 @@ class TestTransferAmplitudes:
     @KICK_SIGNS
     @ALL_COUPLINGS
     def test_equals_evolve_then_post_select(self, variant, arm, kick_sign, kick_time):
+        # against dense matrix exponentials of the joint Hamiltonian, then <post|
         pre, meter = random_pre_and_meter(31)
         spec = dense_spec(variant, arm, kick_sign, kick_time)
         pres = random_kets(5, 2, pre.signature) + [pre]
         posts = random_kets(6, 3, pre.signature)
         got = transfer_amplitudes(kick_factors(spec, pre.signature, meter), pres, posts)
         assert got.shape == (3, 3, meter.size)
-        for p, post in enumerate(posts):
-            for r, ket in enumerate(pres):
-                want = post_select_meter(evolve_exact(spec, ket, meter), post).amplitudes
-                np.testing.assert_allclose(got[p, r] * meter.amplitudes, want, rtol=0, atol=1e-15)
+        u = dense_evolution(spec, tensor(pre, meter.ket(METER)).signature)
+        for r, ket in enumerate(pres):
+            evolved = (u @ np.kron(ket.amplitudes, meter.amplitudes)).reshape(-1, meter.size)
+            for p, post in enumerate(posts):
+                want = post.amplitudes.conj() @ evolved
+                np.testing.assert_allclose(got[p, r] * meter.amplitudes, want, rtol=0, atol=1e-12)
 
     @ALL_COUPLINGS
     def test_entries_do_not_depend_on_the_batch(self, variant, arm):
@@ -384,26 +370,42 @@ class TestTransferAmplitudes:
             transfer_amplitudes(factors, [doublet], [pre])
 
 
+def lstsq_fit(final, meter, g):
+    """The weighted least-squares pointer fit solved densely, as the reference."""
+    ref = meter.amplitudes
+    mask = (np.abs(ref) > 1e-8) & (np.abs(final) > 0.0)
+    q, weights = meter.q[mask], np.abs(ref[mask]) ** 2
+    y = np.log(final[mask] / ref[mask])
+    design = np.stack([np.ones(mask.sum(), dtype=complex), 1j * g * q], axis=1)
+    root_w = np.sqrt(weights)
+    beta, *_ = np.linalg.lstsq(design * root_w[:, None], y * root_w, rcond=None)
+    resid = y - design @ beta
+    return beta[1], beta[0], np.sqrt(np.sum(weights * np.abs(resid) ** 2) / np.sum(weights))
+
+
 class TestTransferReadouts:
     def test_match_readout_and_fit_of_the_post_selected_meter(self):
+        # the meter F[p, r] * phi (checked above against dense exponentials),
+        # read by meter_readout and fitted by the dense lstsq reference
         spec = CouplingSpec(variant="measure_sigma_zR_noisy", g=1e-3)
         pres = [named_state("disembody_in", theta=t) for t in (0.6, 1.4)]
         posts = [named_state("disembody_f", alpha=a) for a in (0.3, 0.7, 1.1)]
         factors = kick_factors(spec, pres[0].signature, METER64)
+        amplitudes = transfer_amplitudes(factors, pres, posts)
         rows = list(transfer_readouts(factors, METER64, pres, posts))
         assert [len(row) for row in rows] == [3, 3]
-        for r, pre in enumerate(pres):
-            for p, post in enumerate(posts):
+        for r in range(len(pres)):
+            for p in range(len(posts)):
                 readout, fit = rows[r][p]
-                final = post_select_meter(evolve_exact(spec, pre, METER64), post)
+                final = amplitudes[p, r] * METER64.amplitudes
                 want = meter_readout(final)
                 for field in ("mean_q", "mean_p", "var_q", "var_p", "success_probability"):
                     assert getattr(readout, field) == pytest.approx(getattr(want, field),
                                                                     rel=1e-13, abs=1e-14)
-                want_fit = fit_effective_weak_value(final, METER64, spec.fit_coupling)
-                assert fit.value == pytest.approx(want_fit.value, rel=1e-12)
-                assert fit.offset == pytest.approx(want_fit.offset, rel=1e-12)
-                assert fit.residual == pytest.approx(want_fit.residual, rel=1e-9, abs=1e-15)
+                value, offset, residual = lstsq_fit(final, METER64, spec.fit_coupling)
+                assert fit.value == pytest.approx(value, rel=1e-12)
+                assert fit.offset == pytest.approx(offset, rel=1e-12)
+                assert fit.residual == pytest.approx(residual, rel=1e-9, abs=1e-15)
 
     def test_failed_pairs_are_returned_with_the_chain_s_error(self):
         sig = named_state("cheshire_in").signature
@@ -422,18 +424,20 @@ class TestTransferReadouts:
         assert isinstance(row[0], IllConditionedFitError)
         assert str(row[0]) == "fit requires a positive coupling, got g=0.0"
 
-
-def lstsq_fit(final, meter, g):
-    """The weighted least-squares pointer fit solved densely, as the reference."""
-    ref = meter.amplitudes
-    mask = (np.abs(ref) > 1e-8) & (np.abs(final) > 0.0)
-    q, weights = meter.q[mask], np.abs(ref[mask]) ** 2
-    y = np.log(final[mask] / ref[mask])
-    design = np.stack([np.ones(mask.sum(), dtype=complex), 1j * g * q], axis=1)
-    root_w = np.sqrt(weights)
-    beta, *_ = np.linalg.lstsq(design * root_w[:, None], y * root_w, rcond=None)
-    resid = y - design @ beta
-    return beta[1], beta[0], np.sqrt(np.sum(weights * np.abs(resid) ** 2) / np.sum(weights))
+    def test_pointer_readout_is_one_entry_raised(self):
+        spec = CouplingSpec(variant="measure_sigma_zR_noisy", g=1e-3)
+        pre = named_state("disembody_in", theta=0.6)
+        post = named_state("disembody_f", alpha=0.3)
+        (row,) = transfer_readouts(kick_factors(spec, pre.signature, METER64), METER64,
+                                   [pre], [post])
+        assert pointer_readout(spec, pre, post, METER64) == row[0]
+        sig = named_state("cheshire_in").signature
+        orthogonal = CouplingSpec(variant="measure_sigma_zR", g=1e-3)
+        with pytest.raises(AnnihilationError, match="annihilated"):
+            pointer_readout(orthogonal, Ket(sig, [1, 0, 0, 0]), Ket(sig, [0, 1, 0, 0]), METER32)
+        zero = CouplingSpec(variant="measure_sigma_zR", g=0.0)
+        with pytest.raises(IllConditionedFitError, match="positive coupling"):
+            pointer_readout(zero, Ket(sig, [1, 0, 0, 0]), Ket(sig, [1, 0, 0, 0]), METER32)
 
 
 class TestFit:

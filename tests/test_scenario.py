@@ -112,6 +112,15 @@ sweep:
         with pytest.raises(ParameterRangeError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("sweep", ["{values: [0.001, .nan]}", "{values: [0.001, .inf]}",
+                                       "{start: 0.001, stop: .inf, steps: 3}"],
+                             ids=["nan-value", "inf-value", "inf-stop"])
+    def test_non_finite_sweep_number_rejects_the_document(self, sweep):
+        # unlike a finite out-of-range value, which fails only its own row
+        # (test_bad_swept_value_fails_alone)
+        with pytest.raises(ParameterRangeError, match="must be finite"):
+            parse_scenario(NOISY + f"sweep:\n  coupling.g: {sweep}\n")
+
     def test_sweep_path_must_exist(self):
         text = MINIMAL + """
 sweep:
