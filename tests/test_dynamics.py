@@ -218,6 +218,34 @@ class TestEvolveExact:
         u = dense_evolution(spec, joint.signature)
         np.testing.assert_allclose(got.amplitudes, u @ joint.amplitudes, atol=1e-12)
 
+    @KICK_TIMES
+    @ALL_COUPLINGS
+    def test_shared_kick_factors_give_identical_states(self, variant, arm, kick_time):
+        # one factor set serves any pre-state at its key, bit for bit: its
+        # transfer amplitudes onto the system basis, times the meter, are the
+        # joint state evolve_exact builds from fresh factors
+        spec = dense_spec(variant, arm, 1, kick_time)
+        pre, meter = random_pre_and_meter(31)
+        factors = kick_factors(spec, pre.signature, meter)
+        basis = [Ket(pre.signature, row) for row in np.eye(pre.signature.dim)]
+        for seed in (31, 32):
+            pre, _ = random_pre_and_meter(seed)
+            shared = transfer_amplitudes(factors, [pre], basis)[:, 0] * meter.amplitudes
+            np.testing.assert_array_equal(shared.ravel(),
+                                          evolve_exact(spec, pre, meter).amplitudes)
+
+    def test_factors_of_another_key_rejected(self):
+        pre, meter = random_pre_and_meter(31)
+        spec = dense_spec("parallel_1", "R", 1, 0.4)
+        factors = kick_factors(spec, pre.signature, meter)
+        doublet = named_state("disembody_in", theta=0.9)
+        with pytest.raises(ValueError, match="kick factors"):
+            list(transfer_readouts(factors, make_meter(7, 1.2), [pre], [pre]))
+        with pytest.raises(SignatureError, match="kick factors"):
+            transfer_amplitudes(factors, [doublet], [pre])
+        with pytest.raises(SignatureError, match="kick factors"):
+            list(transfer_readouts(factors, meter, [doublet], [pre]))
+
     def test_wide_grid_is_lean_and_unitary(self):
         pre = named_state("disembody_in", theta=np.pi / 2, orbital_dim=3)
         spec = CouplingSpec(variant="parallel_1", g=1e-3, gprime=1e-3, t=100.0,
