@@ -18,13 +18,18 @@ Sign and ordering conventions (fixed once, used everywhere):
 Every coupling is diagonal in the pointer position (see ``COUPLINGS``), so
 a post-selected pointer is the meter times the transfer amplitude
 f(q) = <post| U(q) |pre>, and no joint system+meter operator is formed.
-``_transfer_rows`` is the one kernel that applies the evolution: every
-pointer (``pointer_readout``, sweeps) is read from it, and ``evolve_exact``
-is its joint-state view with the system basis as post-states.
+In every catalog row the kick's A and B commute, so
+U(q) = V diag(exp(i s g q a)) V^dagger exp(i s g B) takes one d x d
+eigendecomposition of A per coupling key (``kick_factors``), not one per
+grid point.  ``_transfer_rows`` is the one kernel that applies the
+evolution: every pointer (``pointer_readout``, sweeps) is read from it, and
+``evolve_exact`` is its joint-state view with the system basis as
+post-states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,7 +44,7 @@ from .errors import (
     SignatureError,
     UnknownIdError,
 )
-from .hilbert import Ket, Operator, SpaceSignature, extend, mat_exp, tensor
+from .hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature, extend, mat_exp, tensor
 from .meter import DiscreteGaussianMeter, MeterReadout, meter_readouts, q_grid
 from .optics import METER, ORBITAL, named_state
 from .weakvalue import observable
@@ -205,23 +210,33 @@ def _orbital_dim(sig: SpaceSignature) -> int:
         return 2
 
 
+@functools.cache
+def _lifted(obs_id: str | None, orbital_dim: int, system: SpaceSignature) -> np.ndarray:
+    """Catalog observable ``obs_id`` extended to ``system`` (zeros for None), read-only.
+
+    Cached for the life of the process: the key holds no coupling strength,
+    time or grid size, so it ranges over the catalog ids, orbital dimensions
+    and system signatures in use only.
+    """
+    if obs_id is None:
+        matrix = np.zeros((system.dim, system.dim), dtype=complex)
+        matrix.setflags(write=False)
+        return matrix
+    return extend(observable(obs_id, orbital_dim=orbital_dim), system).matrix  # frozen
+
+
 def coupling_terms(spec: CouplingSpec,
                    system: SpaceSignature) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """(strength, A, B, static) as matrices on the system signature.
 
     The kick generator is strength * (A (x) q_hat + B (x) 1); the static
     Hamiltonian is static (x) 1 with static = g' S.  Absent terms are zero.
+    A and B are shared read-only arrays, lifted once per process.
     """
     row = spec.coupling
     d = _orbital_dim(system)
-
-    def matrix(obs_id: str | None) -> np.ndarray:
-        if obs_id is None:
-            return np.zeros((system.dim, system.dim), dtype=complex)
-        return extend(observable(obs_id, orbital_dim=d), system).matrix
-
-    return (getattr(spec, row.strength), matrix(row.a), matrix(row.b),
-            spec.gprime * matrix(row.s))
+    return (getattr(spec, row.strength), _lifted(row.a, d, system), _lifted(row.b, d, system),
+            spec.gprime * _lifted(row.s, d, system))
 
 
 def build_hamiltonian(spec: CouplingSpec, sig: SpaceSignature) -> tuple[Operator, Operator]:
@@ -245,50 +260,71 @@ def build_hamiltonian(spec: CouplingSpec, sig: SpaceSignature) -> tuple[Operator
 class KickFactors:
     """What :func:`evolve_exact` and :func:`transfer_amplitudes` apply at one key.
 
-    A key is a (coupling, system, grid) triple.  ``before`` and ``after``
-    are the static factors exp(-i static time) on either side of the kick,
-    None where static or time is zero.  At grid point q_k the kick acts as
-    vectors[k] diag(phases[k]) vectors[k]^dagger.
+    A key is a (coupling, system, grid) triple.  The kick's A and B commute,
+    so with A = V diag(a) V^dagger the evolution at grid point q_k is
+
+        S_after U(q_k) S_before = post_map diag(phases[k]) pre_map,
+
+    where ``pre_map`` = V^dagger exp(+i s strength B) S_before takes a
+    pre-state into A's eigenbasis, ``post_map`` = S_after V takes it back,
+    and phases[k, i] = exp(+i s strength q_k a_i) (s the kick sign,
+    S_before/S_after the static factors exp(-i static time) on either side
+    of the kick).  The maps are d x d; only ``phases``, (2N+1, d), grows
+    with the grid.
     """
 
     spec: CouplingSpec
     system: SpaceSignature
-    before: np.ndarray | None
-    after: np.ndarray | None
-    vectors: np.ndarray
+    pre_map: np.ndarray
+    post_map: np.ndarray
     phases: np.ndarray
+
+
+def _require_commuting(spec: CouplingSpec, a: np.ndarray, b: np.ndarray) -> None:
+    gap = float(np.max(np.abs(a @ b - b @ a)))
+    if gap > FLAG_ATOL:
+        raise ValueError(
+            f"coupling {spec.variant!r} (measure_arm={spec.measure_arm!r}): A and B do not "
+            f"commute (max |AB - BA| = {gap:.3e}), so the kick cannot be factored"
+        )
 
 
 def kick_factors(spec: CouplingSpec, system: SpaceSignature,
                  meter: DiscreteGaussianMeter) -> KickFactors:
-    """Static factors and the kick's batched eigendecomposition over the meter grid.
+    """The kick's eigenbasis maps and grid phases, with the static factors folded in.
 
-    They depend on the coupling, the system signature and the grid size
-    only, so one set serves every pre-state of a sweep at that key.  Raises
+    Built from one d x d eigendecomposition of A and one exponential of
+    strength * B, both exact because A and B commute (checked: a
+    non-commuting catalog row raises ``ValueError``).  They depend on the
+    coupling, the system signature and the grid size only, so one set
+    serves every pre-state of a sweep at that key.  Raises
     :class:`NumericalOverflowError` when the kick generator leaves the float
     range on the grid.
     """
     strength, a, b, static = coupling_terms(spec, system)
+    _require_commuting(spec, a, b)
     before = spec.resolved_kick_time
     after = spec.t - before
     has_static = np.any(static)
+    eigenvalues, vectors = np.linalg.eigh(a)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        generator = strength * (a * meter.q[:, None, None] + b)  # batched over the grid
-    if not np.all(np.isfinite(generator)):
+        angles = spec.kick_sign * strength * np.outer(meter.q, eigenvalues)
+        kick_b = mat_exp(b, 1j * spec.kick_sign * strength) if np.any(b) else None
+    if not (np.all(np.isfinite(angles)) and (kick_b is None or np.all(np.isfinite(kick_b)))):
         raise NumericalOverflowError(
             f"kick generator {spec.coupling.strength} * (A q + B) is not finite on the grid "
             f"|q| <= {meter.half_width} ({spec.coupling.strength} = {strength!r})"
         )
-    w, v = np.linalg.eigh(generator)
-    factors = KickFactors(
-        spec=spec, system=system,
-        before=mat_exp(static, -1j * before) if has_static and before else None,
-        after=mat_exp(static, -1j * after) if has_static and after else None,
-        vectors=v, phases=np.exp(1j * spec.kick_sign * w),
-    )
-    for array in (factors.before, factors.after, factors.vectors, factors.phases):
-        if array is not None:
-            array.setflags(write=False)  # shared by every point at this key
+    pre_map = vectors.conj().T
+    if kick_b is not None:
+        pre_map = pre_map @ kick_b
+    if has_static and before:
+        pre_map = pre_map @ mat_exp(static, -1j * before)
+    post_map = mat_exp(static, -1j * after) @ vectors if has_static and after else vectors
+    factors = KickFactors(spec=spec, system=system, pre_map=pre_map, post_map=post_map,
+                          phases=np.exp(1j * angles))
+    for array in (factors.pre_map, factors.post_map, factors.phases):
+        array.setflags(write=False)  # shared by every point at this key
     return factors
 
 
@@ -298,12 +334,13 @@ def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMet
     exp(-i static (t - kick_time)) exp(+i kick_sign kick) exp(-i static kick_time)
     applied to pre_system (x) meter.  Every coupling is diagonal in q, so the
     state is the meter times the transfer amplitudes onto each system basis
-    state (:func:`transfer_amplitudes` with the identity as post-states); time
-    and memory grow linearly in the grid size.
+    state (:func:`transfer_amplitudes` with the identity as post-states, whose
+    bras are the rows of ``post_map``); time and memory grow linearly in the
+    grid size.
     """
     system = pre_system.signature
     factors = kick_factors(spec, system, meter)
-    (f,) = _transfer_rows(factors, [pre_system], np.eye(system.dim))
+    (f,) = _transfer_rows(factors, [pre_system], factors.post_map)
     return Ket(system.concat(SpaceSignature(((METER, meter.size),))), f * meter.amplitudes)
 
 
@@ -372,12 +409,11 @@ def post_select_meter(joint: Ket, post_system: Ket) -> Ket:
     return Ket(SpaceSignature(((METER, size),)), meter_amps)
 
 
-def _transfer_rows(factors: KickFactors, pres, posts):
+def _transfer_rows(factors: KickFactors, pres, bras: np.ndarray):
     """Iterator over F[:, r, :] of :func:`transfer_amplitudes`, one pre-state at a time.
 
-    ``posts`` holds post-state amplitude vectors on the factors' system (the
-    caller checks their space).  The pre-states are checked and the post side
-    is computed before it returns.
+    ``bras`` holds one row <post| post_map per post-state (:func:`_post_bras`).
+    The pre-states are checked before it returns.
     """
     for pre in pres:
         if pre.signature != factors.system:
@@ -385,31 +421,23 @@ def _transfer_rows(factors: KickFactors, pres, posts):
                 f"pre-state on {pre.signature} does not match the kick factors' "
                 f"system {factors.system}"
             )
-    vectors = factors.vectors
-
-    def project(x: np.ndarray) -> np.ndarray:  # (V_k^T x)_i = sum_j V_k[j, i] x_j
-        return x @ vectors
-
-    after_h = None if factors.after is None else factors.after.conj().T
-    # conj(V_k^dagger S_after^dagger |post>), one (grid, system) block per post
-    bras = np.empty((len(posts),) + vectors.shape[:2], dtype=complex)
-    for bra, post in zip(bras, posts):
-        bra[...] = project((post if after_h is None else after_h @ post).conj())
 
     def rows():
         for pre in pres:
-            ket = pre.amplitudes if factors.before is None else factors.before @ pre.amplitudes
-            # diag(phases_k) V_k^dagger S_before |pre>, one (grid, system) block
-            kicked = factors.phases * project(ket.conj()).conj()
-            yield np.einsum("pki,ki->pk", bras, kicked)
+            ket = factors.pre_map @ pre.amplitudes
+            # F[p, k] = sum_i bras[p, i] phases[k, i] ket[i]
+            yield np.einsum("pi,ki->pk", bras * ket, factors.phases)
 
     return rows()
 
 
-def _post_amplitudes(factors: KickFactors, posts) -> list:
-    for post in posts:
+def _post_bras(factors: KickFactors, posts) -> np.ndarray:
+    """Row p is <posts[p]| post_map, each computed on its own so no row sees the batch."""
+    bras = np.empty((len(posts), factors.post_map.shape[1]), dtype=complex)
+    for bra, post in zip(bras, posts):
         _require_system(post, factors.system)
-    return [post.amplitudes for post in posts]
+        bra[...] = post.amplitudes.conj() @ factors.post_map
+    return bras
 
 
 def transfer_amplitudes(factors: KickFactors, pres, posts) -> np.ndarray:
@@ -422,7 +450,7 @@ def transfer_amplitudes(factors: KickFactors, pres, posts) -> np.ndarray:
     never on the rest of the batch.
     """
     out = np.empty((len(posts), len(pres), len(factors.phases)), dtype=complex)
-    for r, row in enumerate(_transfer_rows(factors, pres, _post_amplitudes(factors, posts))):
+    for r, row in enumerate(_transfer_rows(factors, pres, _post_bras(factors, posts))):
         out[:, r] = row
     return out
 
@@ -517,7 +545,7 @@ def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, 
     g = factors.spec.fit_coupling
     fit = _pointer_fitter(meter, g)
     post_norms = [post.norm() for post in posts]
-    transfer = _transfer_rows(factors, pres, _post_amplitudes(factors, posts))
+    transfer = _transfer_rows(factors, pres, _post_bras(factors, posts))
     for pre, f in zip(pres, transfer):
         pre_norm = pre.norm()
         readouts = meter_readouts(meter.amplitudes * f)

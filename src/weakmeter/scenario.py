@@ -548,17 +548,25 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: quoted, with quotes doubled, only where it must be."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def records_to_csv(records, sweep_paths=()) -> str:
     """Flat CSV, one line per (record, observable); 17 significant digits.
 
     Sweep parameter columns (named by their dotted paths) sit between the
-    scenario and observable columns.
+    scenario and observable columns.  A scenario name holding a comma, quote
+    or line break is quoted RFC 4180 style.
     """
     paths = list(sweep_paths)
     header = ["scenario"] + paths + list(CSV_COLUMNS[1:])
     lines = [",".join(header)]
     for rec in records:
-        base = [rec.scenario] + [_fmt(rec.point.get(p)) for p in paths]
+        base = [_csv_field(rec.scenario)] + [_fmt(rec.point.get(p)) for p in paths]
         tail = [
             _fmt(rec.mean_q), _fmt(rec.mean_p), _fmt(rec.success_probability),
             _fmt(rec.fit_value.real if rec.fit_value is not None else None),

@@ -81,13 +81,23 @@ class TestRun:
         assert err.startswith("error: ") and "must be finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("value,cause", [
-        ("0", "IllConditionedFitError: fit requires a positive coupling"),
-        ("1e308", "NumericalOverflowError: kick generator g * (A q + B) is not finite"),
-    ], ids=["g-zero", "g-overflow"])
-    def test_unusable_coupling_fails_its_row(self, capsys, value, cause):
-        code, out, err = run_cli(capsys, "run", "bundle:disembodiment",
-                                 "--set", f"coupling.g={value}")
+    @pytest.mark.parametrize("bundle,sets,cause", [
+        ("disembodiment", ["coupling.g=0"],
+         "IllConditionedFitError: fit requires a positive coupling"),
+        ("disembodiment", ["coupling.g=1e308"],
+         "NumericalOverflowError: kick generator g * (A q + B) is not finite"),
+        # gprime * t = 1e307 is finite; gprime_t * |q| on the N = 64 grid is not
+        ("disembodiment_noise", ["coupling.gprime=1e306", "coupling.t=10"],
+         "NumericalOverflowError: kick generator gprime_t * (A q + B) is not finite on the "
+         "grid |q| <= 64 (gprime_t = 1e+307)"),
+        ("disembodiment_noise", ["coupling.variant=measure_LxSx_R", "coupling.gprime=1e306",
+                                 "coupling.t=10"],
+         "NumericalOverflowError: kick generator gprime_t * (A q + B) is not finite on the "
+         "grid |q| <= 64 (gprime_t = 1e+307)"),
+    ], ids=["g-zero", "g-overflow", "gprime-t-overflow-L", "gprime-t-overflow-R"])
+    def test_unusable_coupling_fails_its_row(self, capsys, bundle, sets, cause):
+        code, out, err = run_cli(capsys, "run", f"bundle:{bundle}",
+                                 *(arg for value in sets for arg in ("--set", value)))
         assert code == EXIT_OK, err
         assert "Traceback" not in err
         rows = list(csv.reader(io.StringIO(out)))[1:]

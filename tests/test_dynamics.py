@@ -7,6 +7,7 @@ import scipy.linalg
 
 from weakmeter.dynamics import (
     COUPLINGS,
+    Coupling,
     CouplingSpec,
     build_hamiltonian,
     coupling_terms,
@@ -22,7 +23,7 @@ from weakmeter.dynamics import (
     transfer_readouts,
 )
 from weakmeter.errors import AnnihilationError, IllConditionedFitError, SignatureError
-from weakmeter.hilbert import Ket, SpaceSignature, extend, inner, tensor
+from weakmeter.hilbert import FLAG_ATOL, Ket, SpaceSignature, extend, inner, tensor
 from weakmeter.meter import make_meter, meter_readout, moments
 from weakmeter.optics import METER, named_state
 from weakmeter.weakvalue import observable, weak_value
@@ -261,6 +262,58 @@ class TestEvolveExact:
         assert peak < 32 * 2**20
         joint = evolve_exact(spec, pre, make_meter(1024, 4.0))
         assert joint.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestKickFactors:
+    @pytest.mark.parametrize("orbital_dim", [2, 3])
+    @ALL_COUPLINGS
+    def test_every_catalog_kick_commutes(self, variant, arm, orbital_dim):
+        # U(q) = exp(i g q A) exp(i g B) is exact only for [A, B] = 0
+        system = named_state("disembody_in", theta=0.9, orbital_dim=orbital_dim).signature
+        _, a, b, _ = coupling_terms(dense_spec(variant, arm, 1, 0.4), system)
+        assert np.max(np.abs(a @ b - b @ a)) <= FLAG_ATOL
+
+    def test_non_commuting_row_raises(self, monkeypatch):
+        monkeypatch.setitem(COUPLINGS, ("noiseless_kick", None),
+                            Coupling("g", "sigma_z", "sigma_x"))
+        pre = named_state("noisy_in")
+        spec = CouplingSpec(variant="noiseless_kick", g=0.3)
+        with pytest.raises(ValueError, match=r"do not commute \(max \|AB - BA\| = 2\.000e\+00\)"):
+            kick_factors(spec, pre.signature, METER32)
+        with pytest.raises(ValueError, match="do not commute"):
+            evolve_exact(spec, pre, METER32)
+
+    def test_one_d_by_d_eigendecomposition_per_key(self, monkeypatch):
+        # eigh runs on d x d matrices only: once for A, once per static or B
+        # exponential (mat_exp), never batched over the grid
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        pre, meter = random_pre_and_meter(31)
+        for variant, arm, kick_time, exponentials in [
+                ("noiseless_kick", None, 0.4, 0), ("measure_sigma_zR", None, 0.4, 1),
+                ("spin_orbit", None, 1.5, 1), ("parallel_1", "R", 0.4, 3)]:
+            shapes.clear()
+            factors = kick_factors(dense_spec(variant, arm, 1, kick_time), pre.signature, meter)
+            assert shapes == [(12, 12)] * (1 + exponentials)
+            assert factors.phases.shape == (meter.size, 12)
+            assert factors.pre_map.shape == factors.post_map.shape == (12, 12)
+
+    def test_factors_and_catalog_terms_are_read_only(self):
+        pre, meter = random_pre_and_meter(31)
+        spec = dense_spec("parallel_1", "R", 1, 0.4)
+        factors = kick_factors(spec, pre.signature, meter)
+        _, a, b, _ = coupling_terms(spec, pre.signature)
+        for array in (factors.pre_map, factors.post_map, factors.phases, a, b):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        # one shared array per catalog term, not a copy per call
+        assert coupling_terms(spec, pre.signature)[1] is a
 
 
 class TestDyson2:

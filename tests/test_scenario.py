@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from weakmeter.dynamics import COUPLINGS, _lifted
 from weakmeter.errors import (
     ParameterRangeError,
     ScenarioSyntaxError,
@@ -250,6 +251,24 @@ class TestSerialization:
         assert text.endswith("\n")
         assert "\r" not in text
 
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines", "cr\rreturn",
+                                      'all,"of\r\nthem"'])
+    def test_scenario_name_is_one_csv_field(self, name):
+        import csv
+        import dataclasses
+        import io
+
+        doc = dataclasses.replace(parse_scenario(DISEMBODY_SWEEP), name=name)
+        text = records_to_csv(run_scenario(doc), sweep_paths=list(doc.sweep))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert len(rows) == 1 + 9
+        assert all(len(row) == 12 for row in rows)
+        assert [row[0] for row in rows[1:]] == [name] * 9
+
+    def test_plain_scenario_name_is_not_quoted(self):
+        text = records_to_csv(run_scenario(parse_scenario(MINIMAL)))
+        assert all(line.startswith("minimal,") for line in text.splitlines()[1:])
+
     def test_seventeen_significant_digits(self):
         doc = parse_scenario(MINIMAL)
         text = records_to_csv(run_scenario(doc))
@@ -338,6 +357,35 @@ class TestReuse:
             (alone,) = run_scenario(single)
             alone = dataclasses.replace(alone, point=rec.point, config_hash=rec.config_hash)
             assert records_to_jsonl([rec]) == records_to_jsonl([alone]), rec.point
+
+    @pytest.mark.parametrize("variant, arm", list(COUPLINGS))
+    def test_lifted_catalog_cache_does_not_grow_with_parameters(self, variant, arm):
+        # the cache key is (observable id, orbital dim, system): sweeping every
+        # coupling number and the grid size reuses the first point's entries
+        arm_field = "" if arm is None else f", measure_arm: {arm}"
+        text = f"""
+name: lifted-cache
+preselect: {{id: disembody_in, theta: 0.5}}
+postselect: {{id: disembody_f, alpha: 0.25}}
+coupling: {{variant: {variant}, g: 1.0e-3, gprime: 1.0e-3, t: 1.0, kick_time: 0.0{arm_field}}}
+meter: {{N: 8, delta: 1.5}}
+"""
+        (first,) = run_scenario(parse_scenario(text))
+        assert first.fit_value is not None
+        entries = _lifted.cache_info().currsize
+        assert entries > 0
+        records = run_scenario(parse_scenario(text + """
+sweep:
+  coupling.g: {values: [1.0e-3, 2.0e-3]}
+  coupling.gprime: {values: [1.0e-3, 3.0e-3]}
+  coupling.t: {values: [1.0, 2.0]}
+  coupling.kick_time: {values: [0.0, 0.5]}
+  coupling.kick_sign: {values: [1, -1]}
+  meter.N: {values: [8, 12]}
+"""))
+        assert len(records) == 64
+        assert all(rec.fit_value is not None for rec in records)  # every point built a kick
+        assert _lifted.cache_info().currsize == entries
 
     def test_angle_grid_builds_kick_factors_once(self, monkeypatch):
         calls = count_kick_factors(monkeypatch)
