@@ -7,8 +7,8 @@ left path reads 1 and the right-arm polarization observable reads 1, with
 the two complementary readings pinned at 0.
 """
 
-from weakmeter import CouplingSpec, evolve_exact, post_select_meter, weak_value
-from weakmeter.meter import make_meter, moments
+from weakmeter import CouplingSpec, pointer_readout, weak_value
+from weakmeter.meter import make_meter
 from weakmeter.optics import named_state
 from weakmeter.weakvalue import observable
 
@@ -27,9 +27,7 @@ for obs_id in ("pi_L", "pi_R", "sigma_z_L", "sigma_z_R"):
 g = 1e-3
 meter = make_meter(64, 4.0)
 spec = CouplingSpec(variant="measure_sigma_zR", g=g)
-joint = evolve_exact(spec, pre, meter)
-final = post_select_meter(joint, post)
-mean_p, _ = moments(final.amplitudes, "p")
+readout, _ = pointer_readout(spec, pre, post, meter)
 print()
-print(f"pointer momentum shift / g = {mean_p / g:.6f}  (weak value 1)")
-print(f"post-selection probability = {final.norm() ** 2:.4f}  (|<f|i>|^2 = 0.25)")
+print(f"pointer momentum shift / g = {readout.mean_p / g:.6f}  (weak value 1)")
+print(f"post-selection probability = {readout.success_probability:.4f}  (|<f|i>|^2 = 0.25)")

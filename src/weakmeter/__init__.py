@@ -36,7 +36,6 @@ from .hilbert import (
     extend,
     identity,
     inner,
-    mat_exp,
     tensor,
 )
 from .meter import (

@@ -18,13 +18,12 @@ Sign and ordering conventions (fixed once, used everywhere):
 Every coupling is diagonal in the pointer position (see ``COUPLINGS``), so
 a post-selected pointer is the meter times the transfer amplitude
 f(q) = <post| U(q) |pre>, and no joint system+meter operator is formed.
-In every catalog row the kick's A and B commute, so
-U(q) = V diag(exp(i s g q a)) V^dagger exp(i s g B) takes one d x d
-eigendecomposition of A per coupling key (``kick_factors``), not one per
-grid point.  ``_transfer_rows`` is the one kernel that applies the
-evolution: every pointer (``pointer_readout``, sweeps) is read from it, and
-``evolve_exact`` is its joint-state view with the system basis as
-post-states.
+The kick's A and B commute, so U(q) = V diag(exp(i s g q a)) V^dagger
+exp(i s g B), built from d x d terms by ``kick_factors_from_terms`` with one
+``eigh`` per Hermitian term (``kick_factors`` feeds it a catalog row).
+``_transfer_rows`` is the one kernel that applies the evolution: every
+pointer (``pointer_readout``, sweeps) is read from it, and ``evolve_exact``
+is its joint-state view with the system basis as post-states.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .errors import (
     SignatureError,
     UnknownIdError,
 )
-from .hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature, extend, mat_exp, tensor
+from .hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature, extend, tensor
 from .meter import DiscreteGaussianMeter, MeterReadout, meter_readouts, q_grid
 from .optics import METER, ORBITAL, named_state
 from .weakvalue import observable
@@ -58,6 +57,7 @@ __all__ = [
     "KickFactors",
     "coupling_terms",
     "kick_factors",
+    "kick_factors_from_terms",
     "build_hamiltonian",
     "evolve_exact",
     "evolve_dyson2",
@@ -76,13 +76,15 @@ class Coupling:
     """Catalog ids of kick strength * (A (x) q_hat + B (x) 1) and static g' S (x) 1.
 
     ``strength`` names the :class:`CouplingSpec` attribute scaling the kick;
-    ``b`` and ``s`` are None where the term is absent.
+    ``b`` and ``s`` are None where the term is absent.  ``orbital_dim`` is
+    the orbital space of the row's states (the parallel rows need the triplet).
     """
 
     strength: str
     a: str
     b: str | None = None
     s: str | None = None
+    orbital_dim: int = 2
 
 
 # One row per (variant, measure_arm).  The three-body kick couples q_hat to
@@ -90,12 +92,12 @@ class Coupling:
 COUPLINGS = {
     ("noiseless_kick", None): Coupling("g", "sigma_z"),
     ("spin_orbit", None): Coupling("g", "sigma_z", s="Lx_sigma_x"),
-    ("parallel_1", None): Coupling("g", "sigma_z", s="Lx_sigma_z"),
-    ("parallel_1", "R"): Coupling("g", "sigma_z_R", "sigma_z_L", "Lx_sigma_z"),
-    ("parallel_1", "L"): Coupling("g", "Lx_sigma_z_L", "Lx_sigma_z_R", "Lx_sigma_z"),
-    ("parallel_2", None): Coupling("g", "sigma_z", s="Lz_sigma_z"),
-    ("parallel_2", "R"): Coupling("g", "sigma_z_R", "sigma_z_L", "Lz_sigma_z"),
-    ("parallel_2", "L"): Coupling("g", "Lz_sigma_z_L", "Lz_sigma_z_R", "Lz_sigma_z"),
+    ("parallel_1", None): Coupling("g", "sigma_z", s="Lx_sigma_z", orbital_dim=3),
+    ("parallel_1", "R"): Coupling("g", "sigma_z_R", "sigma_z_L", "Lx_sigma_z", orbital_dim=3),
+    ("parallel_1", "L"): Coupling("g", "Lx_sigma_z_L", "Lx_sigma_z_R", "Lx_sigma_z", orbital_dim=3),
+    ("parallel_2", None): Coupling("g", "sigma_z", s="Lz_sigma_z", orbital_dim=3),
+    ("parallel_2", "R"): Coupling("g", "sigma_z_R", "sigma_z_L", "Lz_sigma_z", orbital_dim=3),
+    ("parallel_2", "L"): Coupling("g", "Lz_sigma_z_L", "Lz_sigma_z_R", "Lz_sigma_z", orbital_dim=3),
     ("three_body", None): Coupling("g", "effective_three_body"),
     ("measure_sigma_zR", None): Coupling("g", "sigma_z_R", "sigma_z_L"),
     ("measure_sigma_zR_noisy", None): Coupling("g", "sigma_z_R", "sigma_z_L"),
@@ -166,11 +168,6 @@ class CouplingSpec:
     @property
     def gprime_t(self) -> float:
         return self.gprime * self.t
-
-    @property
-    def fit_coupling(self) -> float:
-        """Coupling in front of q in the kick: what the pointer fit divides by."""
-        return getattr(self, self.coupling.strength)
 
     @property
     def in_regime(self) -> bool:
@@ -260,72 +257,96 @@ def build_hamiltonian(spec: CouplingSpec, sig: SpaceSignature) -> tuple[Operator
 class KickFactors:
     """What :func:`evolve_exact` and :func:`transfer_amplitudes` apply at one key.
 
-    A key is a (coupling, system, grid) triple.  The kick's A and B commute,
-    so with A = V diag(a) V^dagger the evolution at grid point q_k is
+    A key is a (kick terms, system, grid) triple.  The kick's A and B
+    commute, so with A = V diag(a) V^dagger the evolution at grid point q_k is
 
         S_after U(q_k) S_before = post_map diag(phases[k]) pre_map,
 
     where ``pre_map`` = V^dagger exp(+i s strength B) S_before takes a
     pre-state into A's eigenbasis, ``post_map`` = S_after V takes it back,
     and phases[k, i] = exp(+i s strength q_k a_i) (s the kick sign,
-    S_before/S_after the static factors exp(-i static time) on either side
-    of the kick).  The maps are d x d; only ``phases``, (2N+1, d), grows
-    with the grid.
+    S_before/S_after the static factors exp(-i S time) on either side of the
+    kick).  The pointer fit divides by ``strength``, the coupling in front
+    of q.  The maps are d x d; only ``phases``, (2N+1, d), grows with the grid.
     """
 
-    spec: CouplingSpec
     system: SpaceSignature
+    strength: float
     pre_map: np.ndarray
     post_map: np.ndarray
     phases: np.ndarray
 
 
-def _require_commuting(spec: CouplingSpec, a: np.ndarray, b: np.ndarray) -> None:
+def _require_kick_terms(system: SpaceSignature, a: np.ndarray, b: np.ndarray, s: np.ndarray):
+    if any(np.shape(term) != (system.dim, system.dim) for term in (a, b, s)):
+        raise SignatureError(f"kick terms A, B, S must be {system.dim} x {system.dim} on {system}")
+    terms = np.array((a, b, s))
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the check
+        skew = float(np.max(np.abs(terms - terms.conj().transpose(0, 2, 1))))
+    if not skew <= FLAG_ATOL * max(1.0, float(np.max(np.abs(terms)))):
+        raise ValueError(f"kick terms A, B, S must be finite and Hermitian "
+                         f"(max |M - M^dagger| = {skew:.3e})")
     gap = float(np.max(np.abs(a @ b - b @ a)))
     if gap > FLAG_ATOL:
-        raise ValueError(
-            f"coupling {spec.variant!r} (measure_arm={spec.measure_arm!r}): A and B do not "
-            f"commute (max |AB - BA| = {gap:.3e}), so the kick cannot be factored"
+        raise ValueError(f"A and B do not commute (max |AB - BA| = {gap:.3e}), "
+                         "so the kick cannot be factored")
+
+
+def _exp(eigenvalues: np.ndarray, vectors: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale * M) from M = vectors diag(eigenvalues) vectors^dagger."""
+    return (vectors * np.exp(scale * eigenvalues)) @ vectors.conj().T
+
+
+def kick_factors_from_terms(system: SpaceSignature, strength: float, a: np.ndarray,
+                            b: np.ndarray, static: np.ndarray, meter: DiscreteGaussianMeter, *,
+                            kick_sign: int = 1, before: float = 0.0, after: float = 0.0,
+                            name: str = "strength") -> KickFactors:
+    """Kick factors of exp(-i static after) exp(+i s strength (A q + B)) exp(-i static before).
+
+    ``a``, ``b``, ``static``: d x d finite Hermitian matrices on ``system``
+    (zeros where absent), A and B commuting, else ``ValueError`` (or
+    :class:`SignatureError` off ``system``); s is ``kick_sign``.  Each nonzero
+    term takes one ``eigh``, the static one serving both its factors.  A kick
+    leaving the float range on the grid raises :class:`NumericalOverflowError`
+    naming the strength ``name``.
+    """
+    _require_kick_terms(system, a, b, static)
+    eigenvalues, vectors = np.linalg.eigh(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        angles = kick_sign * strength * np.outer(meter.q, eigenvalues)
+        kick_b = _exp(*np.linalg.eigh(b), 1j * kick_sign * strength) if np.any(b) else None
+    if not (np.all(np.isfinite(angles)) and (kick_b is None or np.all(np.isfinite(kick_b)))):
+        raise NumericalOverflowError(
+            f"kick generator {name} * (A q + B) is not finite on the grid "
+            f"|q| <= {meter.half_width} ({name} = {strength!r})"
         )
+    pre_map, post_map = vectors.conj().T, vectors
+    if kick_b is not None:
+        pre_map = pre_map @ kick_b
+    if np.any(static):
+        static_basis = np.linalg.eigh(static)
+        if before:
+            pre_map = pre_map @ _exp(*static_basis, -1j * before)
+        if after:
+            post_map = _exp(*static_basis, -1j * after) @ vectors
+    factors = KickFactors(system=system, strength=strength, pre_map=pre_map,
+                          post_map=post_map, phases=np.exp(1j * angles))
+    for array in (factors.pre_map, factors.post_map, factors.phases):
+        array.setflags(write=False)  # shared by every point at this key
+    return factors
 
 
 def kick_factors(spec: CouplingSpec, system: SpaceSignature,
                  meter: DiscreteGaussianMeter) -> KickFactors:
-    """The kick's eigenbasis maps and grid phases, with the static factors folded in.
+    """:func:`kick_factors_from_terms` on the terms :func:`coupling_terms` lifts from a catalog row.
 
-    Built from one d x d eigendecomposition of A and one exponential of
-    strength * B, both exact because A and B commute (checked: a
-    non-commuting catalog row raises ``ValueError``).  They depend on the
-    coupling, the system signature and the grid size only, so one set
-    serves every pre-state of a sweep at that key.  Raises
-    :class:`NumericalOverflowError` when the kick generator leaves the float
-    range on the grid.
+    The factors depend on the coupling, the system signature and the grid
+    size only, so one set serves every pre-state of a sweep at that key.
     """
-    strength, a, b, static = coupling_terms(spec, system)
-    _require_commuting(spec, a, b)
     before = spec.resolved_kick_time
-    after = spec.t - before
-    has_static = np.any(static)
-    eigenvalues, vectors = np.linalg.eigh(a)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        angles = spec.kick_sign * strength * np.outer(meter.q, eigenvalues)
-        kick_b = mat_exp(b, 1j * spec.kick_sign * strength) if np.any(b) else None
-    if not (np.all(np.isfinite(angles)) and (kick_b is None or np.all(np.isfinite(kick_b)))):
-        raise NumericalOverflowError(
-            f"kick generator {spec.coupling.strength} * (A q + B) is not finite on the grid "
-            f"|q| <= {meter.half_width} ({spec.coupling.strength} = {strength!r})"
-        )
-    pre_map = vectors.conj().T
-    if kick_b is not None:
-        pre_map = pre_map @ kick_b
-    if has_static and before:
-        pre_map = pre_map @ mat_exp(static, -1j * before)
-    post_map = mat_exp(static, -1j * after) @ vectors if has_static and after else vectors
-    factors = KickFactors(spec=spec, system=system, pre_map=pre_map, post_map=post_map,
-                          phases=np.exp(1j * angles))
-    for array in (factors.pre_map, factors.post_map, factors.phases):
-        array.setflags(write=False)  # shared by every point at this key
-    return factors
+    return kick_factors_from_terms(system, *coupling_terms(spec, system), meter,
+                                   kick_sign=spec.kick_sign, before=before,
+                                   after=spec.t - before, name=spec.coupling.strength)
 
 
 def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter) -> Ket:
@@ -542,7 +563,7 @@ def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, 
     """
     if len(factors.phases) != meter.size:
         raise ValueError("kick factors were built for another meter grid")
-    g = factors.spec.fit_coupling
+    g = factors.strength
     fit = _pointer_fitter(meter, g)
     post_norms = [post.norm() for post in posts]
     transfer = _transfer_rows(factors, pres, _post_bras(factors, posts))
@@ -607,12 +628,11 @@ def parallel_arm_readout(variant: str, theta: float, alpha: float, arm: str, *,
     """Per-arm pointer fit for the noise-isolation pipeline under parallel noise.
 
     Arm 'R' measures the signal sigma_z_R; arm 'L' measures the arm-resolved
-    noise observable, whose reading is itself sigma_z-mediated.  Uses the
-    orbital triplet: the L_z coupling acts only through the forbidden
-    direction and would vanish identically on the doublet.
+    noise observable, whose reading is itself sigma_z-mediated.  The states
+    live on the row's orbital space (:attr:`Coupling.orbital_dim`).
     """
-    pre = named_state("disembody_in", theta=theta, orbital_dim=3)
-    post = named_state("disembody_f", alpha=alpha, orbital_dim=3)
     spec = CouplingSpec(variant=variant, g=g, gprime=gprime, t=t, measure_arm=arm,
                         kick_sign=kick_sign)
+    pre = named_state("disembody_in", theta=theta, orbital_dim=spec.coupling.orbital_dim)
+    post = named_state("disembody_f", alpha=alpha, orbital_dim=spec.coupling.orbital_dim)
     return pointer_readout(spec, pre, post, meter)[1]

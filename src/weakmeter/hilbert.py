@@ -23,7 +23,6 @@ __all__ = [
     "tensor",
     "extend",
     "inner",
-    "mat_exp",
 ]
 
 FLAG_ATOL = 1e-12
@@ -256,28 +255,3 @@ def inner(bra: Ket, ket: Ket) -> complex:
             f"inner product between different signatures: {bra.signature} vs {ket.signature}"
         )
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
-
-
-def mat_exp(op, scale: complex = 1.0):
-    """exp(scale * H) for an :class:`Operator` or a raw square matrix.
-
-    Hermitian inputs go through an eigendecomposition (exactness over speed);
-    anything else falls back to scaling-and-squaring.  scipy is imported only
-    on that fallback, so ``import weakmeter`` does not load it.
-    """
-    if isinstance(op, Operator):
-        return Operator(op.signature, mat_exp(op.matrix, scale))
-    mat = np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"mat_exp needs a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.view(float))):
-        raise ValueError("mat_exp input has non-finite entries")
-    scale = complex(scale)
-    tol = FLAG_ATOL * max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.conj().T)) <= tol:
-        w, v = np.linalg.eigh(mat)
-        return (v * np.exp(scale * w)) @ v.conj().T
-    import scipy.linalg
-
-    return scipy.linalg.expm(scale * mat)
-

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .dynamics import CouplingSpec, kick_factors, transfer_readouts
+from .dynamics import COUPLINGS, CouplingSpec, kick_factors, transfer_readouts
 from .errors import (
     ParameterRangeError,
     ScenarioSyntaxError,
@@ -395,7 +395,7 @@ def _at_point(doc: ScenarioDoc, point: dict, memo: dict) -> ScenarioDoc:
 
 def _job(doc: ScenarioDoc, index: int, point: dict, memo: dict) -> _Job:
     doc = _at_point(doc, point, memo)
-    orbital_dim = 3 if doc.coupling["variant"] in ("parallel_1", "parallel_2") else 2
+    orbital_dim = COUPLINGS[doc.coupling["variant"], doc.coupling["measure_arm"]].orbital_dim
 
     def state(section: dict):
         return _shared(memo, ("state", id(section), orbital_dim),
@@ -455,9 +455,10 @@ def _run_key(jobs: list, memo: dict, chash: str, records: list) -> None:
     """Fill the records of the points sharing one (coupling, states' spaces, meter) key.
 
     Each point meets the checks of a single-point run in the same order: a
-    degenerate overlap (when there are observables), an observable that does
-    not fit the states, the kick's overflow, annihilation, the fit's
-    conditioning, then the residual flag.
+    degenerate overlap, an observable that does not fit the states, the
+    kick's overflow, annihilation, the fit's conditioning, then the residual
+    flag.  States on different spaces fail in the weak values, if any, else
+    in post-selection.
     """
     first = jobs[0]
     ops, op_error = _observables(first, memo)
@@ -467,7 +468,8 @@ def _run_key(jobs: list, memo: dict, chash: str, records: list) -> None:
     def fill(job: _Job, weak_values: dict, result) -> None:
         records[job.index] = _record(job.doc.name, job.point, chash, weak_values, result)
 
-    if ops:
+    paired = ops or first.pre.signature == first.post.signature
+    if paired:
         try:
             overlaps, tables = weak_value_tables(pres, posts, ops)
         except WeakmeterError as exc:  # pre- and post-states on different spaces
@@ -480,7 +482,7 @@ def _run_key(jobs: list, memo: dict, chash: str, records: list) -> None:
         r, p = pre_at[id(job.pre)], post_at[id(job.post)]
         weak_values = {}
         try:
-            if ops:
+            if paired:
                 check_overlap(overlaps[p, r], scales[p, r])
                 weak_values = {obs_id: complex(table[p, r])
                                for obs_id, table in zip(first.doc.observables, tables)}

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    COUPLINGS,
     CouplingSpec,
     disembodied_measurement,
     evolve_dyson2,
@@ -278,10 +279,13 @@ def check_parallel_noise(kick_sign: int = 1) -> CheckResult:
     """
     meter = make_meter(32, 4.0)
     angles = (0.25, 0.7, 1.15)
-    pres = [named_state("disembody_in", theta=theta, orbital_dim=3) for theta in angles]
-    posts = [named_state("disembody_f", alpha=alpha, orbital_dim=3) for alpha in angles]
+    variants = ("parallel_1", "parallel_2")
+    states = {d: ([named_state("disembody_in", theta=x, orbital_dim=d) for x in angles],
+                  [named_state("disembody_f", alpha=x, orbital_dim=d) for x in angles])
+              for d in {COUPLINGS[variant, None].orbital_dim for variant in variants}}
     lines, ok = [], True
-    for variant in ("parallel_1", "parallel_2"):
+    for variant in variants:
+        pres, posts = states[COUPLINGS[variant, None].orbital_dim]
         worst = {}
         for arm in ("L", "R"):
             spec = CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=100.0,

@@ -7,7 +7,6 @@ import scipy.linalg
 
 from weakmeter.dynamics import (
     COUPLINGS,
-    Coupling,
     CouplingSpec,
     build_hamiltonian,
     coupling_terms,
@@ -16,13 +15,19 @@ from weakmeter.dynamics import (
     evolve_exact,
     fit_effective_weak_value,
     kick_factors,
+    kick_factors_from_terms,
     parallel_arm_readout,
     pointer_readout,
     post_select_meter,
     transfer_amplitudes,
     transfer_readouts,
 )
-from weakmeter.errors import AnnihilationError, IllConditionedFitError, SignatureError
+from weakmeter.errors import (
+    AnnihilationError,
+    IllConditionedFitError,
+    NumericalOverflowError,
+    SignatureError,
+)
 from weakmeter.hilbert import FLAG_ATOL, Ket, SpaceSignature, extend, inner, tensor
 from weakmeter.meter import make_meter, meter_readout, moments
 from weakmeter.optics import METER, named_state
@@ -35,7 +40,7 @@ METER32 = make_meter(32, 4.0)
 def run_and_fit(spec, pre, post, meter):
     joint = evolve_exact(spec, pre, meter)
     final = post_select_meter(joint, post)
-    return fit_effective_weak_value(final, meter, spec.fit_coupling)
+    return fit_effective_weak_value(final, meter, coupling_terms(spec, pre.signature)[0])
 
 
 # every (variant, measure_arm) row, each kick sign, and the kick at the start,
@@ -273,19 +278,29 @@ class TestKickFactors:
         _, a, b, _ = coupling_terms(dense_spec(variant, arm, 1, 0.4), system)
         assert np.max(np.abs(a @ b - b @ a)) <= FLAG_ATOL
 
-    def test_non_commuting_row_raises(self, monkeypatch):
-        monkeypatch.setitem(COUPLINGS, ("noiseless_kick", None),
-                            Coupling("g", "sigma_z", "sigma_x"))
-        pre = named_state("noisy_in")
-        spec = CouplingSpec(variant="noiseless_kick", g=0.3)
+    @ALL_COUPLINGS
+    def test_every_row_builds_at_its_declared_orbital_dim(self, variant, arm):
+        # scenarios, verify and parallel_arm_readout put a row's states on
+        # Coupling.orbital_dim; every row of a variant declares the same one
+        row = COUPLINGS[variant, arm]
+        assert row.orbital_dim == COUPLINGS[variant, None].orbital_dim
+        assert row.orbital_dim == (3 if variant.startswith("parallel_") else 2)
+        pre = named_state("disembody_in", theta=0.9, orbital_dim=row.orbital_dim)
+        factors = kick_factors(dense_spec(variant, arm, 1, 0.4), pre.signature, METER32)
+        assert factors.pre_map.shape == (pre.signature.dim,) * 2
+        assert evolve_exact(dense_spec(variant, arm, 1, 0.4), pre, METER32).norm() == \
+            pytest.approx(1.0, abs=1e-12)
+
+    def test_non_commuting_row_raises(self):
+        system = named_state("noisy_in").signature.drop(["orbital"])
         with pytest.raises(ValueError, match=r"do not commute \(max \|AB - BA\| = 2\.000e\+00\)"):
-            kick_factors(spec, pre.signature, METER32)
-        with pytest.raises(ValueError, match="do not commute"):
-            evolve_exact(spec, pre, METER32)
+            kick_factors_from_terms(system, 0.3, observable("sigma_z").matrix,
+                                    observable("sigma_x").matrix, np.zeros((2, 2)), METER32)
 
     def test_one_d_by_d_eigendecomposition_per_key(self, monkeypatch):
-        # eigh runs on d x d matrices only: once for A, once per static or B
-        # exponential (mat_exp), never batched over the grid
+        # eigh runs on d x d matrices only, at most once per Hermitian term
+        # (A, B and the static S, which serves both sides of the kick), never
+        # batched over the grid
         shapes = []
         eigh = np.linalg.eigh
 
@@ -295,12 +310,13 @@ class TestKickFactors:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         pre, meter = random_pre_and_meter(31)
-        for variant, arm, kick_time, exponentials in [
-                ("noiseless_kick", None, 0.4, 0), ("measure_sigma_zR", None, 0.4, 1),
-                ("spin_orbit", None, 1.5, 1), ("parallel_1", "R", 0.4, 3)]:
+        for variant, arm, kick_time, terms in [
+                ("noiseless_kick", None, 0.4, 1), ("measure_sigma_zR", None, 0.4, 2),
+                ("spin_orbit", None, 1.5, 2), ("spin_orbit", None, 0.4, 2),
+                ("parallel_1", "R", 0.4, 3)]:
             shapes.clear()
             factors = kick_factors(dense_spec(variant, arm, 1, kick_time), pre.signature, meter)
-            assert shapes == [(12, 12)] * (1 + exponentials)
+            assert shapes == [(12, 12)] * terms
             assert factors.phases.shape == (meter.size, 12)
             assert factors.pre_map.shape == factors.post_map.shape == (12, 12)
 
@@ -314,6 +330,75 @@ class TestKickFactors:
                 array[0, 0] = 1.0
         # one shared array per catalog term, not a copy per call
         assert coupling_terms(spec, pre.signature)[1] is a
+
+
+def random_commuting_terms(rng, d, norm=10.0):
+    """Commuting Hermitian A, B on one random eigenbasis, and a random Hermitian S."""
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    a, b = rng.uniform(-1.0, 1.0, size=(2, d))
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (m + m.conj().T) / 2
+    return (v * a) @ v.conj().T, (v * b) @ v.conj().T, h * (norm / np.linalg.norm(h, 2))
+
+
+class TestKickFactorsFromTerms:
+    SYSTEM = SpaceSignature((("system", 5),))
+
+    def test_zero_terms_give_identity_maps(self):
+        zero = np.zeros((5, 5))
+        factors = kick_factors_from_terms(self.SYSTEM, 0.3, zero, zero, zero, METER32,
+                                          before=0.4, after=0.6)
+        np.testing.assert_array_equal(factors.post_map @ factors.pre_map, np.eye(5))
+        np.testing.assert_array_equal(factors.phases, np.ones((METER32.size, 5)))
+        assert factors.strength == 0.3
+
+    def test_static_quarter_turn(self):
+        # 2x2 closed form: exp(-i pi/2 sigma_z) = diag(-i, i), on either side of the kick
+        system = SpaceSignature((("polarization", 2),))
+        zero, sigma_z = np.zeros((2, 2)), np.diag([1.0, -1.0])
+        for before, after in ((np.pi / 2, 0.0), (0.0, np.pi / 2)):
+            factors = kick_factors_from_terms(system, 0.3, zero, zero, sigma_z, METER32,
+                                              before=before, after=after)
+            np.testing.assert_allclose(factors.post_map @ factors.pre_map,
+                                       np.diag([-1j, 1j]), atol=1e-14)
+
+    @pytest.mark.parametrize("kick_sign", [1, -1])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_terms_match_dense_exponentials(self, seed, kick_sign):
+        # off-catalog Hermitian terms: post_map diag(phases[k]) pre_map is
+        # exp(-i S after) exp(+i s g (q_k A + B)) exp(-i S before), and unitary
+        rng = np.random.default_rng(seed)
+        a, b, static = random_commuting_terms(rng, 5)
+        g, before, after = rng.uniform(0.05, 0.5), *rng.uniform(0.0, 10.0, size=2)
+        meter = make_meter(6, 1.2)
+        factors = kick_factors_from_terms(self.SYSTEM, g, a, b, static, meter,
+                                          kick_sign=kick_sign, before=before, after=after)
+        outer = (scipy.linalg.expm(-1j * static * after), scipy.linalg.expm(-1j * static * before))
+        for q, phases in zip(meter.q, factors.phases):
+            got = factors.post_map @ (phases[:, None] * factors.pre_map)
+            want = outer[0] @ scipy.linalg.expm(1j * kick_sign * g * (q * a + b)) @ outer[1]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.conj().T @ got, np.eye(5), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("term", ["A", "B", "S"])
+    def test_non_hermitian_non_finite_or_misshapen_term_rejected(self, term):
+        rng = np.random.default_rng(9)
+        terms = dict(zip("ABS", random_commuting_terms(rng, 5)))
+        for error, match, bad in [
+                (ValueError, "finite and Hermitian",
+                 rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))),
+                (ValueError, "finite and Hermitian", np.diag([np.inf, 0.0, 0.0, 0.0, 0.0])),
+                (SignatureError, "must be 5 x 5 on system:5", np.zeros((4, 4)))]:
+            with pytest.raises(error, match=match):
+                kick_factors_from_terms(self.SYSTEM, 0.3, *{**terms, term: bad}.values(),
+                                        METER32, before=1.0, after=1.0)
+
+    def test_overflow_names_the_strength(self):
+        a, b, static = random_commuting_terms(np.random.default_rng(3), 5)
+        with pytest.raises(NumericalOverflowError,
+                           match=r"kick generator strength \* \(A q \+ B\) is not finite "
+                                 r"on the grid \|q\| <= 32 \(strength = 1e\+308\)"):
+            kick_factors_from_terms(self.SYSTEM, 1e308, a, b, static, METER32)
 
 
 class TestDyson2:
@@ -483,7 +568,7 @@ class TestTransferReadouts:
                 for field in ("mean_q", "mean_p", "var_q", "var_p", "success_probability"):
                     assert getattr(readout, field) == pytest.approx(getattr(want, field),
                                                                     rel=1e-13, abs=1e-14)
-                value, offset, residual = lstsq_fit(final, METER64, spec.fit_coupling)
+                value, offset, residual = lstsq_fit(final, METER64, factors.strength)
                 assert fit.value == pytest.approx(value, rel=1e-12)
                 assert fit.offset == pytest.approx(offset, rel=1e-12)
                 assert fit.residual == pytest.approx(residual, rel=1e-9, abs=1e-15)

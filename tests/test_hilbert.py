@@ -9,19 +9,12 @@ from weakmeter.hilbert import (
     extend,
     identity,
     inner,
-    mat_exp,
     tensor,
 )
 
 
 def sig(*factors):
     return SpaceSignature(tuple(factors))
-
-
-def random_hermitian(rng, dim, norm=1.0):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (m + m.conj().T) / 2
-    return h * (norm / np.linalg.norm(h, 2))
 
 
 class TestSpaceSignature:
@@ -153,42 +146,6 @@ class TestInner:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureError):
             inner(Ket(sig(("a", 2)), [1, 0]), Ket(sig(("b", 2)), [1, 0]))
-
-
-class TestMatExp:
-    def test_zero_gives_identity(self):
-        np.testing.assert_allclose(mat_exp(np.zeros((3, 3)), 2.0), np.eye(3))
-
-    def test_sigma_z_quarter_turn(self):
-        # 2x2 closed form: exp(-i pi/2 sigma_z) = diag(-i, i)
-        got = mat_exp(np.diag([1.0, -1.0]), -1j * np.pi / 2)
-        np.testing.assert_allclose(got, np.diag([-1j, 1j]), atol=1e-14)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_unitarity_for_hermitian_generators(self, seed):
-        rng = np.random.default_rng(seed)
-        h = random_hermitian(rng, 6, norm=10.0)
-        t = rng.uniform(-10, 10)
-        u = mat_exp(h, -1j * t)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-10)
-
-    def test_non_hermitian_against_scipy(self):
-        import scipy.linalg
-
-        rng = np.random.default_rng(9)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        np.testing.assert_allclose(mat_exp(m, 0.3), scipy.linalg.expm(0.3 * m), atol=1e-12)
-
-    def test_operator_wrapper(self):
-        op = identity(3, "x")
-        out = mat_exp(op, 1j)
-        assert out.signature == op.signature
-        np.testing.assert_allclose(out.matrix, np.exp(1j) * np.eye(3))
-
-    def test_nonfinite_rejected(self):
-        bad = np.array([[np.inf, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            mat_exp(bad, 1.0)
 
 
 class TestKetOperatorInvariants:

@@ -561,12 +561,15 @@ class TestErrorRows:
         assert all(set(rec.weak_values) == {"sigma_z_R", "sigma_z_L"} for rec in records)
         assert all(rec.fit_value is None for rec in records[:4])
 
-    def test_degenerate_row_matches_weak_value(self):
+    @pytest.mark.parametrize("observables", ["[sigma_z, effective_spin_orbit]", "[]"],
+                             ids=["with-observables", "meter-only"])
+    def test_degenerate_row_matches_weak_value(self, observables):
+        # a point's verdict does not depend on whether observables are listed
         from weakmeter.errors import DegeneratePostselectionError
         from weakmeter.optics import named_state
         from weakmeter.weakvalue import observable, weak_value
 
-        text = NOISY + """
+        text = NOISY.replace("[sigma_z, effective_spin_orbit]", observables) + """
 sweep:
   postselect.alpha: {values: [0.25, 0.5]}
 """
@@ -577,6 +580,7 @@ sweep:
             weak_value(pre, post, observable("sigma_z"))
         assert records[1].error == f"DegeneratePostselectionError: {single.value}"
         assert records[1].weak_values == {} and records[1].mean_q is None
+        assert records[1].fit_value is None
         assert records[0].error == ""
 
     def test_single_grid_point_row(self):

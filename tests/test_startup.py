@@ -1,9 +1,16 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import weakmeter
+
+PACKAGE = Path(weakmeter.__file__).resolve().parent
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
 # Runs in a fresh interpreter, so only what the package itself imports is loaded.
 PROGRAM = """
@@ -17,9 +24,42 @@ print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "sci
 
 
 def test_import_verify_and_run_load_no_scipy():
-    src = str(Path(weakmeter.__file__).resolve().parent.parent)
+    src = str(PACKAGE.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", PROGRAM], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def imported_roots(path: Path) -> set[str]:
+    """Top-level names of every import statement in a module, at any depth."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test-only dependency: the tests use scipy.linalg.expm as a
+    # dense reference, the package never needs it
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    assert [path.name for path in modules if "scipy" in imported_roots(path)] == []
+
+
+def test_scipy_is_listed_in_the_test_extra_only():
+    tomllib = pytest.importorskip("tomllib")
+    if not PYPROJECT.is_file():
+        pytest.skip("installed without its source tree")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+
+    def names(requirements):
+        return {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower() for req in requirements}
+
+    assert names(project["dependencies"]) == {"numpy", "pyyaml"}
+    extras = {extra: names(reqs) for extra, reqs in project["optional-dependencies"].items()}
+    assert [extra for extra, reqs in extras.items() if "scipy" in reqs] == ["test"]
