@@ -102,8 +102,8 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    doc = _load_doc(args)
+def _run_and_emit(doc: ScenarioDoc, args) -> int:
+    """Run ``doc``, write its rows, and exit 4 if every point failed."""
     records = run_scenario(doc)
     if args.format == "csv":
         text = records_to_csv(records, sweep_paths=list(doc.sweep))
@@ -116,19 +116,15 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def cmd_run(args) -> int:
+    return _run_and_emit(_load_doc(args), args)
+
+
 def cmd_sweep(args) -> int:
-    doc = _load_doc(args)
     path = _OVERRIDE_ALIASES.get(args.param, args.param)
-    data = doc.to_dict()
+    data = _load_doc(args).to_dict()
     data["sweep"] = {path: {"start": args.start, "stop": args.stop, "steps": args.steps}}
-    doc = parse_scenario(yaml.safe_dump(data, sort_keys=True))
-    records = run_scenario(doc)
-    if args.format == "csv":
-        text = records_to_csv(records, sweep_paths=[path])
-    else:
-        text = records_to_jsonl(records)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _run_and_emit(parse_scenario(yaml.safe_dump(data, sort_keys=True)), args)
 
 
 def cmd_verify(args) -> int:

@@ -29,7 +29,7 @@ __all__ = [
     "path_ket", "pol_ket", "pol_from_hv", "pol_matrix_from_hv", "hv_components",
     "orbital_vector", "orbital_ket", "orbital_matrix",
     "Component", "Pipeline", "component_unitary",
-    "prepare_preselected", "named_state", "STATE_IDS", "check_state",
+    "prepare_preselected", "named_state", "STATE_IDS", "check_state", "ARM_PROJECTORS",
 ]
 
 PATH = "path"
@@ -149,14 +149,14 @@ class Component:
             )
 
 
-def _arm_projectors() -> tuple[np.ndarray, np.ndarray]:
-    return np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+# Pi_L and Pi_R on the path factor
+ARM_PROJECTORS = {"L": np.diag([1.0, 0.0]).astype(complex),
+                  "R": np.diag([0.0, 1.0]).astype(complex)}
 
 
 def _arm_conditional(arm: str, pol_op: np.ndarray) -> Operator:
     """(1 - Pi_arm) x I + Pi_arm x pol_op on path x polarization."""
-    pi_l, pi_r = _arm_projectors()
-    pi = {"L": pi_l, "R": pi_r}.get(arm)
+    pi = ARM_PROJECTORS.get(arm)
     if pi is None:
         raise UnknownIdError(f"arm must be 'L' or 'R', got {arm!r}")
     eye2 = np.eye(2, dtype=complex)

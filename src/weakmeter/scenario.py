@@ -47,8 +47,10 @@ __all__ = [
 
 DEFAULTS = {
     "meter": {"N": 64, "delta": 4.0},
-    "coupling": {"variant": "noiseless_kick", "g": 1e-3, "gprime": 1e-3, "t": 1.0,
-                 "kick_time": None, "measure_arm": None, "kick_sign": 1},
+    # the variant is the one coupling default that CouplingSpec does not declare
+    "coupling": {"variant": "noiseless_kick"} | {
+        f.name: f.default for f in dataclasses.fields(CouplingSpec)
+        if f.default is not dataclasses.MISSING},
 }
 
 _TOP_KEYS = ("name", "preselect", "postselect", "coupling", "meter", "observables", "sweep")
@@ -254,8 +256,8 @@ def _validate(raw: dict) -> ScenarioDoc:
 def parse_scenario(text: str) -> ScenarioDoc:
     """Parse and strictly validate a scenario document.
 
-    Defaults: meter N=64, delta=4; coupling g=1e-3, gprime=1e-3, t=1,
-    kick_time unset (the kick then fires at the end of the noise window).
+    Omitted meter and coupling fields take :data:`DEFAULTS`; an unset
+    kick_time fires the kick at the end of the noise window.
     """
     try:
         raw = yaml.load(text, Loader=ScenarioLoader)

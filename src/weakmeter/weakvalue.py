@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegeneratePostselectionError, UnknownIdError
-from .hilbert import Ket, Operator, SpaceSignature, extend, inner
+from .hilbert import Ket, Operator, extend, inner
 from .optics import (
+    ARM_PROJECTORS,
     named_state,
     orbital_matrix,
     orbital_signature,
@@ -36,35 +38,54 @@ EPS_OVERLAP = 1e-10
 
 _SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)  # circular (+,-) basis
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PI_L = np.diag([1.0, 0.0]).astype(complex)
-_PI_R = np.diag([0.0, 1.0]).astype(complex)
+_PI_L, _PI_R = ARM_PROJECTORS["L"], ARM_PROJECTORS["R"]
+_I_GPRIME_T = "i g't"
 
 
-def _pol_op(matrix) -> Operator:
-    return Operator(polarization_signature(), matrix)
+class _Entry(NamedTuple):
+    """One catalog observable as its factors; ``None`` marks an absent factor.
+
+    Without a ``coefficient`` the operator is arm (x) (orbital (x) polarization)
+    on the factors present.  With one it is the effective observable
+    1 (x) sigma_z + coefficient * orbital (x) polarization on orbital (x)
+    polarization, the coefficient being i g't or -1.
+    """
+
+    arm: np.ndarray | None
+    orbital: str | None  # "L_x" or "L_z", see optics.orbital_matrix
+    polarization: np.ndarray | None
+    coefficient: str | int | None = None
 
 
-def _path_op(matrix) -> Operator:
-    return Operator(path_signature(), matrix)
-
-
-def _arm_op(arm: str, op_sig: SpaceSignature, op_matrix: np.ndarray) -> Operator:
-    pi = _PI_L if arm == "L" else _PI_R
-    sig = path_signature().concat(op_sig)
-    return Operator(sig, np.kron(pi, op_matrix))
-
-
-def _orbital_pol(orb_name: str, pol_matrix: np.ndarray, orbital_dim: int) -> Operator:
-    sig = orbital_signature(orbital_dim).concat(polarization_signature())
-    return Operator(sig, np.kron(orbital_matrix(orb_name, orbital_dim), pol_matrix))
-
-
-def _eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
+_CATALOG = {
+    "pi_L": _Entry(_PI_L, None, None),
+    "pi_R": _Entry(_PI_R, None, None),
+    "sigma_z": _Entry(None, None, _SIGMA_Z),
+    "sigma_x": _Entry(None, None, _SIGMA_X),
+    "sigma_z_L": _Entry(_PI_L, None, _SIGMA_Z),
+    "sigma_z_R": _Entry(_PI_R, None, _SIGMA_Z),
+    "sigma_x_L": _Entry(_PI_L, None, _SIGMA_X),
+    "sigma_x_R": _Entry(_PI_R, None, _SIGMA_X),
+    "L_x": _Entry(None, "L_x", None),
+    "L_z": _Entry(None, "L_z", None),
+    "Lx_sigma_x": _Entry(None, "L_x", _SIGMA_X),
+    "Lx_sigma_z": _Entry(None, "L_x", _SIGMA_Z),
+    "Lz_sigma_z": _Entry(None, "L_z", _SIGMA_Z),
+    "Lx_sigma_x_L": _Entry(_PI_L, "L_x", _SIGMA_X),
+    "Lx_sigma_x_R": _Entry(_PI_R, "L_x", _SIGMA_X),
+    "Lx_sigma_z_L": _Entry(_PI_L, "L_x", _SIGMA_Z),
+    "Lx_sigma_z_R": _Entry(_PI_R, "L_x", _SIGMA_Z),
+    "Lz_sigma_z_L": _Entry(_PI_L, "L_z", _SIGMA_Z),
+    "Lz_sigma_z_R": _Entry(_PI_R, "L_z", _SIGMA_Z),
+    "effective_spin_orbit": _Entry(None, "L_x", _SIGMA_X @ _SIGMA_Z, _I_GPRIME_T),
+    "effective_parallel_lx": _Entry(None, "L_x", np.eye(2, dtype=complex), _I_GPRIME_T),
+    "effective_parallel_lz": _Entry(None, "L_z", np.eye(2, dtype=complex), _I_GPRIME_T),
+    "effective_three_body": _Entry(None, "L_x", _SIGMA_X, -1),
+}
 
 
 def observable(obs_id: str, *, orbital_dim: int = 2, gprime_t: float = 0.0) -> Operator:
-    """Catalog operator by id, on its native signature.
+    """Catalog operator by id, on the signature of the factors its entry holds.
 
     The ``effective_*`` entries are the non-Hermitian observables whose weak
     values the noisy meter registers; they take the integrated noise
@@ -73,69 +94,32 @@ def observable(obs_id: str, *, orbital_dim: int = 2, gprime_t: float = 0.0) -> O
     (L_z maps {v_a, v_b} into the forbidden direction), so there it reduces
     to sigma_z.
     """
+    try:
+        arm, orbital, pol, coefficient = _CATALOG[obs_id]
+    except (KeyError, TypeError):
+        raise UnknownIdError(
+            f"unknown observable id {obs_id!r}; valid ids: {observable_ids()}") from None
     d = orbital_dim
-    if obs_id == "pi_L":
-        return _path_op(_PI_L)
-    if obs_id == "pi_R":
-        return _path_op(_PI_R)
-    if obs_id == "sigma_z":
-        return _pol_op(_SIGMA_Z)
-    if obs_id == "sigma_x":
-        return _pol_op(_SIGMA_X)
-    if obs_id in ("sigma_z_L", "sigma_z_R"):
-        return _arm_op(obs_id[-1], polarization_signature(), _SIGMA_Z)
-    if obs_id in ("sigma_x_L", "sigma_x_R"):
-        return _arm_op(obs_id[-1], polarization_signature(), _SIGMA_X)
-    if obs_id == "L_x":
-        return Operator(orbital_signature(d), orbital_matrix("L_x", d))
-    if obs_id == "L_z":
-        return Operator(orbital_signature(d), orbital_matrix("L_z", d))
-    if obs_id == "Lx_sigma_x":
-        return _orbital_pol("L_x", _SIGMA_X, d)
-    if obs_id == "Lx_sigma_z":
-        return _orbital_pol("L_x", _SIGMA_Z, d)
-    if obs_id == "Lz_sigma_z":
-        return _orbital_pol("L_z", _SIGMA_Z, d)
-    if obs_id in ("Lx_sigma_x_L", "Lx_sigma_x_R"):
-        inner_op = _orbital_pol("L_x", _SIGMA_X, d)
-        return _arm_op(obs_id[-1], inner_op.signature, inner_op.matrix)
-    if obs_id in ("Lx_sigma_z_L", "Lx_sigma_z_R"):
-        inner_op = _orbital_pol("L_x", _SIGMA_Z, d)
-        return _arm_op(obs_id[-1], inner_op.signature, inner_op.matrix)
-    if obs_id in ("Lz_sigma_z_L", "Lz_sigma_z_R"):
-        inner_op = _orbital_pol("L_z", _SIGMA_Z, d)
-        return _arm_op(obs_id[-1], inner_op.signature, inner_op.matrix)
-    if obs_id == "effective_spin_orbit":
-        # sigma_z + i g't L_x (x) sigma_x sigma_z
+    if coefficient is not None:
         sig = orbital_signature(d).concat(polarization_signature())
-        base = np.kron(_eye(d), _SIGMA_Z)
-        cross = np.kron(orbital_matrix("L_x", d), _SIGMA_X @ _SIGMA_Z)
-        return Operator(sig, base + 1j * gprime_t * cross)
-    if obs_id == "effective_parallel_lx":
-        sig = orbital_signature(d).concat(polarization_signature())
-        return Operator(sig, np.kron(_eye(d), _SIGMA_Z)
-                        + 1j * gprime_t * np.kron(orbital_matrix("L_x", d), _eye(2)))
-    if obs_id == "effective_parallel_lz":
-        sig = orbital_signature(d).concat(polarization_signature())
-        return Operator(sig, np.kron(_eye(d), _SIGMA_Z)
-                        + 1j * gprime_t * np.kron(orbital_matrix("L_z", d), _eye(2)))
-    if obs_id == "effective_three_body":
-        sig = orbital_signature(d).concat(polarization_signature())
-        return Operator(sig, np.kron(_eye(d), _SIGMA_Z)
-                        - np.kron(orbital_matrix("L_x", d), _SIGMA_X))
-    raise UnknownIdError(f"unknown observable id {obs_id!r}; valid ids: {observable_ids()}")
+        base = np.kron(np.eye(d, dtype=complex), _SIGMA_Z)
+        cross = np.kron(orbital_matrix(orbital, d), pol)
+        return Operator(sig, base - cross if coefficient == -1 else base + 1j * gprime_t * cross)
+    factors = []
+    if arm is not None:
+        factors.append((path_signature(), arm))
+    if orbital is not None:
+        factors.append((orbital_signature(d), orbital_matrix(orbital, d)))
+    if pol is not None:
+        factors.append((polarization_signature(), pol))
+    sig, matrix = factors[-1]
+    for factor_sig, factor in reversed(factors[:-1]):  # arm (x) (orbital (x) polarization)
+        sig, matrix = factor_sig.concat(sig), np.kron(factor, matrix)
+    return Operator(sig, matrix)
 
 
 def observable_ids() -> tuple[str, ...]:
-    return (
-        "pi_L", "pi_R", "sigma_z", "sigma_x",
-        "sigma_z_L", "sigma_z_R", "sigma_x_L", "sigma_x_R",
-        "L_x", "L_z", "Lx_sigma_x", "Lx_sigma_z", "Lz_sigma_z",
-        "Lx_sigma_x_L", "Lx_sigma_x_R",
-        "Lx_sigma_z_L", "Lx_sigma_z_R", "Lz_sigma_z_L", "Lz_sigma_z_R",
-        "effective_spin_orbit", "effective_parallel_lx", "effective_parallel_lz",
-        "effective_three_body",
-    )
+    return tuple(_CATALOG)
 
 
 @dataclass(frozen=True)

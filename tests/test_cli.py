@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from weakmeter.cli import (
+    EXIT_COMPUTE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
@@ -222,7 +223,8 @@ class TestSweep:
     def test_negative_exponent_bounds(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "bundle:cheshire", "--param", "coupling.g",
                                  "--start", "-1e-5", "--stop", "-1e-6", "--steps", "2")
-        assert code == EXIT_OK, err
+        assert code == EXIT_COMPUTE
+        assert err == "all sweep points failed; see the error column\n"
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert [float(row[1]) for row in rows] == [-1e-5, -1e-6]
         assert all(row[-1] == "ParameterRangeError: coupling constants g, gprime must be "
@@ -253,6 +255,38 @@ class TestSweep:
         failed = [row for row in rows if row[-1]]
         assert [row[1] for row in failed] == ["42.666666666666664", "53.333333333333329"]
         assert all("meter.N must be a positive integer" in row[-1] for row in failed)
+
+
+class TestAllFailedExit:
+    """``run`` and ``sweep`` exit 4 when every point fails, and 0 when any point runs."""
+
+    ALL_FAILED = "all sweep points failed; see the error column\n"
+
+    def run_both(self, capsys, tmp_path, start, stop):
+        doc = tmp_path / "grid.yaml"
+        doc.write_text(load_bundle("cheshire") + "sweep:\n"
+                       f"  coupling.g: {{start: {start}, stop: {stop}, steps: 2}}\n")
+        sweep = ("--param", "coupling.g", "--start", str(start), "--stop", str(stop),
+                 "--steps", "2")
+        return (run_cli(capsys, "run", str(doc)),
+                run_cli(capsys, "sweep", "bundle:cheshire", *sweep))
+
+    def test_all_failed_grid_exits_compute(self, capsys, tmp_path):
+        for code, out, err in self.run_both(capsys, tmp_path, -1, -0.5):
+            assert code == EXIT_COMPUTE
+            assert err == self.ALL_FAILED
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            assert [float(row[1]) for row in rows] == [-1.0, -0.5]
+            assert all(row[-1].startswith("ParameterRangeError:") for row in rows)
+
+    def test_partly_failed_grid_exits_ok(self, capsys, tmp_path):
+        for code, out, err in self.run_both(capsys, tmp_path, -1e-3, 1e-3):
+            assert code == EXIT_OK, err
+            assert err == ""
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            assert rows[0][-1].startswith("ParameterRangeError:")
+            assert all(row[-1] == "" for row in rows[1:])
+            assert len(rows) == 1 + 4  # the failed point, then one row per observable
 
 
 class TestShowState:

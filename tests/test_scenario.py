@@ -1,16 +1,19 @@
+import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weakmeter.dynamics import COUPLINGS, _lifted
+from weakmeter.dynamics import COUPLINGS, VARIANTS, _lifted
 from weakmeter.errors import (
     ParameterRangeError,
     ScenarioSyntaxError,
     UnknownIdError,
     UnknownKeyError,
 )
+from weakmeter.optics import STATE_IDS
 from weakmeter.scenario import (
     apply_override,
     parse_scenario,
@@ -618,3 +621,22 @@ class TestYamlFloats:
         import yaml
 
         assert yaml.safe_load("2e-3") == "2e-3"
+
+
+class TestReadmeLists:
+    """README's scenario-file lists read from the one declaration of each catalog."""
+
+    README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def listed(self, lead: str) -> list[str]:
+        match = re.search(rf"^{lead}: (.*?)\.(?=\s)", self.README, re.MULTILINE | re.DOTALL)
+        assert match, f"README has no {lead!r} list"
+        return re.findall(r"`([^`]+)`", match.group(1))
+
+    def test_state_ids(self):
+        declared = [name + (f"({', '.join(angles)})" if angles else "")
+                    for name, angles in STATE_IDS.items()]
+        assert self.listed("State ids") == declared
+
+    def test_coupling_variants(self):
+        assert self.listed("Coupling variants") == list(VARIANTS)

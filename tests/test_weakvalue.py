@@ -248,3 +248,105 @@ class TestWeakValueProperties:
         effective = observable("effective_parallel_lz", orbital_dim=2, gprime_t=0.3)
         sz_only = observable("effective_parallel_lz", orbital_dim=2, gprime_t=0.0)
         np.testing.assert_allclose(effective.matrix, sz_only.matrix)
+
+
+# Explicit factors for the catalog pin, in the circular (+, -) polarization
+# basis, the path basis (L, R), and the orbital doublet or L_z eigenbasis.
+REF_PI = {"L": np.array([[1, 0], [0, 0]], complex), "R": np.array([[0, 0], [0, 1]], complex)}
+REF_SZ = np.array([[1, 0], [0, -1]], complex)
+REF_SX = np.array([[0, 1], [1, 0]], complex)
+REF_ORBITAL = {
+    ("L_x", 2): np.array([[0, -1j], [1j, 0]], complex),
+    ("L_z", 2): np.zeros((2, 2), complex),
+    ("L_x", 3): np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], complex) / np.sqrt(2.0),
+    ("L_z", 3): np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], complex),
+}
+
+
+def _ref_product(arm=None, orbital=None, pol=None):
+    """arm (x) (orbital (x) polarization) on the factors given, nested right to left."""
+    def build(d, gprime_t):
+        factors = []
+        if arm is not None:
+            factors.append((("path", 2), REF_PI[arm]))
+        if orbital is not None:
+            factors.append((("orbital", d), REF_ORBITAL[orbital, d]))
+        if pol is not None:
+            factors.append((("polarization", 2), pol))
+        matrix = factors[-1][1]
+        for _, factor in reversed(factors[:-1]):
+            matrix = np.kron(factor, matrix)
+        return tuple(space for space, _ in factors), matrix
+    return build
+
+
+def _ref_effective(orbital, pol):
+    """sigma_z + i g't orbital (x) polarization on orbital (x) polarization."""
+    def build(d, gprime_t):
+        base = np.kron(np.eye(d, dtype=complex), REF_SZ)
+        cross = np.kron(REF_ORBITAL[orbital, d], pol)
+        return (("orbital", d), ("polarization", 2)), base + 1j * gprime_t * cross
+    return build
+
+
+def _ref_three_body(d, gprime_t):
+    """sigma_z - L_x (x) sigma_x, independent of g't."""
+    base = np.kron(np.eye(d, dtype=complex), REF_SZ)
+    return (("orbital", d), ("polarization", 2)), base - np.kron(REF_ORBITAL["L_x", d], REF_SX)
+
+
+REF_CATALOG = {
+    "pi_L": _ref_product(arm="L"),
+    "pi_R": _ref_product(arm="R"),
+    "sigma_z": _ref_product(pol=REF_SZ),
+    "sigma_x": _ref_product(pol=REF_SX),
+    "sigma_z_L": _ref_product("L", pol=REF_SZ),
+    "sigma_z_R": _ref_product("R", pol=REF_SZ),
+    "sigma_x_L": _ref_product("L", pol=REF_SX),
+    "sigma_x_R": _ref_product("R", pol=REF_SX),
+    "L_x": _ref_product(orbital="L_x"),
+    "L_z": _ref_product(orbital="L_z"),
+    "Lx_sigma_x": _ref_product(None, "L_x", REF_SX),
+    "Lx_sigma_z": _ref_product(None, "L_x", REF_SZ),
+    "Lz_sigma_z": _ref_product(None, "L_z", REF_SZ),
+    "Lx_sigma_x_L": _ref_product("L", "L_x", REF_SX),
+    "Lx_sigma_x_R": _ref_product("R", "L_x", REF_SX),
+    "Lx_sigma_z_L": _ref_product("L", "L_x", REF_SZ),
+    "Lx_sigma_z_R": _ref_product("R", "L_x", REF_SZ),
+    "Lz_sigma_z_L": _ref_product("L", "L_z", REF_SZ),
+    "Lz_sigma_z_R": _ref_product("R", "L_z", REF_SZ),
+    "effective_spin_orbit": _ref_effective("L_x", REF_SX @ REF_SZ),
+    "effective_parallel_lx": _ref_effective("L_x", np.eye(2, dtype=complex)),
+    "effective_parallel_lz": _ref_effective("L_z", np.eye(2, dtype=complex)),
+    "effective_three_body": _ref_three_body,
+}
+
+
+class TestCatalogPin:
+    """Every catalog operator, bit for bit, against the explicit factors above."""
+
+    def test_ids_in_declaration_order(self):
+        assert observable_ids() == tuple(REF_CATALOG)
+
+    @pytest.mark.parametrize("orbital_dim", [2, 3])
+    @pytest.mark.parametrize("obs_id", observable_ids())
+    def test_operator_bytes(self, obs_id, orbital_dim):
+        for gprime_t in (0.0, 1e-3, 0.1, 0.3333333333, 7.5):
+            signature, matrix = REF_CATALOG[obs_id](orbital_dim, gprime_t)
+            op = observable(obs_id, orbital_dim=orbital_dim, gprime_t=gprime_t)
+            assert op.signature.factors == signature, (obs_id, gprime_t)
+            assert op.matrix.dtype == matrix.dtype and op.matrix.shape == matrix.shape
+            assert op.matrix.tobytes() == matrix.tobytes(), (obs_id, gprime_t)
+
+    def test_unknown_id_message(self):
+        for bad in ("sigma_y", "", None, ["pi_L"]):
+            with pytest.raises(UnknownIdError) as err:
+                observable(bad)
+            assert str(err.value) == (
+                f"unknown observable id {bad!r}; valid ids: {tuple(REF_CATALOG)}")
+
+    @pytest.mark.parametrize("obs_id", ["L_x", "Lz_sigma_z", "Lx_sigma_x_R",
+                                        "effective_spin_orbit", "effective_three_body"])
+    def test_bad_orbital_dim_message(self, obs_id):
+        with pytest.raises(ValueError, match=r"^orbital dimension must be 2 or 3, got 4$"):
+            observable(obs_id, orbital_dim=4)
