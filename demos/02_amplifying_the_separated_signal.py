@@ -10,11 +10,7 @@ photon's left-arm localization and the x-component quartet stay pinned.
 
 import numpy as np
 
-from weakmeter import prepare_preselected
-from weakmeter.optics import named_state
 from weakmeter.weakvalue import cheshire_table
-
-post = named_state("amp_f")
 
 print(f"{'theta':>10} {'sigma_z_R':>12} {'tan(theta/2)':>14} {'pi_L':>6} {'sigma_x_L':>10}")
 for theta in (np.pi / 6, np.pi / 4, np.pi / 2, 2 * np.pi / 3, 0.9 * np.pi):
@@ -22,10 +18,3 @@ for theta in (np.pi / 6, np.pi / 4, np.pi / 2, 2 * np.pi / 3, 0.9 * np.pi):
     print(f"{theta:>10.4f} {rows['sigma_z_R'].real:>12.6f} {np.tan(theta / 2):>14.6f}"
           f" {rows['pi_L'].real:>6.2f} {rows['sigma_x_L'].real:>10.2f}")
 
-# the closed form and the element-by-element pipeline agree exactly
-theta = 2 * np.pi / 3
-built = prepare_preselected(theta)
-closed = named_state("amp_in", theta=theta)
-gap = np.max(np.abs(built.amplitudes - closed.amplitudes))
-print()
-print(f"pipeline-built state vs closed form at theta = 2 pi/3: max gap {gap:.2e}")

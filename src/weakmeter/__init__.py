@@ -1,11 +1,11 @@
 """Pre/post-selected weak-measurement simulator with full pointer dynamics.
 
 Layers, bottom up: ``hilbert`` (labeled tensor spaces and dense linear
-algebra), ``meter`` (discrete Gaussian pointers), ``optics`` (component
-unitaries and named interferometer states), ``weakvalue`` (observable
-catalog and weak values), ``dynamics`` (couplings, evolution, pointer
-fits), ``scenario`` (declarative experiment files), ``verify`` (the
-built-in check suite), ``cli`` (the ``weakmeter`` command).
+algebra), ``meter`` (discrete Gaussian pointers), ``optics`` (named
+interferometer states), ``weakvalue`` (observable catalog and weak
+values), ``dynamics`` (couplings, evolution, pointer fits), ``scenario``
+(declarative experiment files), ``verify`` (the built-in check suite),
+``cli`` (the ``weakmeter`` command).
 """
 
 from .dynamics import (
@@ -34,7 +34,6 @@ from .hilbert import (
     Operator,
     SpaceSignature,
     extend,
-    identity,
     inner,
     tensor,
 )
@@ -47,13 +46,7 @@ from .meter import (
     meter_readout,
     moments,
 )
-from .optics import (
-    Component,
-    Pipeline,
-    component_unitary,
-    named_state,
-    prepare_preselected,
-)
+from .optics import named_state
 from .scenario import (
     ResultRecord,
     ScenarioDoc,

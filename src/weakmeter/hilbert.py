@@ -19,7 +19,6 @@ __all__ = [
     "SpaceSignature",
     "Ket",
     "Operator",
-    "identity",
     "tensor",
     "extend",
     "inner",
@@ -129,15 +128,10 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense complex square matrix tagged with its signature.
-
-    ``hermitian``/``unitary`` flags are verified to 1e-12 at construction.
-    """
+    """Dense complex square matrix tagged with its signature."""
 
     signature: SpaceSignature
     matrix: np.ndarray
-    hermitian: bool = False
-    unitary: bool = False
 
     def __post_init__(self):
         mat = _frozen(np.asarray(self.matrix))
@@ -147,21 +141,9 @@ class Operator:
             raise SignatureError(f"matrix shape {mat.shape} != ({d}, {d})")
         if not np.all(np.isfinite(mat.view(float))):
             raise ValueError("operator entries must be finite")
-        if self.hermitian and not self.is_hermitian(FLAG_ATOL):
-            raise ValueError("operator flagged hermitian is not")
-        if self.unitary and not self.is_unitary(FLAG_ATOL):
-            raise ValueError("operator flagged unitary is not")
 
     def is_hermitian(self, atol: float = FLAG_ATOL) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= atol)
-
-    def is_unitary(self, atol: float = FLAG_ATOL) -> bool:
-        d = self.signature.dim
-        gram = self.matrix.conj().T @ self.matrix
-        return bool(np.max(np.abs(gram - np.eye(d))) <= atol)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.signature, self.matrix.conj().T)
 
     def apply(self, ket: Ket) -> Ket:
         if ket.signature != self.signature:
@@ -169,35 +151,6 @@ class Operator:
                 f"operator on {self.signature} applied to ket on {ket.signature}"
             )
         return Ket(self.signature, self.matrix @ ket.amplitudes)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.signature != other.signature:
-            raise SignatureError("cannot compose operators on different signatures")
-        return Operator(self.signature, self.matrix @ other.matrix)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        if self.signature != other.signature:
-            raise SignatureError("cannot add operators on different signatures")
-        return Operator(self.signature, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        if self.signature != other.signature:
-            raise SignatureError("cannot subtract operators on different signatures")
-        return Operator(self.signature, self.matrix - other.matrix)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.signature, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-
-def identity(sig_or_dim, label: str = "space") -> Operator:
-    """Identity operator on a signature (or a bare dimension, given a label)."""
-    if isinstance(sig_or_dim, SpaceSignature):
-        sig = sig_or_dim
-    else:
-        sig = SpaceSignature(((label, int(sig_or_dim)),))
-    return Operator(sig, np.eye(sig.dim, dtype=complex), hermitian=True, unitary=True)
 
 
 def tensor(a, b):

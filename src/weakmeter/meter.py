@@ -64,10 +64,6 @@ class DiscreteGaussianMeter:
         return q_grid(self.half_width)
 
     @property
-    def p(self) -> np.ndarray:
-        return p_grid(self.half_width)
-
-    @property
     def size(self) -> int:
         return 2 * self.half_width + 1
 

@@ -1,13 +1,16 @@
-"""Optical components and the pipelines that prepare every named interferometer state.
+"""Interferometer state spaces and every named pre/post-selected state.
 
 Conventions:
 
 * Polarization amplitudes are stored in the circular basis (+, -), where
   sigma_z = diag(1, -1).  Linear H/V states enter through the fixed change
   of basis |H> = (|+> + |->)/sqrt(2), |V> = -i(|+> - |->)/sqrt(2).
-* Beam-splitter-type reflections carry the usual pi/2 phase (factor i);
-  this is what makes the preparation pipeline land exactly on the
-  amplified pre-selected state, not merely up to a relative phase.
+* Beam-splitter-type reflections carry the usual pi/2 phase (factor i).
+  The polarizing splitter reflects the V part of cos(theta/2)|H> +
+  sin(theta/2)|V> into the right arm with that phase; the half-wave plate
+  there turns it into H and the pi phase shifter flips its sign.  That is
+  why amp_in reads cos(theta/2)|L,H> - i sin(theta/2)|R,H>, with -i on the
+  right arm.
 * The orbital doublet {v_a, v_b} spans the +/-1 eigenvectors of L_x.  With
   the third basis direction forbidden the doublet is used directly
   (dimension 2); the parallel-noise couplings need the full triplet, where
@@ -16,28 +19,23 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ParameterRangeError, SignatureError, UnknownIdError
-from .hilbert import Ket, Operator, SpaceSignature, extend, identity, tensor
+from .errors import ParameterRangeError, UnknownIdError
+from .hilbert import Ket, SpaceSignature
 
 __all__ = [
     "PATH", "ORBITAL", "POLARIZATION", "METER",
-    "path_signature", "polarization_signature", "orbital_signature",
-    "path_ket", "pol_ket", "pol_from_hv", "pol_matrix_from_hv", "hv_components",
+    "path_signature", "polarization_signature", "orbital_signature", "check_orbital_dim",
+    "path_ket", "pol_ket", "pol_from_hv", "hv_components",
     "orbital_vector", "orbital_ket", "orbital_matrix",
-    "Component", "Pipeline", "component_unitary",
-    "prepare_preselected", "named_state", "STATE_IDS", "check_state", "ARM_PROJECTORS",
+    "named_state", "STATE_IDS", "check_state", "ARM_PROJECTORS",
 ]
 
 PATH = "path"
 ORBITAL = "orbital"
 POLARIZATION = "polarization"
 METER = "meter"
-
-COMPONENT_KINDS = ("PBS", "HWP", "PhaseShifter", "BS", "LSplitter", "LPrimeSplitter", "PolRotator")
 
 # change of basis: columns are |H>, |V> expressed in (+, -) coordinates
 _HV_TO_PM = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / np.sqrt(2.0)
@@ -51,9 +49,15 @@ def polarization_signature() -> SpaceSignature:
     return SpaceSignature(((POLARIZATION, 2),))
 
 
+def check_orbital_dim(dim) -> None:
+    """Raise :class:`ParameterRangeError` unless ``dim`` is the int 2 (doublet) or 3 (triplet)."""
+    integral = isinstance(dim, (int, np.integer)) and not isinstance(dim, bool)
+    if not integral or dim not in (2, 3):
+        raise ParameterRangeError(f"orbital dimension must be 2 or 3, got {dim}")
+
+
 def orbital_signature(dim: int = 2) -> SpaceSignature:
-    if dim not in (2, 3):
-        raise ValueError(f"orbital dimension must be 2 or 3, got {dim}")
+    check_orbital_dim(dim)
     return SpaceSignature(((ORBITAL, dim),))
 
 
@@ -75,12 +79,6 @@ def hv_components(pm_coords) -> np.ndarray:
     return _HV_TO_PM.conj().T @ np.asarray(pm_coords, dtype=complex)
 
 
-def pol_matrix_from_hv(matrix_hv) -> np.ndarray:
-    """(+,-) representation of a polarization operator written in the H/V basis."""
-    m = np.asarray(matrix_hv, dtype=complex)
-    return _HV_TO_PM @ m @ _HV_TO_PM.conj().T
-
-
 def pol_ket(label: str) -> Ket:
     coords = {
         "+": np.array([1, 0], dtype=complex),
@@ -95,15 +93,14 @@ def pol_ket(label: str) -> Ket:
 
 def orbital_vector(label: str, dim: int = 2) -> np.ndarray:
     """Coordinates of v_a or v_b (doublet coordinates, or the documented triplet)."""
+    check_orbital_dim(dim)
     if dim == 2:
         vecs = {"va": np.array([1, 0], dtype=complex), "vb": np.array([0, 1], dtype=complex)}
-    elif dim == 3:
+    else:
         vecs = {
             "va": np.array([1, 0, 1], dtype=complex) / np.sqrt(2.0),
             "vb": np.array([0, -1j, 0], dtype=complex),
         }
-    else:
-        raise ValueError(f"orbital dimension must be 2 or 3, got {dim}")
     if label not in vecs:
         raise UnknownIdError(f"orbital basis label must be 'va' or 'vb', got {label!r}")
     return vecs[label]
@@ -120,156 +117,23 @@ def orbital_matrix(name: str, dim: int = 2) -> np.ndarray:
     entirely into the forbidden direction, so its restriction there is the
     zero matrix; the triplet carries the full diag(1, 0, -1).
     """
+    check_orbital_dim(dim)
     if dim == 2:
         if name == "L_x":
             return np.array([[0, -1j], [1j, 0]], dtype=complex)
         if name == "L_z":
             return np.zeros((2, 2), dtype=complex)
-    elif dim == 3:
+    else:
         if name == "L_x":
             return np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
         if name == "L_z":
             return np.diag([1.0, 0.0, -1.0]).astype(complex)
-    else:
-        raise ValueError(f"orbital dimension must be 2 or 3, got {dim}")
     raise UnknownIdError(f"orbital operator must be 'L_x' or 'L_z', got {name!r}")
-
-
-@dataclass(frozen=True)
-class Component:
-    """One optical element with its real-valued parameters."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in COMPONENT_KINDS:
-            raise UnknownIdError(
-                f"unknown component kind {self.kind!r}; valid kinds: {COMPONENT_KINDS}"
-            )
 
 
 # Pi_L and Pi_R on the path factor
 ARM_PROJECTORS = {"L": np.diag([1.0, 0.0]).astype(complex),
                   "R": np.diag([0.0, 1.0]).astype(complex)}
-
-
-def _arm_conditional(arm: str, pol_op: np.ndarray) -> Operator:
-    """(1 - Pi_arm) x I + Pi_arm x pol_op on path x polarization."""
-    pi = ARM_PROJECTORS.get(arm)
-    if pi is None:
-        raise UnknownIdError(f"arm must be 'L' or 'R', got {arm!r}")
-    eye2 = np.eye(2, dtype=complex)
-    mat = np.kron(eye2 - pi, eye2) + np.kron(pi, pol_op)
-    sig = path_signature().concat(polarization_signature())
-    return Operator(sig, mat)
-
-
-def _native_unitary(component: Component, sig: SpaceSignature) -> Operator:
-    kind, params = component.kind, component.params
-    if kind == "PBS":
-        # transmit H, reflect V with the pi/2 reflection phase
-        p_h = pol_matrix_from_hv(np.array([[1, 0], [0, 0]], dtype=complex))
-        p_v = pol_matrix_from_hv(np.array([[0, 0], [0, 1]], dtype=complex))
-        eye2 = np.eye(2, dtype=complex)
-        swap = np.array([[0, 1], [1, 0]], dtype=complex)
-        mat = np.kron(eye2, p_h) + 1j * np.kron(swap, p_v)
-        return Operator(path_signature().concat(polarization_signature()), mat)
-    if kind == "HWP":
-        swap_hv = pol_matrix_from_hv(np.array([[0, 1], [1, 0]], dtype=complex))
-        return _arm_conditional(params.get("arm", "R"), swap_hv)
-    if kind == "PhaseShifter":
-        phi = float(params.get("phi", np.pi))
-        eye2 = np.eye(2, dtype=complex)
-        return _arm_conditional(params.get("arm", "R"), np.exp(1j * phi) * eye2)
-    if kind == "BS":
-        alpha = float(params["alpha"])  # transmission cos^2(alpha), reflection sin^2(alpha)
-        c, s = np.cos(alpha), np.sin(alpha)
-        mat = np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
-        return Operator(path_signature(), mat)
-    if kind == "LSplitter":
-        dim = sig.dimension_of(ORBITAL)
-        # one unitary completion of va -> (va + i vb)/sqrt(2); the element is
-        # only specified through that output state
-        block = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2.0)
-        return Operator(orbital_signature(dim), _embed_doublet(block, dim))
-    if kind == "LPrimeSplitter":
-        dim = sig.dimension_of(ORBITAL)
-        va = orbital_vector("va", dim)
-        proj = np.outer(va, va.conj())
-        return Operator(orbital_signature(dim), proj, hermitian=True)
-    if kind == "PolRotator":
-        beta = float(params["beta"])
-        rot_hv = np.array(
-            [[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]], dtype=complex
-        )
-        return Operator(polarization_signature(), pol_matrix_from_hv(rot_hv))
-    raise UnknownIdError(f"unknown component kind {kind!r}")
-
-
-def _embed_doublet(block: np.ndarray, dim: int) -> np.ndarray:
-    """Act with a 2x2 matrix on span{va, vb}, identity on the rest."""
-    if dim == 2:
-        return block
-    va = orbital_vector("va", dim)
-    vb = orbital_vector("vb", dim)
-    basis = np.stack([va, vb], axis=1)  # dim x 2
-    eye = np.eye(dim, dtype=complex)
-    proj = basis @ basis.conj().T
-    return basis @ block @ basis.conj().T + (eye - proj)
-
-
-def component_unitary(component: Component, sig: SpaceSignature) -> Operator:
-    """The component's operator extended by identities to the full signature.
-
-    Every kind is unitary except LPrimeSplitter, whose post-selection role is
-    the projector onto v_a.
-    """
-    native = _native_unitary(component, sig)
-    try:
-        return extend(native, sig)
-    except SignatureError as exc:
-        raise SignatureError(f"component {component.kind}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class Pipeline:
-    """Ordered optical elements applied left to right on a fixed signature."""
-
-    signature: SpaceSignature
-    stages: tuple[Component, ...]
-
-    def operator(self) -> Operator:
-        op = identity(self.signature)
-        for stage in self.stages:
-            op = component_unitary(stage, self.signature) @ op
-        return op
-
-    def apply(self, ket: Ket) -> Ket:
-        return self.operator().apply(ket)
-
-
-def prepare_preselected(theta: float) -> Ket:
-    """Run the preparation pipeline PBS -> HWP(R) -> PhaseShifter(R, pi).
-
-    Input: polarization cos(theta/2)|H> + sin(theta/2)|V> entering in the
-    left port.  Output equals cos(theta/2)|L,H> - i sin(theta/2)|R,H>
-    exactly (to 1e-12), not merely up to phase.
-    """
-    theta = float(theta)
-    check_state("amp_in", {"theta": theta / np.pi}, "prepare_preselected")
-    sig = path_signature().concat(polarization_signature())
-    pol_in = Ket(polarization_signature(), pol_from_hv(np.cos(theta / 2), np.sin(theta / 2)))
-    source = tensor(path_ket("L"), pol_in)
-    pipeline = Pipeline(
-        sig,
-        (
-            Component("PBS"),
-            Component("HWP", {"arm": "R"}),
-            Component("PhaseShifter", {"arm": "R", "phi": np.pi}),
-        ),
-    )
-    return pipeline.apply(source)
 
 
 def _orbital_superposition(dim: int) -> np.ndarray:
@@ -316,12 +180,14 @@ def named_state(name: str, *, theta: float | None = None, alpha: float | None = 
 
     Angles are radians here; ``orbital_dim`` selects the doublet (default)
     or the full triplet embedding of the orbital factor.  Raises
-    :class:`ParameterRangeError` for an angle :func:`check_state` rejects.
+    :class:`ParameterRangeError` for an angle :func:`check_state` or an
+    ``orbital_dim`` :func:`check_orbital_dim` rejects.
     Each closed form is written straight into one amplitude array:
     (path, polarization) rows, with the orbital factor placed between them.
     """
     given = {"theta": theta, "alpha": alpha}
     check_state(name, {k: v / np.pi for k, v in given.items() if v is not None}, "named_state")
+    check_orbital_dim(orbital_dim)
     h, v = _HV_TO_PM.T  # |H>, |V> in (+, -) coordinates
     if name in ("noisy_in", "noisy_f"):  # orbital (x) polarization
         if name == "noisy_in":

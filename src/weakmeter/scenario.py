@@ -57,6 +57,7 @@ _TOP_KEYS = ("name", "preselect", "postselect", "coupling", "meter", "observable
 _COUPLING_KEYS = tuple(DEFAULTS["coupling"])
 _METER_KEYS = ("N", "delta")
 _SWEEP_KEYS = ("start", "stop", "steps", "values")
+_ANGLE_KEYS = tuple(dict.fromkeys(angle for angles in STATE_IDS.values() for angle in angles))
 # residuals above this mark the exponential-shift fit as unreliable
 MAX_FIT_RESIDUAL = 1e-2
 
@@ -126,7 +127,9 @@ def _validate_state(section, where: str) -> dict:
     if "id" not in section:
         raise ParameterRangeError(f"{where} needs an 'id' field")
     out = {"id": section["id"]}
-    out.update((k, _require_number(v, f"{where}.{k}")) for k, v in section.items() if k != "id")
+    # only angle names reach a message as they are; any other key is reported as unknown
+    out.update((k, _require_number(v, f"{where}.{k}")) for k, v in section.items()
+               if k in _ANGLE_KEYS)
     check_state(out["id"], out, where)
     _reject_unknown(section, ("id",) + STATE_IDS[out["id"]], where)
     return out
@@ -177,12 +180,12 @@ def _validate_observables(section) -> tuple[str, ...]:
 
 def _resolve_path(data: dict, path: str):
     node = data
-    parts = path.split(".")
+    parts = path.split(".") if isinstance(path, str) else ()  # a YAML key may be any scalar
     for part in parts[:-1]:
         if not isinstance(node, dict) or part not in node:
             raise UnknownKeyError(f"path {path!r} does not address a scenario field")
         node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
+    if not parts or not isinstance(node, dict) or parts[-1] not in node:
         raise UnknownKeyError(f"path {path!r} does not address a scenario field")
     return node, parts[-1]
 

@@ -11,6 +11,7 @@ from .errors import DegeneratePostselectionError, UnknownIdError
 from .hilbert import Ket, Operator, extend, inner
 from .optics import (
     ARM_PROJECTORS,
+    check_orbital_dim,
     named_state,
     orbital_matrix,
     orbital_signature,
@@ -92,13 +93,16 @@ def observable(obs_id: str, *, orbital_dim: int = 2, gprime_t: float = 0.0) -> O
     strength ``gprime_t``.  ``effective_parallel_lz`` uses the orbital
     factor as given: on the doublet the L_z restriction is the zero matrix
     (L_z maps {v_a, v_b} into the forbidden direction), so there it reduces
-    to sigma_z.
+    to sigma_z.  Every id takes the same ``orbital_dim`` rule
+    (:func:`~weakmeter.optics.check_orbital_dim`), whether or not its entry
+    holds an orbital factor.
     """
     try:
         arm, orbital, pol, coefficient = _CATALOG[obs_id]
     except (KeyError, TypeError):
         raise UnknownIdError(
             f"unknown observable id {obs_id!r}; valid ids: {observable_ids()}") from None
+    check_orbital_dim(orbital_dim)
     d = orbital_dim
     if coefficient is not None:
         sig = orbital_signature(d).concat(polarization_signature())

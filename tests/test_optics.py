@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from weakmeter.errors import UnknownIdError
-from weakmeter.hilbert import Ket, SpaceSignature, inner, tensor
+from weakmeter.hilbert import Ket, Operator, SpaceSignature, inner, tensor
 from weakmeter.optics import (
-    Component,
-    Pipeline,
+    _HV_TO_PM,
     STATE_IDS,
-    component_unitary,
     hv_components,
     named_state,
     orbital_ket,
@@ -19,7 +17,6 @@ from weakmeter.optics import (
     pol_from_hv,
     pol_ket,
     polarization_signature,
-    prepare_preselected,
 )
 
 PP = path_signature().concat(polarization_signature())
@@ -30,34 +27,39 @@ def hv(ket):
     return hv_components(ket)
 
 
-class TestComponentUnitaries:
-    @pytest.mark.parametrize("component", [
-        Component("PBS"),
-        Component("HWP", {"arm": "R"}),
-        Component("HWP", {"arm": "L"}),
-        Component("PhaseShifter", {"arm": "R", "phi": np.pi}),
-        Component("PhaseShifter", {"arm": "L", "phi": 0.3}),
-        Component("BS", {"alpha": np.pi / 4}),
-        Component("BS", {"alpha": 0.7}),
-        Component("PolRotator", {"beta": 0.4}),
-        Component("LSplitter"),
-    ])
-    def test_unitarity(self, component):
-        sig = SpaceSignature((("path", 2), ("orbital", 2), ("polarization", 2)))
-        op = component_unitary(component, sig)
-        assert op.is_unitary(1e-12)
+# The preparation PBS -> HWP(R) -> PhaseShifter(R, pi), as 4x4 matrices on
+# path (x) polarization in the H/V basis, rows and columns |L,H>, |L,V>, |R,H>, |R,V>.
+# The PBS transmits H and reflects V into the other arm with the pi/2 phase i.
+PBS_HV = np.array([[1, 0, 0, 0],
+                   [0, 0, 0, 1j],
+                   [0, 0, 1, 0],
+                   [0, 1j, 0, 0]])
+HWP_R_HV = np.array([[1, 0, 0, 0],   # swaps H and V in the right arm
+                     [0, 1, 0, 0],
+                     [0, 0, 0, 1],
+                     [0, 0, 1, 0]], dtype=complex)
+PHASE_R_HV = np.diag([1, 1, -1, -1]).astype(complex)  # e^{i pi} on the right arm
 
-    def test_lsplitter_unitary_in_triplet(self):
-        sig = SpaceSignature((("orbital", 3),))
-        op = component_unitary(Component("LSplitter"), sig)
-        assert op.is_unitary(1e-12)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(UnknownIdError):
-            Component("Mirror")
+def in_pm_basis(matrix_hv):
+    """The path (x) polarization operator with polarization in (+,-) coordinates."""
+    change = np.kron(np.eye(2), _HV_TO_PM)
+    return change @ matrix_hv @ change.conj().T
+
+
+def prepare_preselected(theta):
+    """cos(theta/2)|H> + sin(theta/2)|V> entering the left port, through the three elements."""
+    source = tensor(path_ket("L"), Ket(polarization_signature(),
+                                       pol_from_hv(np.cos(theta / 2), np.sin(theta / 2))))
+    preparation = in_pm_basis(PHASE_R_HV @ HWP_R_HV @ PBS_HV)
+    return Ket(PP, preparation @ source.amplitudes)
+
+
+class TestPreparation:
+    """The optical preparation lands exactly on named_state("amp_in", theta)."""
 
     def test_hwp_swaps_h_and_v_on_its_arm(self):
-        op = component_unitary(Component("HWP", {"arm": "R"}), PP)
+        op = Operator(PP, in_pm_basis(HWP_R_HV))
         rv = tensor(path_ket("R"), pol_ket("V"))
         rh = tensor(path_ket("R"), pol_ket("H"))
         assert inner(rh, op.apply(rv)) == pytest.approx(1.0, abs=1e-12)
@@ -65,12 +67,12 @@ class TestComponentUnitaries:
         assert inner(lh, op.apply(lh)) == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_shifter_flips_right_arm(self):
-        op = component_unitary(Component("PhaseShifter", {"arm": "R", "phi": np.pi}), PP)
+        op = Operator(PP, in_pm_basis(PHASE_R_HV))
         rh = tensor(path_ket("R"), pol_ket("H"))
         assert inner(rh, op.apply(rh)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_pbs_transmits_h_reflects_v(self):
-        op = component_unitary(Component("PBS"), PP)
+        op = Operator(PP, in_pm_basis(PBS_HV))
         lh = tensor(path_ket("L"), pol_ket("H"))
         assert inner(lh, op.apply(lh)) == pytest.approx(1.0, abs=1e-12)
         lv = tensor(path_ket("L"), pol_ket("V"))
@@ -78,42 +80,6 @@ class TestComponentUnitaries:
         # reflection carries the pi/2 phase
         assert inner(rv, op.apply(lv)) == pytest.approx(1j, abs=1e-12)
 
-    def test_balanced_splitters_with_pi_phase_route_back(self):
-        # oracle: the 2x2 product of the documented matrices
-        c = 1 / np.sqrt(2)
-        bs = np.array([[c, 1j * c], [1j * c, c]])
-        ps = np.diag([1.0, -1.0])
-        expected = bs @ ps @ bs
-        np.testing.assert_allclose(expected, np.diag([1.0, -1.0]), atol=1e-15)
-
-        sig = path_signature()
-        pipeline = Pipeline(sig, (
-            Component("BS", {"alpha": np.pi / 4}),
-            Component("PhaseShifter", {"arm": "R", "phi": np.pi}),
-            Component("BS", {"alpha": np.pi / 4}),
-        ))
-        # PhaseShifter natively acts on path x polarization; run on that space
-        full = Pipeline(PP, pipeline.stages).operator()
-        got = full.matrix.reshape(2, 2, 2, 2)[:, 0, :, 0]
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-        # each input port returns to itself (no cross-port amplitude)
-        assert abs(got[0, 1]) < 1e-12 and abs(got[1, 0]) < 1e-12
-
-    def test_bs_transmission_probability(self):
-        alpha = 0.6
-        op = component_unitary(Component("BS", {"alpha": alpha}), path_signature())
-        amp = op.matrix[0, 0]
-        assert abs(amp) ** 2 == pytest.approx(np.cos(alpha) ** 2)
-
-    def test_lprime_splitter_is_projector(self):
-        sig = orbital_signature(2)
-        op = component_unitary(Component("LPrimeSplitter"), sig)
-        np.testing.assert_allclose(op.matrix @ op.matrix, op.matrix, atol=1e-14)
-        va = orbital_vector("va", 2)
-        np.testing.assert_allclose(op.matrix @ va, va, atol=1e-14)
-
-
-class TestPreparation:
     def test_theta_zero_is_left_h(self):
         ket = prepare_preselected(0.0)
         lh = tensor(path_ket("L"), pol_ket("H"))
@@ -147,29 +113,10 @@ class TestPreparation:
         for theta in rng.uniform(-3.0, 3.0, size=25):
             built = prepare_preselected(theta)
             closed = named_state("amp_in", theta=theta)
-            # equality up to global phase
+            # exact equality, not only up to a global phase
             assert abs(inner(closed, built)) == pytest.approx(
                 built.norm() * closed.norm(), abs=1e-12)
-
-    def test_polrotator_builds_postselection_polarization(self):
-        rng = np.random.default_rng(23)
-        for alpha in rng.uniform(-1.4, 1.4, size=25):
-            rot = component_unitary(Component("PolRotator", {"beta": alpha}),
-                                    polarization_signature())
-            built = rot.apply(pol_ket("H"))
-            expected = pol_from_hv(np.cos(alpha), np.sin(alpha))
-            np.testing.assert_allclose(built.amplitudes, expected, atol=1e-12)
-
-    def test_lsplitter_output_state(self):
-        sig = orbital_signature(2)
-        op = component_unitary(Component("LSplitter"), sig)
-        out = op.matrix @ orbital_vector("va", 2)
-        expected = (orbital_vector("va", 2) + 1j * orbital_vector("vb", 2)) / np.sqrt(2)
-        np.testing.assert_allclose(out, expected, atol=1e-14)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            prepare_preselected(np.pi)
+            np.testing.assert_allclose(built.amplitudes, closed.amplitudes, atol=1e-12)
 
 
 class TestNamedStates:

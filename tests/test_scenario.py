@@ -133,6 +133,12 @@ sweep:
         with pytest.raises(UnknownKeyError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("key", ["0", "null", "1.5", "true", "2020-01-01"])
+    def test_sweep_path_that_is_not_a_string(self, key):
+        # found by the document fuzz: an int key ended in AttributeError
+        with pytest.raises(UnknownKeyError, match="does not address a scenario field"):
+            parse_scenario(MINIMAL + f"sweep:\n  {key}: {{values: [0.5]}}\n")
+
     def test_round_trip(self):
         doc = parse_scenario(DISEMBODY_SWEEP)
         again = parse_scenario(scenario_to_text(doc))

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -63,3 +65,22 @@ def test_scipy_is_listed_in_the_test_extra_only():
     assert names(project["dependencies"]) == {"numpy", "pyyaml"}
     extras = {extra: names(reqs) for extra, reqs in project["optional-dependencies"].items()}
     assert [extra for extra, reqs in extras.items() if "scipy" in reqs] == ["test"]
+
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules([str(PACKAGE)]))
+
+
+def test_modules_are_found():
+    assert {"hilbert", "optics", "weakvalue", "dynamics", "scenario"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    # a stale __all__ entry breaks `from weakmeter.<module> import *`
+    mod = importlib.import_module(f"weakmeter.{module}")
+    exported = list(getattr(mod, "__all__", ()))
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(mod, name)] == []
+    namespace: dict = {}
+    exec(f"from weakmeter.{module} import *", namespace)
+    assert set(exported) <= set(namespace)

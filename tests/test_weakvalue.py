@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from weakmeter.errors import DegeneratePostselectionError, UnknownIdError
-from weakmeter.hilbert import Ket, Operator, extend, identity
-from weakmeter.optics import named_state, path_signature, polarization_signature
+from weakmeter.errors import DegeneratePostselectionError, ParameterRangeError, UnknownIdError
+from weakmeter.hilbert import Ket, Operator, extend
+from weakmeter.optics import named_state, orbital_matrix, path_signature, polarization_signature
 from weakmeter.weakvalue import (
     EPS_OVERLAP,
     cheshire_table,
@@ -43,7 +43,7 @@ class TestReviewQuartet:
     def test_identity_weak_value(self):
         pre = named_state("cheshire_in")
         post = named_state("cheshire_f")
-        got = weak_value(pre, post, identity(pre.signature)).value
+        got = weak_value(pre, post, Operator(pre.signature, np.eye(pre.signature.dim))).value
         assert got == pytest.approx(1.0, abs=1e-14)
 
 
@@ -174,7 +174,7 @@ class TestWeakValueProperties:
             a, b = self.rand_hermitian_op(rng, sig), self.rand_hermitian_op(rng, sig)
             ca = complex(*rng.normal(size=2))
             cb = complex(*rng.normal(size=2))
-            combo = ca * a + cb * b
+            combo = Operator(sig, ca * a.matrix + cb * b.matrix)
             lhs = weak_value(pre, post, combo).value
             rhs = (ca * weak_value(pre, post, a).value
                    + cb * weak_value(pre, post, b).value)
@@ -225,7 +225,7 @@ class TestWeakValueProperties:
         a = Ket(sig, [1, 0])
         b = Ket(sig, [0, 1e-6])  # tiny but orthogonal-to-a
         with pytest.raises(DegeneratePostselectionError):
-            weak_value(a, b, identity(sig), eps_overlap=EPS_OVERLAP)
+            weak_value(a, b, Operator(sig, np.eye(2)), eps_overlap=EPS_OVERLAP)
 
     def test_catalog_hermitian_members(self):
         for obs_id in observable_ids():
@@ -235,8 +235,8 @@ class TestWeakValueProperties:
             assert op.is_hermitian(1e-12), obs_id
 
     def test_projectors_resolve_identity(self):
-        total = observable("pi_L") + observable("pi_R")
-        np.testing.assert_allclose(total.matrix, np.eye(2), atol=1e-14)
+        total = observable("pi_L").matrix + observable("pi_R").matrix
+        np.testing.assert_allclose(total, np.eye(2), atol=1e-14)
 
     def test_sigma_z_diagonal_in_circular_basis(self):
         np.testing.assert_array_equal(observable("sigma_z").matrix, np.diag([1.0, -1.0]))
@@ -346,7 +346,19 @@ class TestCatalogPin:
                 f"unknown observable id {bad!r}; valid ids: {tuple(REF_CATALOG)}")
 
     @pytest.mark.parametrize("obs_id", ["L_x", "Lz_sigma_z", "Lx_sigma_x_R",
-                                        "effective_spin_orbit", "effective_three_body"])
+                                        "effective_spin_orbit", "effective_three_body",
+                                        "pi_L", "sigma_z"])
     def test_bad_orbital_dim_message(self, obs_id):
-        with pytest.raises(ValueError, match=r"^orbital dimension must be 2 or 3, got 4$"):
-            observable(obs_id, orbital_dim=4)
+        # one rule for every id, with or without an orbital factor: only the ints 2 and 3
+        for dim in (4, 2.0, True):
+            with pytest.raises(ValueError, match=rf"^orbital dimension must be 2 or 3, got {dim}$"):
+                observable(obs_id, orbital_dim=dim)
+
+    @pytest.mark.parametrize("dim", [1, 4, 2.0, 3.0, True, None, "2"])
+    def test_bad_orbital_dim_is_a_range_error_everywhere(self, dim):
+        with pytest.raises(ParameterRangeError):
+            observable("pi_L", orbital_dim=dim)
+        with pytest.raises(ParameterRangeError):
+            named_state("cheshire_in", orbital_dim=dim)
+        with pytest.raises(ParameterRangeError):
+            orbital_matrix("L_x", dim)
