@@ -122,9 +122,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     path = _OVERRIDE_ALIASES.get(args.param, args.param)
-    data = _load_doc(args).to_dict()
-    data["sweep"] = {path: {"start": args.start, "stop": args.stop, "steps": args.steps}}
-    return _run_and_emit(parse_scenario(yaml.safe_dump(data, sort_keys=True)), args)
+    sweep = {path: {"start": args.start, "stop": args.stop, "steps": args.steps}}
+    return _run_and_emit(apply_override(_load_doc(args), "sweep", sweep), args)
 
 
 def cmd_verify(args) -> int:

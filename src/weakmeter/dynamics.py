@@ -28,7 +28,6 @@ is its joint-state view with the system basis as post-states.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,10 +42,10 @@ from .errors import (
     SignatureError,
     UnknownIdError,
 )
-from .hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature, extend, tensor
+from .hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature, tensor
 from .meter import DiscreteGaussianMeter, MeterReadout, meter_readouts, q_grid
 from .optics import METER, ORBITAL, named_state
-from .weakvalue import observable
+from .weakvalue import lifted_observable
 
 __all__ = [
     "VARIANTS",
@@ -154,7 +153,9 @@ class CouplingSpec:
             if self.measure_arm not in ("L", "R"):
                 raise ParameterRangeError(
                     f"coupling.measure_arm must be L or R, got {self.measure_arm!r}")
-        if self.kick_sign not in (1, -1):
+        # the int 1 or -1 only: True and 1.0 would reach the config hash as written
+        integral = isinstance(self.kick_sign, (int, np.integer))
+        if not integral or isinstance(self.kick_sign, bool) or self.kick_sign not in (1, -1):
             raise ParameterRangeError(f"coupling.kick_sign must be 1 or -1, got {self.kick_sign!r}")
 
     @property
@@ -207,19 +208,11 @@ def _orbital_dim(sig: SpaceSignature) -> int:
         return 2
 
 
-@functools.cache
-def _lifted(obs_id: str | None, orbital_dim: int, system: SpaceSignature) -> np.ndarray:
-    """Catalog observable ``obs_id`` extended to ``system`` (zeros for None), read-only.
-
-    Cached for the life of the process: the key holds no coupling strength,
-    time or grid size, so it ranges over the catalog ids, orbital dimensions
-    and system signatures in use only.
-    """
+def _term(obs_id: str | None, orbital_dim: int, system: SpaceSignature) -> np.ndarray:
+    """Catalog observable ``obs_id`` on ``system``, zeros for None (:func:`lifted_observable`)."""
     if obs_id is None:
-        matrix = np.zeros((system.dim, system.dim), dtype=complex)
-        matrix.setflags(write=False)
-        return matrix
-    return extend(observable(obs_id, orbital_dim=orbital_dim), system).matrix  # frozen
+        return np.zeros((system.dim, system.dim), dtype=complex)
+    return lifted_observable(obs_id, system, orbital_dim=orbital_dim)
 
 
 def coupling_terms(spec: CouplingSpec,
@@ -228,12 +221,13 @@ def coupling_terms(spec: CouplingSpec,
 
     The kick generator is strength * (A (x) q_hat + B (x) 1); the static
     Hamiltonian is static (x) 1 with static = g' S.  Absent terms are zero.
-    A and B are shared read-only arrays, lifted once per process.
+    Catalog terms are lifted once per process, in the table the scenario
+    observables share.
     """
     row = spec.coupling
     d = _orbital_dim(system)
-    return (getattr(spec, row.strength), _lifted(row.a, d, system), _lifted(row.b, d, system),
-            spec.gprime * _lifted(row.s, d, system))
+    return (getattr(spec, row.strength), _term(row.a, d, system), _term(row.b, d, system),
+            spec.gprime * _term(row.s, d, system))
 
 
 def build_hamiltonian(spec: CouplingSpec, sig: SpaceSignature) -> tuple[Operator, Operator]:

@@ -142,9 +142,6 @@ class Operator:
         if not np.all(np.isfinite(mat.view(float))):
             raise ValueError("operator entries must be finite")
 
-    def is_hermitian(self, atol: float = FLAG_ATOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= atol)
-
     def apply(self, ket: Ket) -> Ket:
         if ket.signature != self.signature:
             raise SignatureError(

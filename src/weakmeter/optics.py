@@ -27,8 +27,7 @@ from .hilbert import Ket, SpaceSignature
 __all__ = [
     "PATH", "ORBITAL", "POLARIZATION", "METER",
     "path_signature", "polarization_signature", "orbital_signature", "check_orbital_dim",
-    "path_ket", "pol_ket", "pol_from_hv", "hv_components",
-    "orbital_vector", "orbital_ket", "orbital_matrix",
+    "pol_from_hv", "hv_components", "orbital_vector", "orbital_matrix",
     "named_state", "STATE_IDS", "check_state", "ARM_PROJECTORS",
 ]
 
@@ -61,14 +60,6 @@ def orbital_signature(dim: int = 2) -> SpaceSignature:
     return SpaceSignature(((ORBITAL, dim),))
 
 
-def path_ket(arm: str) -> Ket:
-    try:
-        column = {"L": (1, 0), "R": (0, 1)}[arm]
-    except KeyError:
-        raise UnknownIdError(f"path basis label must be 'L' or 'R', got {arm!r}") from None
-    return Ket(path_signature(), np.array(column, dtype=complex), normalized=True)
-
-
 def pol_from_hv(h_amp: complex, v_amp: complex) -> np.ndarray:
     """(+,-) coordinates of h_amp |H> + v_amp |V>."""
     return _HV_TO_PM @ np.array([h_amp, v_amp], dtype=complex)
@@ -77,18 +68,6 @@ def pol_from_hv(h_amp: complex, v_amp: complex) -> np.ndarray:
 def hv_components(pm_coords) -> np.ndarray:
     """H/V coordinates of a polarization vector stored in (+,-) coordinates."""
     return _HV_TO_PM.conj().T @ np.asarray(pm_coords, dtype=complex)
-
-
-def pol_ket(label: str) -> Ket:
-    coords = {
-        "+": np.array([1, 0], dtype=complex),
-        "-": np.array([0, 1], dtype=complex),
-        "H": pol_from_hv(1, 0),
-        "V": pol_from_hv(0, 1),
-    }
-    if label not in coords:
-        raise UnknownIdError(f"polarization basis label must be one of +,-,H,V, got {label!r}")
-    return Ket(polarization_signature(), coords[label], normalized=True)
 
 
 def orbital_vector(label: str, dim: int = 2) -> np.ndarray:
@@ -104,10 +83,6 @@ def orbital_vector(label: str, dim: int = 2) -> np.ndarray:
     if label not in vecs:
         raise UnknownIdError(f"orbital basis label must be 'va' or 'vb', got {label!r}")
     return vecs[label]
-
-
-def orbital_ket(label: str, dim: int = 2) -> Ket:
-    return Ket(orbital_signature(dim), orbital_vector(label, dim), normalized=True)
 
 
 def orbital_matrix(name: str, dim: int = 2) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .dynamics import COUPLINGS, CouplingSpec, kick_factors, transfer_readouts
+from .dynamics import COUPLINGS, VARIANTS, CouplingSpec, kick_factors, transfer_readouts
 from .errors import (
     ParameterRangeError,
     ScenarioSyntaxError,
@@ -26,10 +27,10 @@ from .errors import (
     UnknownKeyError,
     WeakmeterError,
 )
-from .hilbert import Ket, extend
+from .hilbert import Ket
 from .meter import check_meter, make_meter
 from .optics import STATE_IDS, check_state, named_state
-from .weakvalue import check_overlap, observable, observable_ids, weak_value_tables
+from .weakvalue import check_overlap, lifted_observable, observable_ids, weak_value_tables
 
 __all__ = [
     "DEFAULTS",
@@ -103,8 +104,72 @@ class ScenarioDoc:
         return hashlib.sha256(scenario_to_text(self).encode("utf-8")).hexdigest()
 
 
+# Every string the canonical text writes as it is: ids, variants, arms, keys
+# and sweep paths, each a plain YAML scalar (pinned in tests/test_scenario.py).
+_SECTION_FIELDS = {"preselect": ("id",) + _ANGLE_KEYS, "postselect": ("id",) + _ANGLE_KEYS,
+                   "coupling": _COUPLING_KEYS, "meter": _METER_KEYS}
+_VERBATIM = frozenset(
+    {*STATE_IDS, *VARIANTS, *observable_ids(), *(arm for _, arm in COUPLINGS if arm),
+     *_TOP_KEYS, *_SWEEP_KEYS,
+     *(leaf for leaves in _SECTION_FIELDS.values() for leaf in leaves),
+     *(f"{section}.{leaf}" for section, leaves in _SECTION_FIELDS.items() for leaf in leaves)})
+
+
+def _yaml_scalar(value) -> str:
+    """``value`` as PyYAML's SafeRepresenter writes it, for the scalar types of the schema."""
+    kind = type(value)
+    if kind is float:
+        if value != value:
+            return ".nan"
+        if value in (math.inf, -math.inf):
+            return ".inf" if value > 0 else "-.inf"
+        text = repr(value).lower()
+        # a float tag needs the dot: 1e+17 is written 1.0e+17
+        return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+    if kind is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if kind is str and value in _VERBATIM:
+        return value
+    raise yaml.representer.RepresenterError("cannot represent an object", value)
+
+
+def _block(lines: list, key: str, value, indent: str) -> None:
+    """Append ``key: value`` in PyYAML's block style, mapping keys sorted."""
+    head = f"{indent}{_yaml_scalar(key)}:"
+    kind = type(value)
+    if kind is dict and value:
+        lines.append(head)
+        for sub in sorted(value):
+            _block(lines, sub, value[sub], indent + "  ")
+    elif kind is list and value:
+        lines.append(head)
+        lines.extend(f"{indent}- {_yaml_scalar(item)}" for item in value)
+    elif kind is dict or kind is list:
+        lines.append(f"{head} {'{}' if kind is dict else '[]'}")
+    else:
+        lines.append(f"{head} {_yaml_scalar(value)}")
+
+
 def scenario_to_text(doc: ScenarioDoc) -> str:
-    return yaml.safe_dump(doc.to_dict(), sort_keys=True, default_flow_style=False)
+    """The canonical text of ``doc``, whose sha256 is the config hash.
+
+    It is ``yaml.safe_dump(doc.to_dict(), sort_keys=True,
+    default_flow_style=False)`` byte for byte, written here from the
+    validated schema: numbers as PyYAML's SafeRepresenter writes them, ids
+    and paths as they are.  Only the free-form name is rendered by PyYAML,
+    so its quoting and line folding stay PyYAML's.  A value outside the
+    schema raises ``yaml.representer.RepresenterError``.
+    """
+    data = doc.to_dict()
+    lines: list = []
+    for key in sorted(data):
+        if key == "name":
+            lines.append(yaml.safe_dump({key: data[key]}, default_flow_style=False)[:-1])
+        else:
+            _block(lines, key, data[key], "")
+    return "\n".join(lines) + "\n"
 
 
 def _reject_unknown(mapping: dict, allowed, where: str) -> None:
@@ -420,18 +485,14 @@ def _distinct(kets) -> tuple[list, dict]:
     return out, at
 
 
-def _observables(job: _Job, memo: dict) -> tuple[list, WeakmeterError | None]:
-    """The job's extended observables in order, up to the first that fails, and its error."""
+def _observables(job: _Job) -> tuple[list, WeakmeterError | None]:
+    """The job's observables on its states' space, up to the first that fails, and its error."""
     gprime_t = job.doc.coupling["gprime"] * job.doc.coupling["t"]
-    system = job.pre.signature
     ops = []
     for obs_id in job.doc.observables:
         try:
-            ops.append(_shared(
-                memo, ("observable", obs_id, job.orbital_dim, gprime_t, system),
-                lambda: extend(observable(obs_id, orbital_dim=job.orbital_dim,
-                                          gprime_t=gprime_t), system),
-            ))
+            ops.append(lifted_observable(obs_id, job.pre.signature, orbital_dim=job.orbital_dim,
+                                         gprime_t=gprime_t))
         except WeakmeterError as exc:
             return ops, exc
     return ops, None
@@ -466,7 +527,7 @@ def _run_key(jobs: list, memo: dict, chash: str, records: list) -> None:
     in post-selection.
     """
     first = jobs[0]
-    ops, op_error = _observables(first, memo)
+    ops, op_error = _observables(first)
     pres, pre_at = _distinct(job.pre for job in jobs)
     posts, post_at = _distinct(job.post for job in jobs)
 

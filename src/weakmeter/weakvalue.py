@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegeneratePostselectionError, UnknownIdError
-from .hilbert import Ket, Operator, extend, inner
+from .hilbert import Ket, Operator, SpaceSignature, extend, inner
 from .optics import (
     ARM_PROJECTORS,
     check_orbital_dim,
@@ -24,6 +25,7 @@ __all__ = [
     "WeakValueResult",
     "observable",
     "observable_ids",
+    "lifted_observable",
     "weak_value",
     "check_overlap",
     "weak_value_tables",
@@ -85,6 +87,43 @@ _CATALOG = {
 }
 
 
+def _terms(obs_id: str, orbital_dim: int):
+    """(signature, matrix, cross, coefficient) of a catalog entry.
+
+    An entry with a ``coefficient`` is matrix + coefficient * cross (see
+    :func:`_combined`); any other is ``matrix``, with ``cross`` None.
+    """
+    try:
+        arm, orbital, pol, coefficient = _CATALOG[obs_id]
+    except (KeyError, TypeError):
+        raise UnknownIdError(
+            f"unknown observable id {obs_id!r}; valid ids: {observable_ids()}") from None
+    check_orbital_dim(orbital_dim)
+    d = orbital_dim
+    if coefficient is not None:
+        sig = orbital_signature(d).concat(polarization_signature())
+        return (sig, np.kron(np.eye(d, dtype=complex), _SIGMA_Z),
+                np.kron(orbital_matrix(orbital, d), pol), coefficient)
+    factors = []
+    if arm is not None:
+        factors.append((path_signature(), arm))
+    if orbital is not None:
+        factors.append((orbital_signature(d), orbital_matrix(orbital, d)))
+    if pol is not None:
+        factors.append((polarization_signature(), pol))
+    sig, matrix = factors[-1]
+    for factor_sig, factor in reversed(factors[:-1]):  # arm (x) (orbital (x) polarization)
+        sig, matrix = factor_sig.concat(sig), np.kron(factor, matrix)
+    return sig, matrix, None, None
+
+
+def _combined(matrix: np.ndarray, cross, coefficient, gprime_t: float) -> np.ndarray:
+    """``matrix``, or the effective observable matrix + i g't cross (matrix - cross for -1)."""
+    if cross is None:
+        return matrix
+    return matrix - cross if coefficient == -1 else matrix + (1j * gprime_t) * cross
+
+
 def observable(obs_id: str, *, orbital_dim: int = 2, gprime_t: float = 0.0) -> Operator:
     """Catalog operator by id, on the signature of the factors its entry holds.
 
@@ -97,29 +136,33 @@ def observable(obs_id: str, *, orbital_dim: int = 2, gprime_t: float = 0.0) -> O
     (:func:`~weakmeter.optics.check_orbital_dim`), whether or not its entry
     holds an orbital factor.
     """
-    try:
-        arm, orbital, pol, coefficient = _CATALOG[obs_id]
-    except (KeyError, TypeError):
-        raise UnknownIdError(
-            f"unknown observable id {obs_id!r}; valid ids: {observable_ids()}") from None
-    check_orbital_dim(orbital_dim)
-    d = orbital_dim
-    if coefficient is not None:
-        sig = orbital_signature(d).concat(polarization_signature())
-        base = np.kron(np.eye(d, dtype=complex), _SIGMA_Z)
-        cross = np.kron(orbital_matrix(orbital, d), pol)
-        return Operator(sig, base - cross if coefficient == -1 else base + 1j * gprime_t * cross)
-    factors = []
-    if arm is not None:
-        factors.append((path_signature(), arm))
-    if orbital is not None:
-        factors.append((orbital_signature(d), orbital_matrix(orbital, d)))
-    if pol is not None:
-        factors.append((polarization_signature(), pol))
-    sig, matrix = factors[-1]
-    for factor_sig, factor in reversed(factors[:-1]):  # arm (x) (orbital (x) polarization)
-        sig, matrix = factor_sig.concat(sig), np.kron(factor, matrix)
-    return Operator(sig, matrix)
+    sig, matrix, cross, coefficient = _terms(obs_id, orbital_dim)
+    return Operator(sig, _combined(matrix, cross, coefficient, gprime_t))
+
+
+@functools.cache
+def _lifted(obs_id: str, orbital_dim: int, system: SpaceSignature):
+    """(matrix, cross, coefficient) of :func:`_terms`, each matrix extended to ``system``.
+
+    Cached for the life of the process: the key holds no coupling strength,
+    time or grid size, so it ranges over the catalog ids, orbital dimensions
+    and system signatures in use only.  The matrices are read-only.
+    """
+    sig, *terms, coefficient = _terms(obs_id, orbital_dim)
+    matrix, cross = (None if term is None else extend(Operator(sig, term), system).matrix
+                     for term in terms)
+    return matrix, cross, coefficient
+
+
+def lifted_observable(obs_id: str, system: SpaceSignature, *, orbital_dim: int = 2,
+                      gprime_t: float = 0.0) -> np.ndarray:
+    """The matrix of ``extend(observable(obs_id, ...), system)``, from a per-process table.
+
+    Equal to it entry by entry (a zero may differ in sign: an ``effective_*``
+    entry lifts its two terms and combines them after).  An id without a
+    ``gprime_t`` term returns the shared read-only matrix.
+    """
+    return _combined(*_lifted(obs_id, orbital_dim, system), gprime_t)
 
 
 def observable_ids() -> tuple[str, ...]:
@@ -171,22 +214,23 @@ def weak_value(pre: Ket, post: Ket, a: Operator, *, observable_id: str = "",
     )
 
 
-def weak_value_tables(pres, posts, ops) -> tuple[np.ndarray, list[np.ndarray]]:
+def weak_value_tables(pres, posts, matrices) -> tuple[np.ndarray, list[np.ndarray]]:
     """<post|pre> and <post|A|pre> / <post|pre> for every (post, pre) pair.
 
-    Returns the overlaps and one table per operator in ``ops``, each indexed
-    [post, pre].  The overlaps are :func:`inner` itself, as in
-    :func:`weak_value`; each operator is one contraction over all the states,
-    in which every entry sums over the system axis on its own, so its bits
-    do not depend on the other states.  Degenerate pairs are not rejected
-    here (see :func:`check_overlap`); their entries may be inf or NaN.
+    Returns the overlaps and one table per matrix A in ``matrices`` (on the
+    states' signature), each indexed [post, pre].  The overlaps are
+    :func:`inner` itself, as in :func:`weak_value`; each matrix is one
+    contraction over all the states, in which every entry sums over the
+    system axis on its own, so its bits do not depend on the other states.
+    Degenerate pairs are not rejected here (see :func:`check_overlap`);
+    their entries may be inf or NaN.
     """
     overlaps = np.array([[inner(post, pre) for pre in pres] for post in posts])
     kets = np.array([ket.amplitudes for ket in pres])
     bras = np.array([ket.amplitudes for ket in posts]).conj()[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return overlaps, [np.sum(bras * np.sum(op.matrix * kets[:, None, :], axis=-1), axis=-1)
-                          / overlaps for op in ops]
+        return overlaps, [np.sum(bras * np.sum(matrix * kets[:, None, :], axis=-1), axis=-1)
+                          / overlaps for matrix in matrices]
 
 
 _CHESHIRE_OBS = ("pi_L", "pi_R", "sigma_z_L", "sigma_z_R", "sigma_x_L", "sigma_x_R")

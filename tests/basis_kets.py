@@ -1,0 +1,40 @@
+"""Basis kets and a hermiticity check that the tests build references from.
+
+The package writes every named state in closed form (``optics.named_state``);
+these helpers compose the same states from path, polarization and orbital
+basis kets, so the tests can compare the two.
+"""
+
+import numpy as np
+
+from weakmeter.hilbert import FLAG_ATOL, Ket, Operator
+from weakmeter.optics import (
+    orbital_signature,
+    orbital_vector,
+    path_signature,
+    pol_from_hv,
+    polarization_signature,
+)
+
+
+def path_ket(arm: str) -> Ket:
+    column = {"L": (1, 0), "R": (0, 1)}[arm]
+    return Ket(path_signature(), np.array(column, dtype=complex), normalized=True)
+
+
+def pol_ket(label: str) -> Ket:
+    coords = {
+        "+": np.array([1, 0], dtype=complex),
+        "-": np.array([0, 1], dtype=complex),
+        "H": pol_from_hv(1, 0),
+        "V": pol_from_hv(0, 1),
+    }[label]
+    return Ket(polarization_signature(), coords, normalized=True)
+
+
+def orbital_ket(label: str, dim: int = 2) -> Ket:
+    return Ket(orbital_signature(dim), orbital_vector(label, dim), normalized=True)
+
+
+def is_hermitian(op: Operator, atol: float = FLAG_ATOL) -> bool:
+    return bool(np.max(np.abs(op.matrix - op.matrix.conj().T)) <= atol)

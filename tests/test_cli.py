@@ -219,6 +219,18 @@ class TestSweep:
         # 5 points x 4 observables
         assert len(lines) == 1 + 20
 
+    @pytest.mark.parametrize("name", ["'1e3'", "'2E-5'", "'null'"])
+    def test_name_that_reads_as_a_number_survives_the_sweep(self, tmp_path, capsys, name):
+        # the sweep once re-parsed a YAML dump of the document, where 1e3 reads as a float
+        doc = tmp_path / "named.yaml"
+        doc.write_text(load_bundle("disembodiment").replace("name: disembodiment",
+                                                            f"name: {name}"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", str(doc), "--param", "preselect.theta",
+                                 "--start", "0.1", "--stop", "0.5", "--steps", "2")
+        assert code == EXIT_OK, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 8 and {row[0] for row in rows} == {name.strip("'")}
+
 
     def test_negative_exponent_bounds(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "bundle:cheshire", "--param", "coupling.g",

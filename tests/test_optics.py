@@ -8,16 +8,15 @@ from weakmeter.optics import (
     STATE_IDS,
     hv_components,
     named_state,
-    orbital_ket,
     orbital_matrix,
     orbital_signature,
     orbital_vector,
-    path_ket,
     path_signature,
     pol_from_hv,
-    pol_ket,
     polarization_signature,
 )
+
+from basis_kets import orbital_ket, path_ket, pol_ket
 
 PP = path_signature().concat(polarization_signature())
 

@@ -3,8 +3,8 @@
 Every row is one bad value for one rule.  The rule lives with the object it
 guards (``CouplingSpec``, ``meter.check_meter``, ``optics.check_state``), and
 the scenario layer calls it, so the library constructor, ``parse_scenario``,
-``apply_override`` and a sweep row all reject the value with the same error
-type and the same rule text.
+``apply_override``, ``weakmeter run --set`` and a sweep row all reject the
+value with the same error type and the same rule text.
 """
 
 import math
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+from weakmeter.cli import EXIT_PARSE, main
 from weakmeter.dynamics import CouplingSpec
 from weakmeter.errors import ParameterRangeError, UnknownIdError
 from weakmeter.meter import make_meter
@@ -57,6 +58,11 @@ RULES = [
     (PARALLEL, "coupling.measure_arm", "X", ParameterRangeError,
      "coupling.measure_arm must be L or R, got 'X'"),
     (PLAIN, "coupling.kick_sign", 2, ParameterRangeError, "coupling.kick_sign must be 1 or -1"),
+    # moved: True and 1.0 passed, and reached records and the config hash as written
+    (PLAIN, "coupling.kick_sign", True, ParameterRangeError,
+     "coupling.kick_sign must be 1 or -1, got True"),
+    (PLAIN, "coupling.kick_sign", 1.0, ParameterRangeError,
+     "coupling.kick_sign must be 1 or -1, got 1.0"),
     (PLAIN, "meter.N", 0, ParameterRangeError, "meter.N must be a positive integer, got 0"),
     # moved: make_meter truncated a non-integral half-width with int()
     (PLAIN, "meter.N", 8.5, ParameterRangeError, "meter.N must be a positive integer, got 8.5"),
@@ -121,8 +127,10 @@ def test_override_rejects(base, path, value, kind, text):
     assert text in str(err.value)
 
 
-# a sweep list takes finite numbers only
-SWEPT = [row for row in RULES if isinstance(row[2], (int, float)) and math.isfinite(row[2])]
+# a sweep list takes finite numbers only (no bool), and gives an integer field
+# its integral values as ints, so a swept kick_sign 1.0 is the valid 1
+SWEPT = [row for row in RULES if type(row[2]) in (int, float) and math.isfinite(row[2])
+         and not (row[1] == "coupling.kick_sign" and row[2] in (1, -1))]
 
 
 @pytest.mark.parametrize("base,path,value,kind,text", SWEPT,
@@ -136,6 +144,29 @@ def test_sweep_row_rejects(base, path, value, kind, text):
     assert bad.error.startswith(f"{kind.__name__}: ")
     assert text in bad.error
     assert bad.weak_values == {} and bad.mean_p is None
+
+
+@pytest.mark.parametrize("base,path,value,kind,text", RULES, ids=IDS)
+def test_cli_set_rejects(tmp_path, capsys, base, path, value, kind, text):
+    # weakmeter run FILE --set PATH=VALUE, the value written as YAML
+    scenario = tmp_path / "base.yaml"
+    scenario.write_text(base, encoding="utf-8")
+    raw = yaml.safe_dump(value).splitlines()[0]
+    assert main(["run", str(scenario), "--set", f"{path}={raw}"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert text in err
+
+
+@pytest.mark.parametrize("values", ["[1, -1]", "[1.0, -1.0]"])
+def test_kick_sign_sweeps_as_ints(values):
+    # _sweep_points hands the integer field integral values as ints
+    doc = parse_scenario(PLAIN + f"sweep:\n  coupling.kick_sign: {{values: {values}}}\n")
+    plus, minus = run_scenario(doc)
+    assert [plus.point, minus.point] == [{"coupling.kick_sign": 1}, {"coupling.kick_sign": -1}]
+    assert type(minus.point["coupling.kick_sign"]) is int
+    assert plus.error == minus.error == ""
+    assert minus.fit_value == pytest.approx(-plus.fit_value, rel=1e-9)
 
 
 @pytest.mark.parametrize("value", [math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), -0.0])

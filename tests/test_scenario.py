@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weakmeter.dynamics import COUPLINGS, VARIANTS, _lifted
+from weakmeter.dynamics import COUPLINGS, VARIANTS
 from weakmeter.errors import (
     ParameterRangeError,
     ScenarioSyntaxError,
@@ -370,7 +370,10 @@ class TestReuse:
     @pytest.mark.parametrize("variant, arm", list(COUPLINGS))
     def test_lifted_catalog_cache_does_not_grow_with_parameters(self, variant, arm):
         # the cache key is (observable id, orbital dim, system): sweeping every
-        # coupling number and the grid size reuses the first point's entries
+        # coupling number (so g't too) and the grid size reuses the first
+        # point's entries, for coupling terms and observables alike
+        from weakmeter.weakvalue import _lifted
+
         arm_field = "" if arm is None else f", measure_arm: {arm}"
         text = f"""
 name: lifted-cache
@@ -378,9 +381,10 @@ preselect: {{id: disembody_in, theta: 0.5}}
 postselect: {{id: disembody_f, alpha: 0.25}}
 coupling: {{variant: {variant}, g: 1.0e-3, gprime: 1.0e-3, t: 1.0, kick_time: 0.0{arm_field}}}
 meter: {{N: 8, delta: 1.5}}
+observables: [sigma_z_R, effective_spin_orbit, effective_parallel_lz, effective_three_body]
 """
         (first,) = run_scenario(parse_scenario(text))
-        assert first.fit_value is not None
+        assert first.fit_value is not None and len(first.weak_values) == 4
         entries = _lifted.cache_info().currsize
         assert entries > 0
         records = run_scenario(parse_scenario(text + """
@@ -646,3 +650,80 @@ class TestReadmeLists:
 
     def test_coupling_variants(self):
         assert self.listed("Coupling variants") == list(VARIANTS)
+
+
+class TestCanonicalText:
+    """The config hash is published output: sha256 of PyYAML's safe_dump text of the document."""
+
+    # sha256 of scenario_to_text as safe_dump wrote it; a change here changes published hashes
+    BUNDLE_HASHES = {
+        "amplification": "e6565998dffb59cea1c00084e929fadb36f3fda8a9043071fbcbebd2fcc67516",
+        "cheshire": "fa1841688abb27ce4ab4772fefedb066c22bc94db2fbec96aa50c7fd2c33a534",
+        "disembodiment": "85830322b8afc79b71bc719445a8b14adea2791925c295bcdebe49aac12b14f6",
+        "disembodiment_noise": "fce190c68685594af512b2c28b5648d12a0856ef9f908f838a9ee3a60891c0ac",
+        "noisy_spin_orbit": "5b7535fa7f1c73f9c9824f4f715d37a332401eaad892cbd3fe3598d25d4a7bf3",
+        "parallel_noise_1": "b60f2128abc0557456166d85cc18dc97fac71c89a4b29bc8fb55963aa4b10f60",
+        "parallel_noise_2": "0bc2720ad2f2c5e0cbd3daa5ef610eb5769c963eb56af4749b53dbffaba25368",
+        "three_body": "64658c1ccb2c442b43c17a9906b18ffce29cc4e7a408b6ed2926421f81cd8d40",
+    }
+    DOC_HASHES = {
+        "start-stop-steps": (DISEMBODY_SWEEP,
+                             "28c5b96c1f71f7f69ddc55006d4bc3c5cd884e8675a55e57fe7aeda5f9632d44"),
+        "values": (ANGLE_GRID, "533b0d85d7d468dfa8ba58dc9da051c3b5ebc50a5ccf8ea3d13bc0c4b2292950"),
+        "five-paths": (PARALLEL_MULTI,
+                       "5633b527383161540d6ce0b13c05b44c78f5a04c2b483f96b0c9d617ab89c61e"),
+    }
+
+    def test_bundle_hashes_are_pinned(self):
+        from weakmeter.cli import list_bundles, load_bundle
+
+        assert list_bundles() == sorted(self.BUNDLE_HASHES)
+        for name, want in self.BUNDLE_HASHES.items():
+            assert parse_scenario(load_bundle(name)).config_hash() == want, name
+
+    @pytest.mark.parametrize("label", list(DOC_HASHES))
+    def test_sweep_doc_hashes_are_pinned(self, label):
+        text, want = self.DOC_HASHES[label]
+        doc = parse_scenario(text)
+        assert doc.sweep
+        assert doc.config_hash() == want
+        assert run_scenario(doc)[0].config_hash == want
+
+    def test_text_is_safe_dump(self):
+        import yaml
+
+        for text, _ in self.DOC_HASHES.values():
+            doc = parse_scenario(text)
+            assert scenario_to_text(doc) == yaml.safe_dump(doc.to_dict(), sort_keys=True,
+                                                           default_flow_style=False)
+
+    @staticmethod
+    def verbatim_tokens() -> set:
+        """Every id, variant, arm, key and sweepable path the text can hold besides the name."""
+        from weakmeter import scenario
+        from weakmeter.weakvalue import observable_ids
+
+        angles = {angle for names in STATE_IDS.values() for angle in names}
+        fields = {"preselect": angles | {"id"}, "postselect": angles | {"id"},
+                  "coupling": set(scenario.DEFAULTS["coupling"]),
+                  "meter": set(scenario.DEFAULTS["meter"])}
+        paths = {f"{section}.{leaf}" for section, leaves in fields.items() for leaf in leaves}
+        arms = {arm for _, arm in COUPLINGS if arm is not None}
+        keys = set(fields) | set().union(*fields.values()) | {
+            "name", "observables", "sweep", "values", "start", "stop", "steps"}
+        return (set(STATE_IDS) | set(VARIANTS) | set(observable_ids()) | arms | paths | keys)
+
+    def test_every_verbatim_token_is_a_plain_scalar(self):
+        # a future id that YAML would quote fails here instead of changing hashes
+        import yaml
+
+        from weakmeter.scenario import _VERBATIM
+
+        tokens = self.verbatim_tokens()
+        assert _VERBATIM <= tokens  # the writer's own list holds nothing unchecked
+        assert {"amp_in", "noiseless_kick", "effective_three_body", "R", "theta",
+                "coupling.kick_sign", "meter.N"} <= tokens
+        for token in sorted(tokens):
+            assert yaml.safe_dump({token: token}) == f"{token}: {token}\n", token
+            assert yaml.safe_dump({token: [token]}, default_flow_style=False) == (
+                f"{token}:\n- {token}\n"), token

@@ -1,19 +1,29 @@
+import re
+
 import numpy as np
 import pytest
 
-from weakmeter.errors import DegeneratePostselectionError, ParameterRangeError, UnknownIdError
+from weakmeter.errors import (
+    DegeneratePostselectionError,
+    ParameterRangeError,
+    SignatureError,
+    UnknownIdError,
+)
 from weakmeter.hilbert import Ket, Operator, extend
 from weakmeter.optics import named_state, orbital_matrix, path_signature, polarization_signature
 from weakmeter.weakvalue import (
     EPS_OVERLAP,
     cheshire_table,
     disembodiment_table,
+    lifted_observable,
     noisy_effective_weak_value,
     observable,
     observable_ids,
     three_body_comparison,
     weak_value,
 )
+
+from basis_kets import is_hermitian
 
 
 def oracle_wv(pre, post, matrix):
@@ -232,7 +242,7 @@ class TestWeakValueProperties:
             if obs_id.startswith("effective_"):
                 continue
             op = observable(obs_id, orbital_dim=2)
-            assert op.is_hermitian(1e-12), obs_id
+            assert is_hermitian(op, 1e-12), obs_id
 
     def test_projectors_resolve_identity(self):
         total = observable("pi_L").matrix + observable("pi_R").matrix
@@ -362,3 +372,36 @@ class TestCatalogPin:
             named_state("cheshire_in", orbital_dim=dim)
         with pytest.raises(ParameterRangeError):
             orbital_matrix("L_x", dim)
+
+
+class TestLiftedObservable:
+    """The per-process table equals extend(observable(...)) entry by entry."""
+
+    SYSTEMS = {"path-pol": ("cheshire_in", {}), "orbital-pol": ("noisy_in", {}),
+               "path-orbital-pol": ("disembody_in", {"theta": 0.5})}
+
+    @pytest.mark.parametrize("orbital_dim", [2, 3])
+    @pytest.mark.parametrize("system", list(SYSTEMS))
+    def test_matches_extend_of_observable(self, system, orbital_dim):
+        state, angles = self.SYSTEMS[system]
+        target = named_state(state, orbital_dim=orbital_dim, **angles).signature
+        for obs_id in observable_ids():
+            for gprime_t in (0.0, 1e-3, 0.3333333333, 7.5):
+                try:
+                    want = extend(observable(obs_id, orbital_dim=orbital_dim,
+                                             gprime_t=gprime_t), target).matrix
+                except SignatureError as exc:  # a factor the states do not carry
+                    with pytest.raises(SignatureError, match=re.escape(str(exc))):
+                        lifted_observable(obs_id, target, orbital_dim=orbital_dim,
+                                          gprime_t=gprime_t)
+                    continue
+                got = lifted_observable(obs_id, target, orbital_dim=orbital_dim,
+                                        gprime_t=gprime_t)
+                # equal up to the sign of a zero
+                np.testing.assert_array_equal(got, want, err_msg=f"{obs_id} {gprime_t}")
+
+    def test_entries_without_gprime_t_are_shared_and_read_only(self):
+        target = named_state("disembody_in", theta=0.5).signature
+        first = lifted_observable("Lx_sigma_x_L", target)
+        assert lifted_observable("Lx_sigma_x_L", target, gprime_t=3.0) is first
+        assert not first.flags.writeable
