@@ -19,8 +19,12 @@ Every coupling is diagonal in the pointer position (see ``COUPLINGS``), so
 a post-selected pointer is the meter times the transfer amplitude
 f(q) = <post| U(q) |pre>, and no joint system+meter operator is formed.
 The kick's A and B commute, so U(q) = V diag(exp(i s g q a)) V^dagger
-exp(i s g B), built from d x d terms by ``kick_factors_from_terms`` with one
-``eigh`` per Hermitian term (``kick_factors`` feeds it a catalog row).
+exp(i s g B), built from d x d terms in two steps: a basis (the terms
+checked, one ``eigh`` of each nonzero term) and its cheap application at a
+strength, g', times and grid.  ``kick_factors_from_terms`` takes both steps
+on every call; ``kick_factors``, the catalog path, reads a row's basis (S
+unscaled by g') from a per-process table keyed on the row and the system
+signature, so its calls take no ``eigh``.
 ``_transfer_rows`` is the one kernel that applies the evolution: every
 pointer (``pointer_readout``, sweeps) is read from it, and ``evolve_exact``
 is its joint-state view with the system basis as post-states.
@@ -28,9 +32,11 @@ is its joint-state view with the system basis as post-states.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,6 +163,7 @@ class CouplingSpec:
         integral = isinstance(self.kick_sign, (int, np.integer))
         if not integral or isinstance(self.kick_sign, bool) or self.kick_sign not in (1, -1):
             raise ParameterRangeError(f"coupling.kick_sign must be 1 or -1, got {self.kick_sign!r}")
+        object.__setattr__(self, "kick_sign", int(self.kick_sign))  # a numpy integer as plain int
 
     @property
     def coupling(self) -> Coupling:
@@ -291,24 +298,47 @@ def _exp(eigenvalues: np.ndarray, vectors: np.ndarray, scale: complex) -> np.nda
     return (vectors * np.exp(scale * eigenvalues)) @ vectors.conj().T
 
 
-def kick_factors_from_terms(system: SpaceSignature, strength: float, a: np.ndarray,
-                            b: np.ndarray, static: np.ndarray, meter: DiscreteGaussianMeter, *,
-                            kick_sign: int = 1, before: float = 0.0, after: float = 0.0,
-                            name: str = "strength") -> KickFactors:
-    """Kick factors of exp(-i static after) exp(+i s strength (A q + B)) exp(-i static before).
+class _KickBasis(NamedTuple):
+    """The (eigenvalues, vectors) of ``eigh`` of a kick's A, B and S; None for a zero B or S."""
 
-    ``a``, ``b``, ``static``: d x d finite Hermitian matrices on ``system``
-    (zeros where absent), A and B commuting, else ``ValueError`` (or
-    :class:`SignatureError` off ``system``); s is ``kick_sign``.  Each nonzero
-    term takes one ``eigh``, the static one serving both its factors.  A kick
-    leaving the float range on the grid raises :class:`NumericalOverflowError`
-    naming the strength ``name``.
+    a: tuple
+    b: tuple | None
+    s: tuple | None
+
+
+def _kick_basis(system: SpaceSignature, a: np.ndarray, b: np.ndarray,
+                s: np.ndarray) -> _KickBasis:
+    """Check the terms (:func:`_require_kick_terms`), then one ``eigh`` of each nonzero one."""
+    _require_kick_terms(system, a, b, s)
+    return _KickBasis(np.linalg.eigh(a), np.linalg.eigh(b) if np.any(b) else None,
+                      np.linalg.eigh(s) if np.any(s) else None)
+
+
+@functools.cache
+def _catalog_basis(row: Coupling, system: SpaceSignature) -> _KickBasis:
+    """:func:`_kick_basis` of a catalog row's terms, S unscaled by g'.
+
+    Cached for the life of the process: the key holds no coupling strength,
+    time or grid size, so it ranges over the ``COUPLINGS`` rows and system
+    signatures in use only (as ``weakvalue._lifted``).  The arrays are
+    read-only.  A row whose terms fail the checks raises on every call.
     """
-    _require_kick_terms(system, a, b, static)
-    eigenvalues, vectors = np.linalg.eigh(a)
+    d = _orbital_dim(system)
+    basis = _kick_basis(system, *(_term(obs_id, d, system) for obs_id in (row.a, row.b, row.s)))
+    for pair in filter(None, basis):
+        for array in pair:
+            array.setflags(write=False)
+    return basis
+
+
+def _apply_kick(system: SpaceSignature, basis: _KickBasis, strength: float, gprime: float,
+                meter: DiscreteGaussianMeter, kick_sign: int, before: float, after: float,
+                name: str) -> KickFactors:
+    """The factors of exp(-i g' S after) exp(+i s strength (A q + B)) exp(-i g' S before)."""
+    eigenvalues, vectors = basis.a
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         angles = kick_sign * strength * np.outer(meter.q, eigenvalues)
-        kick_b = _exp(*np.linalg.eigh(b), 1j * kick_sign * strength) if np.any(b) else None
+        kick_b = None if basis.b is None else _exp(*basis.b, 1j * kick_sign * strength)
     if not (np.all(np.isfinite(angles)) and (kick_b is None or np.all(np.isfinite(kick_b)))):
         raise NumericalOverflowError(
             f"kick generator {name} * (A q + B) is not finite on the grid "
@@ -317,12 +347,13 @@ def kick_factors_from_terms(system: SpaceSignature, strength: float, a: np.ndarr
     pre_map, post_map = vectors.conj().T, vectors
     if kick_b is not None:
         pre_map = pre_map @ kick_b
-    if np.any(static):
-        static_basis = np.linalg.eigh(static)
+    if basis.s is not None and gprime:
+        static_values, static_vectors = basis.s
+        static_values = gprime * static_values
         if before:
-            pre_map = pre_map @ _exp(*static_basis, -1j * before)
+            pre_map = pre_map @ _exp(static_values, static_vectors, -1j * before)
         if after:
-            post_map = _exp(*static_basis, -1j * after) @ vectors
+            post_map = _exp(static_values, static_vectors, -1j * after) @ vectors
     factors = KickFactors(system=system, strength=strength, pre_map=pre_map,
                           post_map=post_map, phases=np.exp(1j * angles))
     for array in (factors.pre_map, factors.post_map, factors.phases):
@@ -330,17 +361,40 @@ def kick_factors_from_terms(system: SpaceSignature, strength: float, a: np.ndarr
     return factors
 
 
+def kick_factors_from_terms(system: SpaceSignature, strength: float, a: np.ndarray,
+                            b: np.ndarray, static: np.ndarray, meter: DiscreteGaussianMeter, *,
+                            kick_sign: int = 1, before: float = 0.0, after: float = 0.0,
+                            name: str = "strength") -> KickFactors:
+    """Kick factors of exp(-i static after) exp(+i s strength (A q + B)) exp(-i static before).
+
+    ``a``, ``b``, ``static``: d x d finite Hermitian matrices on ``system``
+    (zeros where absent), A and B commuting, else ``ValueError`` (or
+    :class:`SignatureError` off ``system``); s is ``kick_sign``.  The terms
+    are checked and each nonzero one takes one ``eigh`` on every call, the
+    static one serving both its factors.  A kick leaving the float range on
+    the grid raises :class:`NumericalOverflowError` naming the strength ``name``.
+    """
+    return _apply_kick(system, _kick_basis(system, a, b, static), strength, 1.0, meter,
+                       kick_sign, before, after, name)
+
+
 def kick_factors(spec: CouplingSpec, system: SpaceSignature,
                  meter: DiscreteGaussianMeter) -> KickFactors:
-    """:func:`kick_factors_from_terms` on the terms :func:`coupling_terms` lifts from a catalog row.
+    """The kick factors of a catalog row: :func:`kick_factors_from_terms` on :func:`coupling_terms`.
 
-    The factors depend on the coupling, the system signature and the grid
-    size only, so one set serves every pre-state of a sweep at that key.
+    The row's terms are checked and decomposed once per process and system
+    signature, S unscaled by g' (a per-process table keyed on the row and
+    the signature only); a call scales those eigenvalues by its strength,
+    g' and times and takes no ``eigh``.  So the factors equal those of
+    :func:`kick_factors_from_terms` bit for bit where no static factor acts,
+    and to rounding otherwise.  They depend on the coupling, the system
+    signature and the grid size only, so one set serves every pre-state of
+    a sweep at that key.
     """
+    row = spec.coupling
     before = spec.resolved_kick_time
-    return kick_factors_from_terms(system, *coupling_terms(spec, system), meter,
-                                   kick_sign=spec.kick_sign, before=before,
-                                   after=spec.t - before, name=spec.coupling.strength)
+    return _apply_kick(system, _catalog_basis(row, system), getattr(spec, row.strength),
+                       spec.gprime, meter, spec.kick_sign, before, spec.t - before, row.strength)
 
 
 def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter) -> Ket:

@@ -212,7 +212,8 @@ def _validate_coupling(section) -> dict:
         out[key] = _require_number(out[key], f"coupling.{key}")
     if out["kick_time"] is not None:
         out["kick_time"] = _require_number(out["kick_time"], "coupling.kick_time")
-    CouplingSpec(**out)  # raises if a coupling rule fails
+    # raises if a coupling rule fails; a numpy integer kick_sign comes back a plain int
+    out["kick_sign"] = CouplingSpec(**out).kick_sign
     return out
 
 
@@ -226,6 +227,7 @@ def _validate_meter(section) -> dict:
     out.update(section)
     out["delta"] = _require_number(out["delta"], "meter.delta")
     check_meter(out["N"], out["delta"])
+    out["N"] = int(out["N"])  # a numpy integer as the int the config text writes
     return out
 
 

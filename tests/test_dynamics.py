@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -7,7 +8,9 @@ import scipy.linalg
 
 from weakmeter.dynamics import (
     COUPLINGS,
+    Coupling,
     CouplingSpec,
+    _catalog_basis,
     build_hamiltonian,
     coupling_terms,
     disembodied_measurement,
@@ -298,9 +301,10 @@ class TestKickFactors:
                                     observable("sigma_x").matrix, np.zeros((2, 2)), METER32)
 
     def test_one_d_by_d_eigendecomposition_per_key(self, monkeypatch):
-        # eigh runs on d x d matrices only, at most once per Hermitian term
-        # (A, B and the static S, which serves both sides of the kick), never
-        # batched over the grid
+        # the first call at a (row, system) key takes one d x d eigh per nonzero
+        # term (A, B and the unscaled static S, which serves both sides of the
+        # kick); later calls at that key take none, whatever their g, g', t,
+        # kick_time, kick_sign or grid; no eigh is ever batched over the grid
         shapes = []
         eigh = np.linalg.eigh
 
@@ -309,16 +313,79 @@ class TestKickFactors:
             return eigh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        _catalog_basis.cache_clear()
         pre, meter = random_pre_and_meter(31)
-        for variant, arm, kick_time, terms in [
-                ("noiseless_kick", None, 0.4, 1), ("measure_sigma_zR", None, 0.4, 2),
-                ("spin_orbit", None, 1.5, 2), ("spin_orbit", None, 0.4, 2),
-                ("parallel_1", "R", 0.4, 3)]:
+        later = [  # (g, g', t, kick_time, kick_sign, grid N)
+            (0.3, 0.2, 1.5, 0.4, 1, 6), (0.05, 0.0, 1.5, None, -1, 6), (0.7, 1e-3, 3.0, 0.0, 1, 3),
+            (0.3, 0.2, 0.5, 0.5, -1, 17), (1e-3, 0.4, 2.0, 1.1, 1, 40)]
+        for variant, arm, terms in [("noiseless_kick", None, 1), ("measure_sigma_zR", None, 2),
+                                    ("spin_orbit", None, 2), ("parallel_1", "R", 3),
+                                    ("measure_LxSx_L", None, 2)]:
             shapes.clear()
-            factors = kick_factors(dense_spec(variant, arm, 1, kick_time), pre.signature, meter)
+            factors = kick_factors(dense_spec(variant, arm, 1, 0.4), pre.signature, meter)
             assert shapes == [(12, 12)] * terms
             assert factors.phases.shape == (meter.size, 12)
             assert factors.pre_map.shape == factors.post_map.shape == (12, 12)
+            shapes.clear()
+            for g, gprime, t, kick_time, kick_sign, n in later:
+                spec = CouplingSpec(variant=variant, g=g, gprime=gprime, t=t, kick_time=kick_time,
+                                    measure_arm=arm, kick_sign=kick_sign)
+                grid = make_meter(n, 0.5)
+                factors = kick_factors(spec, pre.signature, grid)
+                assert factors.phases.shape == (grid.size, 12)
+            assert shapes == []
+
+    @ALL_COUPLINGS
+    def test_cached_basis_matches_the_terms_path(self, variant, arm):
+        # the catalog path scales the cached eigenvalues of S by g'; the terms
+        # path decomposes g' S itself, so they agree to rounding, and bit for
+        # bit where no static factor acts
+        row = COUPLINGS[variant, arm]
+        system = named_state("disembody_in", theta=0.9, orbital_dim=row.orbital_dim).signature
+        t = 1.5
+        for gprime, kick_time, kick_sign in itertools.product((0.0, 1e-3, 0.2), (0.0, 0.6, t),
+                                                              (1, -1)):
+            spec = CouplingSpec(variant=variant, g=0.3, gprime=gprime, t=t, kick_time=kick_time,
+                                measure_arm=arm, kick_sign=kick_sign)
+            got = kick_factors(spec, system, METER32)
+            want = kick_factors_from_terms(system, *coupling_terms(spec, system), METER32,
+                                           kick_sign=kick_sign, before=kick_time,
+                                           after=t - kick_time, name=row.strength)
+            assert got.strength == want.strength
+            for x, y in ((got.pre_map, want.pre_map), (got.post_map, want.post_map),
+                         (got.phases, want.phases)):
+                if gprime == 0.0 or row.s is None:
+                    np.testing.assert_array_equal(x, y)
+                else:
+                    assert np.max(np.abs(x - y)) <= 1e-14 * max(1.0, np.max(np.abs(y)))
+
+    @ALL_COUPLINGS
+    def test_basis_cache_does_not_grow_with_parameters(self, variant, arm):
+        row = COUPLINGS[variant, arm]
+        system = named_state("disembody_in", theta=0.9, orbital_dim=row.orbital_dim).signature
+        kick_factors(dense_spec(variant, arm, 1, 0.4), system, METER32)
+        entries = _catalog_basis.cache_info().currsize
+        for g, gprime, t, n in itertools.product((0.01, 0.3), (0.0, 1e-3, 0.2), (1.0, 2.5),
+                                                 (4, 9)):
+            spec = CouplingSpec(variant=variant, g=g, gprime=gprime, t=t, measure_arm=arm)
+            kick_factors(spec, system, make_meter(n, 0.5))
+        assert _catalog_basis.cache_info().currsize == entries
+        for array in itertools.chain(*filter(None, _catalog_basis(row, system))):
+            assert not array.flags.writeable
+
+    def test_non_commuting_catalog_row_raises_on_every_call(self, monkeypatch):
+        # a failed check is not cached: the row raises the terms path's error each time
+        row = Coupling("g", "sigma_z", "sigma_x")
+        monkeypatch.setitem(COUPLINGS, ("noiseless_kick", None), row)
+        spec = CouplingSpec(variant="noiseless_kick", g=0.3)
+        system = named_state("amp_in", theta=0.5).signature
+        with pytest.raises(ValueError) as direct:
+            kick_factors_from_terms(system, *coupling_terms(spec, system), METER32)
+        assert "do not commute (max |AB - BA| = 2.000e+00)" in str(direct.value)
+        for _ in range(3):
+            with pytest.raises(ValueError) as cached:
+                kick_factors(spec, system, METER32)
+            assert str(cached.value) == str(direct.value)
 
     def test_factors_and_catalog_terms_are_read_only(self):
         pre, meter = random_pre_and_meter(31)

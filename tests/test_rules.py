@@ -178,3 +178,21 @@ def test_angles_just_inside_the_range_pass_every_route(value):
     # the radian round trip of named_state keeps the value inside (-pi, pi)
     named_state("amp_in", theta=value * np.pi)
     named_state("noisy_f", alpha=value * np.pi)
+
+
+@pytest.mark.parametrize("path,value", [("meter.N", np.int64(8)), ("meter.N", np.uint8(8)),
+                                        ("coupling.kick_sign", np.int64(-1)),
+                                        ("coupling.kick_sign", np.int32(-1))],
+                         ids=["N-int64", "N-uint8", "kick_sign-int64", "kick_sign-int32"])
+def test_numpy_integers_are_stored_as_plain_ints(path, value):
+    # a numpy integer passes the integer rules and is kept as the int it equals,
+    # so the config text (and hash) is that of the plain int and the run succeeds
+    plain = apply_override(parse_scenario(PLAIN), path, int(value))
+    doc = apply_override(parse_scenario(PLAIN), path, value)
+    section, leaf = path.split(".")
+    assert type(getattr(doc, section)[leaf]) is int
+    assert doc.config_hash() == plain.config_hash()
+    (record,) = run_scenario(doc)
+    assert record.error == "" and record.config_hash == plain.config_hash()
+    if path == "coupling.kick_sign":
+        assert type(CouplingSpec(variant="noiseless_kick", kick_sign=value).kick_sign) is int

@@ -34,6 +34,29 @@ def test_import_verify_and_run_load_no_scipy():
     assert proc.stdout.strip() == ""
 
 
+# eigh counted from before the package is imported
+TABLES = """
+import numpy as np
+calls = []
+eigh = np.linalg.eigh
+np.linalg.eigh = lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs)
+import weakmeter, weakmeter.cli, weakmeter.scenario, weakmeter.verify
+from weakmeter.dynamics import _catalog_basis
+from weakmeter.weakvalue import _lifted
+print(len(calls), _catalog_basis.cache_info().currsize, _lifted.cache_info().currsize)
+"""
+
+
+def test_import_runs_no_eigh_and_fills_no_table():
+    # the kick-basis and lifting tables fill on first use, never at import
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", TABLES], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0"]
+
+
 def imported_roots(path: Path) -> set[str]:
     """Top-level names of every import statement in a module, at any depth."""
     roots = set()
