@@ -11,9 +11,8 @@ import sys
 from importlib import resources
 
 import numpy as np
-import yaml
 
-from .errors import ScenarioError, WeakmeterError
+from .errors import ScenarioError, ScenarioSyntaxError, WeakmeterError
 from .hilbert import Ket
 from .optics import (
     METER,
@@ -26,8 +25,8 @@ from .optics import (
 )
 from .scenario import (
     ScenarioDoc,
-    ScenarioLoader,
     apply_override,
+    load_yaml,
     parse_scenario,
     records_to_csv,
     records_to_jsonl,
@@ -77,7 +76,10 @@ def _parse_set(pairs) -> list[tuple[str, object]]:
             raise ScenarioError(f"--set expects path=value, got {pair!r}")
         path, raw = pair.split("=", 1)
         path = _OVERRIDE_ALIASES.get(path, path)
-        out.append((path, yaml.load(raw, Loader=ScenarioLoader)))
+        try:
+            out.append((path, load_yaml(raw)))
+        except ScenarioSyntaxError as exc:
+            raise ScenarioSyntaxError(f"--set {path}: {exc}") from exc
     return out
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "DEFAULTS",
     "ScenarioLoader",
     "ScenarioDoc",
+    "load_yaml",
     "ResultRecord",
     "parse_scenario",
     "scenario_to_text",
@@ -63,18 +64,117 @@ _ANGLE_KEYS = tuple(dict.fromkeys(angle for angles in STATE_IDS.values() for ang
 MAX_FIT_RESIDUAL = 1e-2
 
 
-class ScenarioLoader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 exponent floats such as 2e-3 and 1e308.
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+_STR_TAG = "tag:yaml.org,2002:str"
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
 
-    YAML 1.1 needs a dot and a signed exponent, so it reads those as strings.
+
+def _loader(base: type) -> type:
+    """The scenario loader on ``base``, a PyYAML safe loader class."""
+
+    class ScenarioLoader(base):
+        """Safe loader that also reads YAML 1.2 exponent floats such as 2e-3 and 1e308.
+
+        YAML 1.1 needs a dot and a signed exponent, so it reads those as strings.
+        """
+
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep)
+            except (ValueError, AttributeError) as exc:  # e.g. 2020-13-45, !!int x
+                if not isinstance(node, yaml.ScalarNode):
+                    raise
+                kind = node.tag.rsplit(":", 1)[-1]
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"{node.value!r} is not a valid {kind}",
+                    node.start_mark) from exc
+
+    ScenarioLoader.add_implicit_resolver(_FLOAT_TAG, _EXPONENT_FLOAT, list("-+0123456789."))
+    return ScenarioLoader
+
+
+# libyaml's C parser when PyYAML ships it; the constructor and resolver are Python either way
+ScenarioLoader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+# libyaml composes a document recursively in C and overflows the C stack some
+# 20,000 collections deep.  Each level takes a character, so only a longer
+# text is scanned for its depth before it is composed.
+_SCAN_DEPTH_FROM = 10_000
+_MAX_DEPTH = 100
+_LINE_BREAK = re.compile("\r\n|[\n\r\x85\u2028\u2029]")
+
+
+def _check_depth(text: str) -> None:
+    if len(text) < _SCAN_DEPTH_FROM:
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=ScenarioLoader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise yaml.parser.ParserError(
+                    None, None, f"collections nest deeper than {_MAX_DEPTH} levels",
+                    event.start_mark)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
+def _bad_character(text: str, index: int, reason: str) -> ScenarioSyntaxError:
+    """The error for the unreadable character at ``text[index]``, located as YAML counts lines."""
+    breaks = list(_LINE_BREAK.finditer(text, 0, index))
+    column = index - (breaks[-1].end() if breaks else 0)
+    return ScenarioSyntaxError(f"unacceptable character #x{ord(text[index]):04x}: {reason}",
+                               line=len(breaks) + 1, column=column + 1)
+
+
+def _name_as_written(node) -> None:
+    """Read a plain top-level ``name`` such as ``1e3`` as the string it is.
+
+    :func:`scenario_to_text` writes names as YAML 1.1 does, and YAML 1.1
+    reads ``1e3`` as a string, so it writes such a name plain.
     """
+    if not isinstance(node, yaml.MappingNode):
+        return
+    for key, value in node.value:
+        if (isinstance(key, yaml.ScalarNode) and key.value == "name"
+                and isinstance(value, yaml.ScalarNode) and value.tag == _FLOAT_TAG
+                and not value.style and _EXPONENT_FLOAT.match(value.value)):
+            value.tag = _STR_TAG
 
 
-ScenarioLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
+def load_yaml(text: str):
+    """``text`` read by :class:`ScenarioLoader`; None if it holds no document.
+
+    Every way the text can fail to load raises one
+    :class:`ScenarioSyntaxError`, with line and column where the reader
+    knows them.  A plain top-level ``name`` that only the YAML 1.2 exponent
+    rule reads as a number stays a string (:func:`_name_as_written`).
+    """
+    try:
+        _check_depth(text)
+        loader = ScenarioLoader(text)
+        try:
+            node = loader.get_single_node()
+            if node is None:
+                return None
+            _name_as_written(node)
+            return loader.construct_document(node)
+        finally:
+            loader.dispose()
+    except yaml.reader.ReaderError as exc:
+        # no mark: locate the character itself, the first of its kind the reader meets
+        index = text.find(chr(exc.character))
+        raise _bad_character(text, index, exc.reason) from exc
+    except UnicodeEncodeError as exc:  # libyaml reads UTF-8, which has no lone surrogates
+        raise _bad_character(text, exc.start, exc.reason) from exc
+    except RecursionError as exc:  # the pure-Python composer
+        raise ScenarioSyntaxError("collections nest too deeply") from exc
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        if mark is not None:
+            raise ScenarioSyntaxError(str(getattr(exc, "problem", exc)),
+                                      line=mark.line + 1, column=mark.column + 1) from exc
+        raise ScenarioSyntaxError(" ".join(str(exc).split())) from exc
 
 
 @dataclass(frozen=True)
@@ -193,10 +293,11 @@ def _validate_state(section, where: str) -> dict:
         raise ParameterRangeError(f"{where} needs an 'id' field")
     out = {"id": section["id"]}
     # only angle names reach a message as they are; any other key is reported as unknown
-    out.update((k, _require_number(v, f"{where}.{k}")) for k, v in section.items()
+    out.update((str(k), _require_number(v, f"{where}.{k}")) for k, v in section.items()
                if k in _ANGLE_KEYS)
     check_state(out["id"], out, where)
     _reject_unknown(section, ("id",) + STATE_IDS[out["id"]], where)
+    out["id"] = str(out["id"])  # a numpy string as the str the config text writes
     return out
 
 
@@ -214,6 +315,10 @@ def _validate_coupling(section) -> dict:
         out["kick_time"] = _require_number(out["kick_time"], "coupling.kick_time")
     # raises if a coupling rule fails; a numpy integer kick_sign comes back a plain int
     out["kick_sign"] = CouplingSpec(**out).kick_sign
+    # numpy strings as the str the config text writes
+    out["variant"] = str(out["variant"])
+    if out["measure_arm"] is not None:
+        out["measure_arm"] = str(out["measure_arm"])
     return out
 
 
@@ -242,7 +347,7 @@ def _validate_observables(section) -> tuple[str, ...]:
             raise UnknownIdError(
                 f"unknown observable {obs!r} in observables; valid ids: {list(valid)}"
             )
-    return tuple(section)
+    return tuple(str(obs) for obs in section)
 
 
 def _resolve_path(data: dict, path: str):
@@ -278,7 +383,8 @@ def _validate_sweep(section, doc_dict: dict) -> dict:
             values = spec["values"]
             if not isinstance(values, list) or not values:
                 raise ParameterRangeError(f"sweep.{path}.values must be a nonempty list")
-            out[path] = {"values": [_require_number(v, f"sweep.{path}.values") for v in values]}
+            out[str(path)] = {
+                "values": [_require_number(v, f"sweep.{path}.values") for v in values]}
         else:
             missing = [k for k in ("start", "stop", "steps") if k not in spec]
             if missing:
@@ -286,7 +392,7 @@ def _validate_sweep(section, doc_dict: dict) -> dict:
             steps = spec["steps"]
             if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
                 raise ParameterRangeError(f"sweep.{path}.steps must be an integer >= 1")
-            out[path] = {
+            out[str(path)] = {
                 "start": _require_number(spec["start"], f"sweep.{path}.start"),
                 "stop": _require_number(spec["stop"], f"sweep.{path}.stop"),
                 "steps": steps,
@@ -300,6 +406,11 @@ def _validate(raw: dict) -> ScenarioDoc:
     _reject_unknown(raw, _TOP_KEYS, "scenario")
     if "name" not in raw or not isinstance(raw["name"], str) or not raw["name"]:
         raise ParameterRangeError("scenario needs a nonempty string 'name'")
+    name = str(raw["name"])
+    try:
+        name.encode("utf-8")  # the config text and every output are UTF-8
+    except UnicodeEncodeError:
+        raise ParameterRangeError(f"scenario name {name!r} cannot be written as UTF-8") from None
     for required in ("preselect", "postselect"):
         if required not in raw:
             raise ParameterRangeError(f"scenario needs a {required!r} section")
@@ -309,7 +420,7 @@ def _validate(raw: dict) -> ScenarioDoc:
     meter = _validate_meter(raw.get("meter"))
     observables = _validate_observables(raw.get("observables"))
     base = {
-        "name": raw["name"],
+        "name": name,
         "preselect": pre,
         "postselect": post,
         "coupling": coupling,
@@ -318,7 +429,7 @@ def _validate(raw: dict) -> ScenarioDoc:
     }
     sweep = _validate_sweep(raw.get("sweep"), base)
     return ScenarioDoc(
-        name=raw["name"], preselect=pre, postselect=post, coupling=coupling,
+        name=name, preselect=pre, postselect=post, coupling=coupling,
         meter=meter, observables=observables, sweep=sweep,
     )
 
@@ -329,14 +440,7 @@ def parse_scenario(text: str) -> ScenarioDoc:
     Omitted meter and coupling fields take :data:`DEFAULTS`; an unset
     kick_time fires the kick at the end of the noise window.
     """
-    try:
-        raw = yaml.load(text, Loader=ScenarioLoader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            raise ScenarioSyntaxError(str(getattr(exc, "problem", exc)),
-                                      line=mark.line + 1, column=mark.column + 1) from exc
-        raise ScenarioSyntaxError(str(exc)) from exc
+    raw = load_yaml(text)
     if raw is None:
         raise ScenarioSyntaxError("scenario document is empty")
     return _validate(raw)

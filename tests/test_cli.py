@@ -118,10 +118,20 @@ class TestRun:
         ("run", "bundle:disembodiment", "--set", "meter.delta=1e-200"),
         ("run", "bundle:disembodiment", "--set", "meter.delta=1e300"),
         ("run", "bundle:cheshire", "--set", "preselect.id=[1]"),
+        ("run", "bundle:cheshire", "--set", "coupling.g=["),
+        ("run", "bundle:cheshire", "--set", "coupling.g={a: b: c}"),
+        ("run", "bundle:cheshire", "--set", "name=2020-02-30"),
+        ("run", "bundle:cheshire", "--set", 'name="\\ud800"'),
+        # a byte that is not UTF-8 reaches argv as a lone surrogate
+        ("run", "bundle:cheshire", "--set", "name=\udcff"),
+        ("sweep", "bundle:disembodiment", "--param", "preselect.theta", "--start", "0",
+         "--stop", "0.5", "--steps", "2", "--set", "coupling.g=[1"),
         ("show-state", "amp_in", "--theta", "1.5"),
         ("show-state", "amp_in"),
         ("show-state", "noisy_f", "--alpha", "7"),
     ], ids=["arm-on-linear-variant", "delta-underflow", "delta-overflow", "unhashable-state-id",
+            "set-unclosed-flow", "set-nested-mapping", "set-bad-timestamp",
+            "set-surrogate-escape", "set-undecodable-argv", "sweep-set-unclosed-flow",
             "theta-out-of-range", "theta-missing", "alpha-out-of-range"])
     def test_rejected_parameter_gives_parse_exit(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -141,6 +151,18 @@ class TestRun:
         assert all(row[-1] == "" for row in rows[:4])
         assert all(row[-1].startswith("ParameterRangeError: meter.delta must be positive with "
                                       "4 delta^2 a nonzero finite float") for row in rows[4:])
+
+    def test_unreadable_override_names_its_path(self, capsys):
+        code, _, err = run_cli(capsys, "run", "bundle:cheshire", "--set", "coupling.g=[")
+        assert code == EXIT_PARSE
+        assert err.startswith("error: --set coupling.g: ")
+
+    def test_bad_timestamp_in_file_gives_parse_exit(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(load_bundle("cheshire").replace("name: cheshire", "name: 2020-13-45"))
+        code, out, err = run_cli(capsys, "run", str(bad))
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: '2020-13-45' is not a valid timestamp (line 3, column 7)\n"
 
     def test_exponent_float_override_matches_decimal(self, capsys):
         code, exponent, err = run_cli(capsys, "run", "bundle:disembodiment",

@@ -7,6 +7,7 @@ the scenario layer calls it, so the library constructor, ``parse_scenario``,
 value with the same error type and the same rule text.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -196,3 +197,48 @@ def test_numpy_integers_are_stored_as_plain_ints(path, value):
     assert record.error == "" and record.config_hash == plain.config_hash()
     if path == "coupling.kick_sign":
         assert type(CouplingSpec(variant="noiseless_kick", kick_sign=value).kick_sign) is int
+
+
+def strings(value):
+    """Every string in ``value``, keys included."""
+    if isinstance(value, dict):
+        return [s for key, item in value.items() for s in strings(key) + strings(item)]
+    if isinstance(value, (list, tuple)):
+        return [s for item in value for s in strings(item)]
+    return [value] if isinstance(value, str) else []
+
+
+@pytest.mark.parametrize("base,path,value", [
+    (PLAIN, "coupling.variant", "measure_sigma_zR"),
+    (PARALLEL, "coupling.measure_arm", "L"),
+    (PLAIN, "preselect.id", "amp_in"),
+    (PLAIN, "postselect.id", "amp_f"),
+    (PLAIN, "observables", ["sigma_z_R", "pi_L"]),
+    (PLAIN, "sweep", {"coupling.g": {"values": [1e-3]}, "preselect.theta": {"values": [0.5]}}),
+    (PLAIN, "name", "plain"),
+], ids=["variant", "measure_arm", "preselect-id", "postselect-id", "observables",
+        "sweep-paths", "name"])
+def test_numpy_strings_are_stored_as_plain_str(base, path, value):
+    # np.str_ passes every id rule as the str it equals; it is stored as that
+    # str, so the config text (and hash) is that of the plain document
+    def numpy(item):
+        if isinstance(item, dict):
+            return {np.str_(key): numpy(sub) for key, sub in item.items()}
+        if isinstance(item, list):
+            return [numpy(sub) for sub in item]
+        return np.str_(item) if isinstance(item, str) else item
+
+    plain = apply_override(parse_scenario(base), path, value)
+    doc = apply_override(parse_scenario(base), path, numpy(value))
+    assert all(type(s) is str for s in strings(dataclasses.asdict(doc)))
+    assert doc.config_hash() == plain.config_hash()
+    assert [r.error for r in run_scenario(doc)] == [r.error for r in run_scenario(plain)]
+    assert run_scenario(doc)[0].config_hash == plain.config_hash()
+
+
+@pytest.mark.parametrize("name", ["\ud800", "a\udcffb"])
+def test_name_that_utf8_cannot_write_is_rejected(name):
+    # the text route, where only PyYAML's parser reads a surrogate escape, is
+    # pinned in tests/test_loader.py
+    with pytest.raises(ParameterRangeError, match="cannot be written as UTF-8"):
+        apply_override(parse_scenario(PLAIN), "name", name)

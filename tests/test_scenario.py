@@ -696,6 +696,7 @@ class TestCanonicalText:
             doc = parse_scenario(text)
             assert scenario_to_text(doc) == yaml.safe_dump(doc.to_dict(), sort_keys=True,
                                                            default_flow_style=False)
+            assert parse_scenario(scenario_to_text(doc)) == doc
 
     @staticmethod
     def verbatim_tokens() -> set:

@@ -8,6 +8,7 @@ through ``parse_scenario`` and ``apply_override``: random names (YAML
 indicators, quotes, line breaks, non-ASCII, long lines, words YAML reads as
 null, bool or number), edge floats in every number field, ``kick_time``
 unset and set, sweeps as value lists and as ranges, and observable lists.
+The text also reads back as the same document, names like ``1e3`` included.
 """
 
 import pytest
@@ -84,3 +85,4 @@ def test_text_is_safe_dump(base, name, changes):
         except WeakmeterError:
             pass  # a value the rules reject leaves the document as it was
     assert scenario_to_text(doc) == safe_dump_text(doc)
+    assert parse_scenario(scenario_to_text(doc)) == doc
