@@ -77,7 +77,7 @@ def _parse_set(pairs) -> list[tuple[str, object]]:
         path, raw = pair.split("=", 1)
         path = _OVERRIDE_ALIASES.get(path, path)
         try:
-            out.append((path, load_yaml(raw)))
+            out.append((path, load_yaml(raw, path)))
         except ScenarioSyntaxError as exc:
             raise ScenarioSyntaxError(f"--set {path}: {exc}") from exc
     return out

@@ -48,8 +48,8 @@ from .errors import (
     SignatureError,
     UnknownIdError,
 )
-from .hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature, tensor
-from .meter import DiscreteGaussianMeter, MeterReadout, meter_readouts, q_grid
+from .hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature
+from .meter import DiscreteGaussianMeter, MeterReadout, _readouts, q_grid
 from .optics import METER, ORBITAL, named_state
 from .weakvalue import lifted_observable
 
@@ -111,8 +111,6 @@ COUPLINGS = {
 }
 
 VARIANTS = tuple(dict.fromkeys(variant for variant, _ in COUPLINGS))
-
-FIT_SUPPORT_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -337,9 +335,9 @@ def _apply_kick(system: SpaceSignature, basis: _KickBasis, strength: float, gpri
     """The factors of exp(-i g' S after) exp(+i s strength (A q + B)) exp(-i g' S before)."""
     eigenvalues, vectors = basis.a
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        angles = kick_sign * strength * np.outer(meter.q, eigenvalues)
+        angles = kick_sign * strength * (meter.q[:, None] * eigenvalues)
         kick_b = None if basis.b is None else _exp(*basis.b, 1j * kick_sign * strength)
-    if not (np.all(np.isfinite(angles)) and (kick_b is None or np.all(np.isfinite(kick_b)))):
+    if not (np.isfinite(angles).all() and (kick_b is None or np.isfinite(kick_b).all())):
         raise NumericalOverflowError(
             f"kick generator {name} * (A q + B) is not finite on the grid "
             f"|q| <= {meter.half_width} ({name} = {strength!r})"
@@ -427,14 +425,14 @@ def evolve_dyson2(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMe
             "measurement-time regime; the truncation error is not controlled",
             stacklevel=2,
         )
-    joint = tensor(pre_system, meter.ket(METER))
-    strength, a, b, static = coupling_terms(spec, pre_system.signature)
+    system = pre_system.signature
+    strength, a, b, static = coupling_terms(spec, system)
 
     def kick(x: np.ndarray) -> np.ndarray:
         return strength * ((a @ x) * meter.q + b @ x)
 
     s = spec.kick_sign
-    psi = joint.amplitudes.reshape(-1, meter.size)  # (system, grid)
+    psi = pre_system.amplitudes[:, None] * meter.amplitudes  # (system, grid)
     k_psi = kick(psi)
     out = psi + 1j * s * k_psi
     if np.any(static):
@@ -446,7 +444,7 @@ def evolve_dyson2(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMe
             out = out + s * before * kick(n_psi)
         if after:
             out = out + s * after * (static @ k_psi)
-    return Ket(joint.signature, out)
+    return Ket(system.concat(SpaceSignature(((METER, meter.size),))), out)
 
 
 def _require_system(post_system: Ket, system: SpaceSignature) -> None:
@@ -532,15 +530,15 @@ def _weighted_line_fits(y: np.ndarray, w: np.ndarray, q: np.ndarray, g: float):
     rms residual, support size, weighted spread of q) with one entry per row.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        s0 = np.sum(w, axis=-1)
-        q_mean = np.sum(w * q, axis=-1) / s0
+        s0 = w.sum(axis=-1)
+        q_mean = (w * q).sum(axis=-1) / s0
         dq = q - q_mean[:, None]
-        spread = np.sum(w * dq * dq, axis=-1)
-        y_mean = np.sum(w * y, axis=-1) / s0
+        spread = (w * dq * dq).sum(axis=-1)
+        y_mean = (w * y).sum(axis=-1) / s0
         dy = y - y_mean[:, None]
-        slope = np.sum(w * dq * dy, axis=-1) / spread
+        slope = (w * dq * dy).sum(axis=-1) / spread
         resid = dy - slope[:, None] * dq
-        residual = np.sqrt(np.sum(w * np.abs(resid) ** 2, axis=-1) / s0)
+        residual = np.sqrt((w * np.abs(resid) ** 2).sum(axis=-1) / s0)
         return (slope / (1j * g), y_mean - slope * q_mean, residual,
                 np.count_nonzero(w, axis=-1), spread)
 
@@ -548,15 +546,17 @@ def _weighted_line_fits(y: np.ndarray, w: np.ndarray, q: np.ndarray, g: float):
 def _pointer_fitter(meter: DiscreteGaussianMeter, g: float):
     """Row fit of log(ratios) = a + i g q A, for rows of final / meter.amplitudes.
 
-    Only grid points above the 1e-8 support threshold take part, weighted by
-    |meter|^2 so tail noise cannot dominate; zeros of a row have no usable
-    log and are dropped.  Returns :func:`_weighted_line_fits` per row.
+    Only the meter's fit support takes part, weighted by |meter|^2 (its
+    ``weights``) so tail noise cannot dominate; zeros of a row have no
+    usable log and are dropped.  Returns :func:`_weighted_line_fits` per row.
     """
-    support = np.flatnonzero(np.abs(meter.amplitudes) > FIT_SUPPORT_ATOL)
-    weights, q = meter.amplitudes[support] ** 2, meter.q[support]
+    support, weights = meter.support, meter.weights
+    q = meter.q[support]
 
     def fit(ratios: np.ndarray):
-        ratios = ratios[:, support]
+        # C-ordered rows (``ratios[:, support]`` would be column-major), so
+        # each row reduces in the order a row alone would
+        ratios = ratios.take(support, axis=-1)
         live = ratios != 0.0
         return _weighted_line_fits(np.log(np.where(live, ratios, 1.0)),
                                    np.where(live, weights, 0.0), q, g)
@@ -582,7 +582,7 @@ def fit_effective_weak_value(final_meter, reference: DiscreteGaussianMeter,
     """Weighted least squares for log(final_k / reference_k) = a + i g q_k A.
 
     Grid points are weighted by |reference|^2 so tail noise cannot dominate;
-    points below the 1e-8 support threshold are excluded.  The two-parameter
+    points off the reference meter's fit support are excluded.  The two-parameter
     fit is solved in closed form (weighted covariance of the log-ratio with q),
     by the same code as :func:`transfer_readouts`.
     """
@@ -617,7 +617,7 @@ def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, 
     transfer = _transfer_rows(factors, pres, _post_bras(factors, posts))
     for pre, f in zip(pres, transfer):
         pre_norm = pre.norm()
-        readouts = meter_readouts(meter.amplitudes * f)
+        readouts = _readouts(meter.amplitudes * f, meter.q, meter.p_fft)
         fits = fit(f)
         row = []
         for p, readout in enumerate(readouts):

@@ -9,7 +9,7 @@ Everything is immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,7 @@ class SpaceSignature:
     """
 
     factors: tuple[tuple[str, int], ...]
+    dim: int = field(init=False, repr=False, compare=False)  # product of the dimensions
 
     def __post_init__(self):
         factors = tuple((str(label), int(dim)) for label, dim in self.factors)
@@ -50,6 +51,7 @@ class SpaceSignature:
             raise SignatureError(f"duplicate factor labels: {labels}")
         if any(dim < 1 for _, dim in factors):
             raise SignatureError(f"factor dimensions must be positive: {factors}")
+        object.__setattr__(self, "dim", math.prod(dim for _, dim in factors))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -58,10 +60,6 @@ class SpaceSignature:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims) if self.factors else 1
 
     def axis_of(self, label: str) -> int:
         for i, (name, _) in enumerate(self.factors):
@@ -102,7 +100,7 @@ class Ket:
             raise SignatureError(
                 f"amplitude length {amps.shape[0]} != signature dimension {self.signature.dim}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps.view(float)).all():
             raise ValueError("ket amplitudes must be finite")
         if self.normalized and abs(self.norm() - 1.0) > FLAG_ATOL:
             raise ValueError(f"ket flagged normalized but norm = {self.norm()!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,9 @@ GRID_UNITS = "q: grid steps; p: rad/step (p_l = 2*pi*l/(2N+1))"
 # artifacts leak into moments.
 TRUNCATION_GUARD = 5.0
 
+# the pointer fit takes only the grid points whose amplitude exceeds this
+FIT_SUPPORT_ATOL = 1e-8
+
 
 def q_grid(half_width: int) -> np.ndarray:
     return np.arange(-half_width, half_width + 1, dtype=float)
@@ -47,21 +50,43 @@ def p_grid(half_width: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(-half_width, half_width + 1, dtype=float) / size
 
 
+def _fft_order_p(size: int) -> np.ndarray:
+    """The p grid in FFT order, 2*pi*fftfreq(size) = ifftshift(p_grid(N))."""
+    return 2.0 * np.pi * np.fft.fftfreq(size)
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteGaussianMeter:
     """Normalized Gaussian pointer on the 2N+1 point grid.
 
     Amplitudes are proportional to exp(-q_k^2 / (4 width^2)), so the
-    probability density has variance width^2 (up to truncation).
+    probability density has variance width^2 (up to truncation).  Build it
+    with :func:`make_meter`, which checks ``half_width`` and ``width``.
+    The meter derives its arrays once, read-only, since every pointer read
+    on it shares them: the ``amplitudes``, the ``q`` grid, the p grid in FFT
+    order ``p_fft`` (2*pi*fftfreq(2N+1)), and the pointer fit's ``support``
+    (the grid indices whose amplitude exceeds ``FIT_SUPPORT_ATOL``) with its
+    ``weights``, the squared amplitudes there.
     """
 
     half_width: int
     width: float
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray = field(init=False, repr=False)
+    q: np.ndarray = field(init=False, repr=False)
+    p_fft: np.ndarray = field(init=False, repr=False)
+    support: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def q(self) -> np.ndarray:
-        return q_grid(self.half_width)
+    def __post_init__(self):
+        q = q_grid(self.half_width)
+        amps = np.exp(-(q**2) / (4.0 * self.width**2))
+        amps = amps / np.linalg.norm(amps)
+        support = np.flatnonzero(amps > FIT_SUPPORT_ATOL)
+        derived = {"amplitudes": amps, "q": q, "p_fft": _fft_order_p(len(q)),
+                   "support": support, "weights": amps[support] ** 2}
+        for name, array in derived.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:
@@ -110,20 +135,15 @@ def make_meter(half_width: int, width: float) -> DiscreteGaussianMeter:
             f"{n / TRUNCATION_GUARD}; truncation error exceeds tolerance",
             stacklevel=2,
         )
-    q = q_grid(n)
-    amps = np.exp(-(q**2) / (4.0 * delta**2))
-    amps = amps / np.linalg.norm(amps)
-    amps.setflags(write=False)
-    meter = DiscreteGaussianMeter(half_width=n, width=delta, amplitudes=amps)
+    meter = DiscreteGaussianMeter(half_width=n, width=delta)
     if 1.0 <= delta <= n / TRUNCATION_GUARD:
         # in the grid-resolvable regime the uncertainty product sits at its
         # 1/4 Gaussian minimum (up to ~1e-4 truncation slack right at the
         # guard boundary); a real dip means the q/p grids lost conjugacy
-        _, var_q = moments(amps, "q")
-        _, var_p = moments(amps, "p")
-        if var_q * var_p < 0.25 * (1.0 - 1e-3):
+        (fresh,) = _readouts(meter.amplitudes[None], meter.q, meter.p_fft)
+        if fresh.var_q * fresh.var_p < 0.25 * (1.0 - 1e-3):
             raise AssertionError(
-                f"uncertainty product {var_q * var_p} below 1/4 on construction"
+                f"uncertainty product {fresh.var_q * fresh.var_p} below 1/4 on construction"
             )
     return meter
 
@@ -163,24 +183,15 @@ def _as_vector(meter_amplitudes) -> np.ndarray:
     return np.asarray(meter_amplitudes, dtype=complex).reshape(-1)
 
 
-def _row_moments(vecs: np.ndarray, abs2: np.ndarray, weight, representation: str):
-    """(mean, variance) along the last axis; each row reduces on its own.
-
-    ``abs2`` is ``|vecs|^2`` and ``weight`` its sum per row.
-    """
-    size = vecs.shape[-1]
-    weight = np.asarray(weight)[..., None]
-    if representation == "q":
-        grid = q_grid((size - 1) // 2)
-        density = abs2 / weight
-    elif representation == "p":
-        grid = 2.0 * np.pi * np.fft.fftfreq(size)
-        density = np.abs(np.fft.fft(vecs, axis=-1)) ** 2 / (size * weight)
-    else:
-        raise ValueError(f"representation must be 'q' or 'p', got {representation!r}")
-    mean = np.sum(grid * density, axis=-1)
-    var = np.sum((grid - mean[..., None]) ** 2 * density, axis=-1)
+def _row_moments(density: np.ndarray, grid: np.ndarray):
+    """(mean, variance) of each row of ``density`` on ``grid``; each row reduces on its own."""
+    mean = (grid * density).sum(axis=-1)
+    var = ((grid - mean[..., None]) ** 2 * density).sum(axis=-1)
     return mean, var
+
+
+def _p_density(vecs: np.ndarray, weight) -> np.ndarray:
+    return np.abs(np.fft.fft(vecs, axis=-1)) ** 2 / (vecs.shape[-1] * weight)
 
 
 def _weighed(meter_amplitudes) -> tuple[np.ndarray, np.ndarray, float]:
@@ -201,7 +212,13 @@ def moments(meter_amplitudes, representation: str = "q") -> tuple[float, float]:
     order, 2*pi*fftfreq(2N+1) = ifftshift(p_grid(N)).  A density does not see
     the phase that centering the transform would add, so no shift is needed.
     """
-    mean, var = _row_moments(*_weighed(meter_amplitudes), representation)
+    vec, abs2, weight = _weighed(meter_amplitudes)
+    if representation == "q":
+        mean, var = _row_moments(abs2 / weight, q_grid((len(vec) - 1) // 2))
+    elif representation == "p":
+        mean, var = _row_moments(_p_density(vec, weight), _fft_order_p(len(vec)))
+    else:
+        raise ValueError(f"representation must be 'q' or 'p', got {representation!r}")
     return float(mean), float(var)
 
 
@@ -211,20 +228,27 @@ def meter_readout(meter_amplitudes) -> MeterReadout:
     return meter_readouts(vec[None])[0]
 
 
+def _readouts(rows: np.ndarray, q: np.ndarray, p: np.ndarray) -> list[MeterReadout]:
+    """:func:`meter_readouts` on the rows' meter grids ``q`` and ``p`` (in FFT order)."""
+    abs2 = np.abs(rows) ** 2
+    weights = abs2.sum(axis=-1)
+    weight = weights[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_q, var_q = _row_moments(abs2 / weight, q)
+        mean_p, var_p = _row_moments(_p_density(rows, weight), p)
+    return [MeterReadout(mean_q=mq, mean_p=mp, var_q=vq, var_p=vp, success_probability=w)
+            for mq, mp, vq, vp, w in zip(mean_q.tolist(), mean_p.tolist(), var_q.tolist(),
+                                         var_p.tolist(), weights.tolist())]
+
+
 def meter_readouts(rows: np.ndarray) -> list[MeterReadout]:
     """:func:`meter_readout` of each row of a (rows, 2N+1) array.
 
     A row's values do not depend on the other rows, and a zero row reads
     NaN moments rather than raising.
     """
-    abs2 = np.abs(rows) ** 2
-    weights = np.sum(abs2, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_q, var_q = _row_moments(rows, abs2, weights, "q")
-        mean_p, var_p = _row_moments(rows, abs2, weights, "p")
-    return [MeterReadout(mean_q=float(mq), mean_p=float(mp), var_q=float(vq), var_p=float(vp),
-                         success_probability=float(w))
-            for mq, mp, vq, vp, w in zip(mean_q, mean_p, var_q, var_p, weights)]
+    size = np.shape(rows)[-1]
+    return _readouts(rows, q_grid((size - 1) // 2), _fft_order_p(size))
 
 
 def continuous_reference(width: float, g: float, weak_value: complex) -> ContinuousMoments:

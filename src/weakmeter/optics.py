@@ -26,7 +26,7 @@ from .hilbert import Ket, SpaceSignature
 
 __all__ = [
     "PATH", "ORBITAL", "POLARIZATION", "METER",
-    "path_signature", "polarization_signature", "orbital_signature", "check_orbital_dim",
+    "PATH_SIGNATURE", "POLARIZATION_SIGNATURE", "ORBITAL_SIGNATURES", "check_orbital_dim",
     "pol_from_hv", "hv_components", "orbital_vector", "orbital_matrix",
     "named_state", "STATE_IDS", "check_state", "ARM_PROJECTORS",
 ]
@@ -39,13 +39,10 @@ METER = "meter"
 # change of basis: columns are |H>, |V> expressed in (+, -) coordinates
 _HV_TO_PM = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / np.sqrt(2.0)
 
-
-def path_signature() -> SpaceSignature:
-    return SpaceSignature(((PATH, 2),))
-
-
-def polarization_signature() -> SpaceSignature:
-    return SpaceSignature(((POLARIZATION, 2),))
+PATH_SIGNATURE = SpaceSignature(((PATH, 2),))
+POLARIZATION_SIGNATURE = SpaceSignature(((POLARIZATION, 2),))
+# the orbital doublet and triplet
+ORBITAL_SIGNATURES = {dim: SpaceSignature(((ORBITAL, dim),)) for dim in (2, 3)}
 
 
 def check_orbital_dim(dim) -> None:
@@ -53,11 +50,6 @@ def check_orbital_dim(dim) -> None:
     integral = isinstance(dim, (int, np.integer)) and not isinstance(dim, bool)
     if not integral or dim not in (2, 3):
         raise ParameterRangeError(f"orbital dimension must be 2 or 3, got {dim}")
-
-
-def orbital_signature(dim: int = 2) -> SpaceSignature:
-    check_orbital_dim(dim)
-    return SpaceSignature(((ORBITAL, dim),))
 
 
 def pol_from_hv(h_amp: complex, v_amp: complex) -> np.ndarray:
@@ -70,19 +62,28 @@ def hv_components(pm_coords) -> np.ndarray:
     return _HV_TO_PM.conj().T @ np.asarray(pm_coords, dtype=complex)
 
 
+def _orbital_basis(va: np.ndarray, vb: np.ndarray) -> dict:
+    """v_a, v_b and the superposition (v_a + i v_b)/sqrt(2) of noisy_in and disembody_in."""
+    vecs = {"va": va, "vb": vb, "va+ivb": (va + 1j * vb) / np.sqrt(2.0)}
+    for vec in vecs.values():
+        vec.setflags(write=False)
+    return vecs
+
+
+# by orbital dimension: doublet coordinates, or the documented triplet
+_ORBITAL_VECTORS = {
+    2: _orbital_basis(np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
+    3: _orbital_basis(np.array([1, 0, 1], dtype=complex) / np.sqrt(2.0),
+                      np.array([0, -1j, 0], dtype=complex)),
+}
+
+
 def orbital_vector(label: str, dim: int = 2) -> np.ndarray:
-    """Coordinates of v_a or v_b (doublet coordinates, or the documented triplet)."""
+    """Coordinates of v_a or v_b (doublet coordinates, or the documented triplet), read-only."""
     check_orbital_dim(dim)
-    if dim == 2:
-        vecs = {"va": np.array([1, 0], dtype=complex), "vb": np.array([0, 1], dtype=complex)}
-    else:
-        vecs = {
-            "va": np.array([1, 0, 1], dtype=complex) / np.sqrt(2.0),
-            "vb": np.array([0, -1j, 0], dtype=complex),
-        }
-    if label not in vecs:
+    if label not in ("va", "vb"):
         raise UnknownIdError(f"orbital basis label must be 'va' or 'vb', got {label!r}")
-    return vecs[label]
+    return _ORBITAL_VECTORS[dim][label]
 
 
 def orbital_matrix(name: str, dim: int = 2) -> np.ndarray:
@@ -110,9 +111,13 @@ def orbital_matrix(name: str, dim: int = 2) -> np.ndarray:
 ARM_PROJECTORS = {"L": np.diag([1.0, 0.0]).astype(complex),
                   "R": np.diag([0.0, 1.0]).astype(complex)}
 
-
-def _orbital_superposition(dim: int) -> np.ndarray:
-    return (orbital_vector("va", dim) + 1j * orbital_vector("vb", dim)) / np.sqrt(2.0)
+# the spaces the named states live on: (path,) polarization with no orbital
+# factor, or with the doublet or triplet placed before the polarization
+_PATH_POLARIZATION = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
+_ORBITAL_POLARIZATION = {dim: sig.concat(POLARIZATION_SIGNATURE)
+                         for dim, sig in ORBITAL_SIGNATURES.items()}
+_PATH_ORBITAL_POLARIZATION = {dim: PATH_SIGNATURE.concat(sig)
+                              for dim, sig in _ORBITAL_POLARIZATION.items()}
 
 
 STATE_IDS = {
@@ -164,14 +169,14 @@ def named_state(name: str, *, theta: float | None = None, alpha: float | None = 
     check_state(name, {k: v / np.pi for k, v in given.items() if v is not None}, "named_state")
     check_orbital_dim(orbital_dim)
     h, v = _HV_TO_PM.T  # |H>, |V> in (+, -) coordinates
+    vectors = _ORBITAL_VECTORS[orbital_dim]
     if name in ("noisy_in", "noisy_f"):  # orbital (x) polarization
         if name == "noisy_in":
-            orbital, pol = _orbital_superposition(orbital_dim), h
+            orbital, pol = vectors["va+ivb"], h
         else:
-            orbital = orbital_vector("va", orbital_dim)
+            orbital = vectors["va"]
             pol = _HV_TO_PM @ np.array([np.cos(alpha), np.sin(alpha)], dtype=complex)
-        return Ket(orbital_signature(orbital_dim).concat(polarization_signature()),
-                   orbital[:, None] * pol)
+        return Ket(_ORBITAL_POLARIZATION[orbital_dim], orbital[:, None] * pol)
 
     # path (x) [orbital (x)] polarization, built from one polarization row per arm
     half = 1 / np.sqrt(2.0)
@@ -183,14 +188,13 @@ def named_state(name: str, *, theta: float | None = None, alpha: float | None = 
     elif name in ("amp_in", "disembody_in"):
         arms = (np.cos(theta / 2) * h, -1j * np.sin(theta / 2) * h)
         if name == "disembody_in":
-            orbital = _orbital_superposition(orbital_dim)
+            orbital = vectors["va+ivb"]
     elif name == "disembody_f":
         arms = (np.cos(alpha) * h, np.sin(alpha) * v)
-        orbital = orbital_vector("va", orbital_dim)
+        orbital = vectors["va"]
     else:
         raise AssertionError(name)
     path_pol = np.stack(arms)
     if orbital is None:
-        return Ket(path_signature().concat(polarization_signature()), path_pol)
-    sig = SpaceSignature(((PATH, 2), (ORBITAL, len(orbital)), (POLARIZATION, 2)))
-    return Ket(sig, path_pol[:, None, :] * orbital[:, None])
+        return Ket(_PATH_POLARIZATION, path_pol)
+    return Ket(_PATH_ORBITAL_POLARIZATION[orbital_dim], path_pol[:, None, :] * orbital[:, None])

@@ -66,6 +66,7 @@ MAX_FIT_RESIDUAL = 1e-2
 
 _FLOAT_TAG = "tag:yaml.org,2002:float"
 _STR_TAG = "tag:yaml.org,2002:str"
+_MERGE_TAG = "tag:yaml.org,2002:merge"
 _EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
 
 
@@ -88,6 +89,28 @@ def _loader(base: type) -> type:
                 raise yaml.constructor.ConstructorError(
                     None, None, f"{node.value!r} is not a valid {kind}",
                     node.start_mark) from exc
+
+        def construct_mapping(self, node, deep=False):
+            """Reject a key the mapping names twice, at the second key's line.
+
+            Only the mapping's own keys count: a key brought in by a ``<<``
+            merge may be overridden by an explicit one, as YAML allows.
+            """
+            seen = {}
+            for key_node, _ in node.value:
+                if key_node.tag == _MERGE_TAG:
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    first = seen.setdefault(key, key_node)
+                except TypeError:  # unhashable: the base class reports it
+                    continue
+                if first is not key_node:
+                    line = first.start_mark.line + 1
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r}, first given on line {line}",
+                        key_node.start_mark)
+            return super().construct_mapping(node, deep)
 
     ScenarioLoader.add_implicit_resolver(_FLOAT_TAG, _EXPONENT_FLOAT, list("-+0123456789."))
     return ScenarioLoader
@@ -127,28 +150,32 @@ def _bad_character(text: str, index: int, reason: str) -> ScenarioSyntaxError:
                                line=len(breaks) + 1, column=column + 1)
 
 
-def _name_as_written(node) -> None:
-    """Read a plain top-level ``name`` such as ``1e3`` as the string it is.
+def _name_as_written(node, path: str | None) -> None:
+    """Read a plain ``name`` such as ``1e3`` as the string it is.
 
+    ``node`` is a document (``path`` None), whose top-level ``name`` the rule
+    takes, or the value at a scenario ``path`` (a ``--set`` value).
     :func:`scenario_to_text` writes names as YAML 1.1 does, and YAML 1.1
     reads ``1e3`` as a string, so it writes such a name plain.
     """
-    if not isinstance(node, yaml.MappingNode):
+    if path is None and isinstance(node, yaml.MappingNode):
+        node = next((value for key, value in node.value
+                     if isinstance(key, yaml.ScalarNode) and key.value == "name"), None)
+    elif path != "name":
         return
-    for key, value in node.value:
-        if (isinstance(key, yaml.ScalarNode) and key.value == "name"
-                and isinstance(value, yaml.ScalarNode) and value.tag == _FLOAT_TAG
-                and not value.style and _EXPONENT_FLOAT.match(value.value)):
-            value.tag = _STR_TAG
+    if (isinstance(node, yaml.ScalarNode) and node.tag == _FLOAT_TAG
+            and not node.style and _EXPONENT_FLOAT.match(node.value)):
+        node.tag = _STR_TAG
 
 
-def load_yaml(text: str):
+def load_yaml(text: str, path: str | None = None):
     """``text`` read by :class:`ScenarioLoader`; None if it holds no document.
 
-    Every way the text can fail to load raises one
+    ``text`` is a whole document, or the value at the scenario ``path`` when
+    one is given.  Every way the text can fail to load raises one
     :class:`ScenarioSyntaxError`, with line and column where the reader
-    knows them.  A plain top-level ``name`` that only the YAML 1.2 exponent
-    rule reads as a number stays a string (:func:`_name_as_written`).
+    knows them.  A plain ``name`` that only the YAML 1.2 exponent rule reads
+    as a number stays a string (:func:`_name_as_written`).
     """
     try:
         _check_depth(text)
@@ -157,7 +184,7 @@ def load_yaml(text: str):
             node = loader.get_single_node()
             if node is None:
                 return None
-            _name_as_written(node)
+            _name_as_written(node, path)
             return loader.construct_document(node)
         finally:
             loader.dispose()

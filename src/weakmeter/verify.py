@@ -18,7 +18,6 @@ import numpy as np
 from .dynamics import (
     COUPLINGS,
     CouplingSpec,
-    disembodied_measurement,
     evolve_dyson2,
     evolve_exact,
     kick_factors,
@@ -118,12 +117,13 @@ def check_noisy_fit(kick_sign: int = 1) -> CheckResult:
     ok/BAD), so keep their format when editing them.
     """
     meter = make_meter(64, 4.0)
+    pre = named_state("noisy_in")
+    posts = {alpha: named_state("noisy_f", alpha=alpha)
+             for alpha in (np.pi / 6, np.pi / 4, np.pi / 3)}
     lines, ok = [], True
     for gpt in (0.05, 0.1):
-        for alpha in (np.pi / 6, np.pi / 4, np.pi / 3):
+        for alpha, post in posts.items():
             start = time.perf_counter()
-            pre = named_state("noisy_in")
-            post = named_state("noisy_f", alpha=alpha)
             spec = CouplingSpec(variant="spin_orbit", g=1e-3, gprime=gpt, t=1.0,
                                 kick_sign=kick_sign)
             _, fit = pointer_readout(spec, pre, post, meter)
@@ -158,12 +158,10 @@ def check_disembodiment(kick_sign: int = 1) -> CheckResult:
         ok &= formula_ok
         lines.append(f"theta={theta:.4f} alpha={alpha:.4f}: quartet max err {max(errs):.2e}")
 
-        _, fit_sig = disembodied_measurement(theta, alpha, "sigma_zR", g=1e-3,
-                                             meter=meter, kick_sign=kick_sign)
-        _, fit_noise = disembodied_measurement(theta, alpha, "LxSx_L", gprime=1e-3,
-                                               t=1.0, meter=meter, kick_sign=kick_sign)
-        _, fit_zero = disembodied_measurement(theta, alpha, "LxSx_R", gprime=1e-3,
-                                              t=1.0, meter=meter, kick_sign=kick_sign)
+        fit_sig, fit_noise, fit_zero = (
+            pointer_readout(CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=1.0,
+                                         kick_sign=kick_sign), pre, post, meter)[1]
+            for variant in ("measure_sigma_zR_noisy", "measure_LxSx_L", "measure_LxSx_R"))
         want_sig = kick_sign * signal
         want_noise = kick_sign * 1.0
         rel_sig = abs(fit_sig.value - want_sig) / abs(want_sig)

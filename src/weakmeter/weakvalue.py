@@ -12,12 +12,12 @@ from .errors import DegeneratePostselectionError, UnknownIdError
 from .hilbert import Ket, Operator, SpaceSignature, extend, inner
 from .optics import (
     ARM_PROJECTORS,
+    ORBITAL_SIGNATURES,
+    PATH_SIGNATURE,
+    POLARIZATION_SIGNATURE,
     check_orbital_dim,
     named_state,
     orbital_matrix,
-    orbital_signature,
-    path_signature,
-    polarization_signature,
 )
 
 __all__ = [
@@ -101,16 +101,16 @@ def _terms(obs_id: str, orbital_dim: int):
     check_orbital_dim(orbital_dim)
     d = orbital_dim
     if coefficient is not None:
-        sig = orbital_signature(d).concat(polarization_signature())
+        sig = ORBITAL_SIGNATURES[d].concat(POLARIZATION_SIGNATURE)
         return (sig, np.kron(np.eye(d, dtype=complex), _SIGMA_Z),
                 np.kron(orbital_matrix(orbital, d), pol), coefficient)
     factors = []
     if arm is not None:
-        factors.append((path_signature(), arm))
+        factors.append((PATH_SIGNATURE, arm))
     if orbital is not None:
-        factors.append((orbital_signature(d), orbital_matrix(orbital, d)))
+        factors.append((ORBITAL_SIGNATURES[d], orbital_matrix(orbital, d)))
     if pol is not None:
-        factors.append((polarization_signature(), pol))
+        factors.append((POLARIZATION_SIGNATURE, pol))
     sig, matrix = factors[-1]
     for factor_sig, factor in reversed(factors[:-1]):  # arm (x) (orbital (x) polarization)
         sig, matrix = factor_sig.concat(sig), np.kron(factor, matrix)

@@ -9,17 +9,17 @@ import numpy as np
 
 from weakmeter.hilbert import FLAG_ATOL, Ket, Operator
 from weakmeter.optics import (
-    orbital_signature,
+    ORBITAL_SIGNATURES,
+    PATH_SIGNATURE,
+    POLARIZATION_SIGNATURE,
     orbital_vector,
-    path_signature,
     pol_from_hv,
-    polarization_signature,
 )
 
 
 def path_ket(arm: str) -> Ket:
     column = {"L": (1, 0), "R": (0, 1)}[arm]
-    return Ket(path_signature(), np.array(column, dtype=complex), normalized=True)
+    return Ket(PATH_SIGNATURE, np.array(column, dtype=complex), normalized=True)
 
 
 def pol_ket(label: str) -> Ket:
@@ -29,11 +29,11 @@ def pol_ket(label: str) -> Ket:
         "H": pol_from_hv(1, 0),
         "V": pol_from_hv(0, 1),
     }[label]
-    return Ket(polarization_signature(), coords, normalized=True)
+    return Ket(POLARIZATION_SIGNATURE, coords, normalized=True)
 
 
 def orbital_ket(label: str, dim: int = 2) -> Ket:
-    return Ket(orbital_signature(dim), orbital_vector(label, dim), normalized=True)
+    return Ket(ORBITAL_SIGNATURES[dim], orbital_vector(label, dim), normalized=True)
 
 
 def is_hermitian(op: Operator, atol: float = FLAG_ATOL) -> bool:

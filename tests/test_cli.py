@@ -173,6 +173,16 @@ class TestRun:
         assert code == EXIT_OK
         assert exponent == decimal
 
+    @pytest.mark.parametrize("name", ["1e3", "-1e-5", "2E8"])
+    def test_exponent_looking_name_override_is_a_string(self, tmp_path, capsys, name):
+        # a --set name reads as the same name in a file does
+        code, out, err = run_cli(capsys, "run", "bundle:cheshire", "--set", f"name={name}")
+        assert code == EXIT_OK, err
+        doc = tmp_path / "named.yaml"
+        doc.write_text(load_bundle("cheshire").replace("name: cheshire", f"name: {name}"))
+        assert run_cli(capsys, "run", str(doc))[1] == out
+        assert {row["scenario"] for row in csv.DictReader(io.StringIO(out))} == {name}
+
     def test_bad_swept_value_gets_its_own_row(self, tmp_path, capsys):
         doc = tmp_path / "sweep.yaml"
         doc.write_text(load_bundle("amplification").replace(

@@ -588,10 +588,14 @@ class TestTransferAmplitudes:
         factors = kick_factors(dense_spec(variant, arm, 1, 0.4), pre.signature, meter)
         pres, posts = random_kets(7, 4, pre.signature), random_kets(8, 5, pre.signature)
         batch = transfer_amplitudes(factors, pres, posts)
+        readouts = list(transfer_readouts(factors, meter, pres, posts))
         for p, post in enumerate(posts):
             for r, ket in enumerate(pres):
                 np.testing.assert_array_equal(batch[p, r],
                                               transfer_amplitudes(factors, [ket], [post])[0, 0])
+                # readout and fit alike, bit for bit (repr tells -0.0 from 0.0)
+                ((alone,),) = transfer_readouts(factors, meter, [ket], [post])
+                assert repr(readouts[r][p]) == repr(alone)
 
     def test_states_off_the_factors_space_rejected(self):
         pre, meter = random_pre_and_meter(31)

@@ -234,3 +234,28 @@ def test_cli_reports_a_reader_error_on_one_line(base, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: unacceptable character #x0001: ")
     assert captured.err.endswith("(line 2, column 8)\n") and captured.err.count("\n") == 1
+
+
+# ---- duplicate keys ----
+
+
+@pytest.mark.parametrize("text, key, line", [
+    (test_scenario.MINIMAL + "coupling: {g: 1.0, g: 0.002}\n", "g", 6),
+    (test_scenario.MINIMAL + "name: other\n", "name", 6),
+    (test_scenario.MINIMAL + "meter:\n  N: 8\n  delta: 1.0\n  N: 16\n", "N", 9),
+], ids=["flow", "top-level", "block"])
+def test_duplicate_key_exits_on_one_line(base, tmp_path, capsys, text, key, line):
+    bad = tmp_path / "dup.yaml"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["run", str(bad)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: duplicate key {key!r}, first given on line ")
+    assert f"(line {line}, column " in captured.err and captured.err.count("\n") == 1
+
+
+def test_explicit_key_overrides_a_merged_one(base):
+    # only a mapping's own keys are checked: a merge may bring a key in twice,
+    # and an explicit key may override a merged one
+    text = "a: &a {g: 1.0, t: 2.0}\nb: {<<: [*a, {g: 3.0}], g: 0.5}\n"
+    assert scenario.load_yaml(text) == {"a": {"g": 1.0, "t": 2.0}, "b": {"g": 0.5, "t": 2.0}}

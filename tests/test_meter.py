@@ -55,6 +55,25 @@ class TestMakeMeter:
             _, var_p = moments(meter.amplitudes, "p")
             assert var_q * var_p >= 0.25 * (1 - 1e-6)
 
+    @pytest.mark.parametrize("n,delta", [(8, 1.0), (64, 4.0), (200, 11.0)])
+    def test_held_arrays_are_read_only(self, n, delta):
+        # every pointer read on a meter shares these, so no caller may write them
+        meter = make_meter(n, delta)
+        for name in ("amplitudes", "q", "p_fft", "support", "weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(meter, name)[0] = 1
+            with pytest.raises(AttributeError):
+                setattr(meter, name, np.zeros(3))
+
+    @pytest.mark.parametrize("n,delta", [(8, 1.0), (64, 4.0), (200, 11.0)])
+    def test_held_arrays_are_their_definitions(self, n, delta):
+        meter = make_meter(n, delta)
+        np.testing.assert_array_equal(meter.q, q_grid(n))
+        np.testing.assert_array_equal(meter.p_fft, 2.0 * np.pi * np.fft.fftfreq(2 * n + 1))
+        support = np.flatnonzero(np.abs(meter.amplitudes) > 1e-8)
+        np.testing.assert_array_equal(meter.support, support)
+        np.testing.assert_array_equal(meter.weights, meter.amplitudes[support] ** 2)
+
 
 class TestMoments:
     def test_fresh_meter_is_centered(self):

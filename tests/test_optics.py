@@ -5,20 +5,20 @@ from weakmeter.errors import UnknownIdError
 from weakmeter.hilbert import Ket, Operator, SpaceSignature, inner, tensor
 from weakmeter.optics import (
     _HV_TO_PM,
+    ORBITAL_SIGNATURES,
+    PATH_SIGNATURE,
+    POLARIZATION_SIGNATURE,
     STATE_IDS,
     hv_components,
     named_state,
     orbital_matrix,
-    orbital_signature,
     orbital_vector,
-    path_signature,
     pol_from_hv,
-    polarization_signature,
 )
 
 from basis_kets import orbital_ket, path_ket, pol_ket
 
-PP = path_signature().concat(polarization_signature())
+PP = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
 
 
 def hv(ket):
@@ -48,7 +48,7 @@ def in_pm_basis(matrix_hv):
 
 def prepare_preselected(theta):
     """cos(theta/2)|H> + sin(theta/2)|V> entering the left port, through the three elements."""
-    source = tensor(path_ket("L"), Ket(polarization_signature(),
+    source = tensor(path_ket("L"), Ket(POLARIZATION_SIGNATURE,
                                        pol_from_hv(np.cos(theta / 2), np.sin(theta / 2))))
     preparation = in_pm_basis(PHASE_R_HV @ HWP_R_HV @ PBS_HV)
     return Ket(PP, preparation @ source.amplitudes)
@@ -185,7 +185,7 @@ def composed_state(name, theta=None, alpha=None, orbital_dim=2):
 
     def orbital_superposition(dim):
         amps = (orbital_vector("va", dim) + 1j * orbital_vector("vb", dim)) / np.sqrt(2.0)
-        return Ket(orbital_signature(dim), amps, normalized=True)
+        return Ket(ORBITAL_SIGNATURES[dim], amps, normalized=True)
 
     def insert_orbital(path_pol, orb):
         sig = SpaceSignature((("path", 2), ("orbital", orb.signature.dim), ("polarization", 2)))
@@ -203,7 +203,7 @@ def composed_state(name, theta=None, alpha=None, orbital_dim=2):
     if name == "noisy_in":
         return tensor(orbital_superposition(orbital_dim), pol_ket("H"))
     if name == "noisy_f":
-        pol = Ket(polarization_signature(), pol_from_hv(np.cos(alpha), np.sin(alpha)))
+        pol = Ket(POLARIZATION_SIGNATURE, pol_from_hv(np.cos(alpha), np.sin(alpha)))
         return tensor(orbital_ket("va", orbital_dim), pol)
     if name == "disembody_in":
         return insert_orbital(amp_in(theta), orbital_superposition(orbital_dim))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from weakmeter.cli import list_bundles, load_bundle
 from weakmeter.dynamics import COUPLINGS, VARIANTS
 from weakmeter.errors import (
     ParameterRangeError,
@@ -350,14 +351,17 @@ def count_kick_factors(monkeypatch):
 
 
 class TestReuse:
-    def test_multi_path_sweep_matches_single_point_runs(self):
+    @pytest.mark.parametrize("label", ["PARALLEL_MULTI"] + [f"bundle:{n}" for n in list_bundles()])
+    def test_multi_path_sweep_matches_single_point_runs(self, label):
         # every point must equal a fresh single-point run of its overrides,
-        # so a reuse key that misses a field shows up as a differing record
+        # so a reuse key that misses a field shows up as a differing record,
+        # and a point's bits cannot depend on the other points of its key
         import dataclasses
 
-        doc = parse_scenario(PARALLEL_MULTI)
+        bundle = label.startswith("bundle:")
+        doc = parse_scenario(load_bundle(label[7:]) if bundle else PARALLEL_MULTI)
         records = run_scenario(doc)
-        assert len(records) == 32
+        assert bundle or len(records) == 32
         base = dataclasses.replace(doc, sweep={})
         for rec in records:
             single = base
@@ -675,8 +679,6 @@ class TestCanonicalText:
     }
 
     def test_bundle_hashes_are_pinned(self):
-        from weakmeter.cli import list_bundles, load_bundle
-
         assert list_bundles() == sorted(self.BUNDLE_HASHES)
         for name, want in self.BUNDLE_HASHES.items():
             assert parse_scenario(load_bundle(name)).config_hash() == want, name

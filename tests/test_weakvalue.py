@@ -10,7 +10,12 @@ from weakmeter.errors import (
     UnknownIdError,
 )
 from weakmeter.hilbert import Ket, Operator, extend
-from weakmeter.optics import named_state, orbital_matrix, path_signature, polarization_signature
+from weakmeter.optics import (
+    PATH_SIGNATURE,
+    POLARIZATION_SIGNATURE,
+    named_state,
+    orbital_matrix,
+)
 from weakmeter.weakvalue import (
     EPS_OVERLAP,
     cheshire_table,
@@ -178,7 +183,7 @@ class TestWeakValueProperties:
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
-        sig = path_signature().concat(polarization_signature())
+        sig = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
         for _ in range(20):
             pre, post = self.rand_state(rng, sig), self.rand_state(rng, sig)
             a, b = self.rand_hermitian_op(rng, sig), self.rand_hermitian_op(rng, sig)
@@ -192,7 +197,7 @@ class TestWeakValueProperties:
 
     def test_projector_completeness(self):
         rng = np.random.default_rng(8)
-        sig = path_signature().concat(polarization_signature())
+        sig = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
         for _ in range(20):
             pre, post = self.rand_state(rng, sig), self.rand_state(rng, sig)
             total = (weak_value(pre, post, observable("pi_L")).value
@@ -202,7 +207,7 @@ class TestWeakValueProperties:
     @pytest.mark.parametrize("pauli", ["sigma_z", "sigma_x"])
     def test_arm_decomposition(self, pauli):
         rng = np.random.default_rng(9)
-        sig = path_signature().concat(polarization_signature())
+        sig = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
         for _ in range(20):
             pre, post = self.rand_state(rng, sig), self.rand_state(rng, sig)
             split = (weak_value(pre, post, observable(f"{pauli}_L")).value
@@ -212,7 +217,7 @@ class TestWeakValueProperties:
 
     def test_eigenstate_consistency(self):
         rng = np.random.default_rng(10)
-        sig = polarization_signature()
+        sig = POLARIZATION_SIGNATURE
         op = self.rand_hermitian_op(rng, sig)
         w, v = np.linalg.eigh(op.matrix)
         for i in range(len(w)):
@@ -222,7 +227,7 @@ class TestWeakValueProperties:
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(11)
-        sig = path_signature().concat(polarization_signature())
+        sig = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
         pre, post = self.rand_state(rng, sig), self.rand_state(rng, sig)
         op = self.rand_hermitian_op(rng, sig)
         base = weak_value(pre, post, op).value
@@ -231,7 +236,7 @@ class TestWeakValueProperties:
         assert scaled == pytest.approx(base, abs=1e-12 * max(1, abs(base)))
 
     def test_degenerate_threshold_is_scale_invariant(self):
-        sig = polarization_signature()
+        sig = POLARIZATION_SIGNATURE
         a = Ket(sig, [1, 0])
         b = Ket(sig, [0, 1e-6])  # tiny but orthogonal-to-a
         with pytest.raises(DegeneratePostselectionError):

@@ -1,0 +1,167 @@
+"""Benchmark a change against its parent in alternating pairs, into one BENCH_<tag>.json.
+
+The protocol of ROADMAP rule 11: each side runs in its own ``git archive``
+checkout; for every seed and workload one run of each side, the side that
+runs first alternating pair by pair (the parent first on even pair index),
+the workloads interleaved; each run is
+
+    python3 perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0
+
+in its checkout, and its last stdout line is kept.  The file holds those
+lines, the machine facts, and per workload and end-to-end metric the
+medians, quartiles (``statistics.quantiles(n=4, method='inclusive')``) and
+the change's wins (pairs whose change value is strictly lower; every metric
+is lower-is-better).  ``gain`` says whether a claim of that metric would
+hold: wins in at least nine tenths of the pairs, and a median gap larger
+than the parent's interquartile range.  The file is rewritten after every
+pair, so an interrupted session keeps what it measured.
+
+Run it from the repository root, e.g.
+
+    python3 tools/bench_pairs.py --tag pointer_path --seeds 1801-1810 \\
+        --note "what the change does"
+
+``--parent`` defaults to ``HEAD``.  ``--change`` defaults to the working
+tree: its tracked files, including new files staged with ``git add``,
+snapshotted by ``git stash create`` (``HEAD`` when nothing differs).
+Python writes no bytecode in the checkouts, so every set-up probe compiles
+weakmeter from source on both sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("verify_suite", "angle_sweep", "wide_meter")
+METRICS = ("op_s", "peak_mem_mb", "setup_s")
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def seed_list(text: str) -> list[int]:
+    """``1801-1810`` or ``1,5,9``."""
+    if "-" in text:
+        first, last = map(int, text.split("-"))
+        return list(range(first, last + 1))
+    return [int(seed) for seed in text.split(",")]
+
+
+def checkout(commit: str, into: Path) -> Path:
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, list[str]]:
+    """The last stdout line of one benchmark run in ``tree``, and its machine lines."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    lines = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
+                           check=True).stdout.splitlines()
+    return json.loads(lines[-1]), [line[len("machine "):] for line in lines
+                                   if line.startswith("machine ")]
+
+
+def summary(runs: dict) -> dict:
+    out = {}
+    for metric in METRICS:
+        values = {side: [r["metrics"][metric]["value"] for r in runs[side]] for side in SIDES}
+        row = {}
+        for side, xs in values.items():
+            q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+            row |= {f"{side}_median": round(statistics.median(xs), 6),
+                    f"{side}_q1": round(q1, 6), f"{side}_q3": round(q3, 6)}
+        pairs = len(values["parent"])
+        wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        gap = statistics.median(values["parent"]) - statistics.median(values["change"])
+        row |= {"change_over_parent": round(row["change_median"] / row["parent_median"], 6),
+                "change_wins": wins, "pairs": pairs,
+                "gain": wins >= 0.9 * pairs and gap > row["parent_q3"] - row["parent_q1"]}
+        out[metric] = row
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--tag", required=True, help="the file is BENCH_<tag>.json")
+    parser.add_argument("--seeds", type=seed_list, required=True,
+                        help="one pair per seed and workload: 1801-1810 or 1,5,9")
+    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--change", default=None, help="default: the working tree")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--note", default="", help="what the change does")
+    args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two seeds")
+
+    commits = {"parent": git("rev-parse", args.parent),
+               "change": git("rev-parse", args.change) if args.change
+               else git("stash", "create") or git("rev-parse", "HEAD")}
+    out_path = ROOT / f"BENCH_{args.tag}.json"
+    doc = {
+        "tag": args.tag,
+        "change": args.note,
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
+        "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "protocol": f"{len(args.seeds)} pairs per workload by tools/bench_pairs.py: each side "
+                    "in its own git archive checkout; the side that runs first alternates "
+                    "pair by pair (parent first on even pair index); pairs interleave the "
+                    "workloads; quartiles by statistics.quantiles(n=4, method='inclusive'); "
+                    "a win is a pair whose change value is strictly lower; each entry of runs "
+                    "is the last stdout line of one run, in seed order",
+        "machine": [],
+        "workloads": {w: {"seeds": args.seeds, "runs": {side: [] for side in SIDES}}
+                      for w in args.workloads},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
+        trees = {side: checkout(commit, Path(scratch) / side) for side, commit in commits.items()}
+        for index, seed in enumerate(args.seeds):
+            order = SIDES if index % 2 == 0 else SIDES[::-1]
+            for workload in args.workloads:
+                entry = doc["workloads"][workload]
+                for side in order:
+                    result, machine = run(trees[side], workload, seed, args.seconds)
+                    entry["runs"][side].append(result)
+                    doc["machine"] = doc["machine"] or [
+                        *machine, f"pyyaml={yaml.__version__} libyaml={yaml.__with_libyaml__} "
+                        f"platform={platform.platform()}"]
+                    print(f"pair {index} seed {seed} {workload} {side}: "
+                          f"{json.dumps(result['metrics'])}", file=sys.stderr)
+                if index:
+                    entry["summary"] = summary(entry["runs"])
+                entry["failed_operations"] = {
+                    side: sum(r["failed"] for r in entry["runs"][side]) for side in SIDES}
+            out_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    for workload, entry in doc["workloads"].items():
+        for metric, row in entry["summary"].items():
+            print(f"{workload} {metric}: {row['parent_median']:g} -> {row['change_median']:g} "
+                  f"(parent IQR {row['parent_q3'] - row['parent_q1']:.3g}), change wins "
+                  f"{row['change_wins']}/{row['pairs']}, gain {row['gain']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
