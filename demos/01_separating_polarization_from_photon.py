@@ -18,7 +18,7 @@ post = named_state("cheshire_f")
 print("conditional (weak) values for the balanced arrangement")
 print(f"{'observable':<12} {'value':>10}")
 for obs_id in ("pi_L", "pi_R", "sigma_z_L", "sigma_z_R"):
-    value = weak_value(pre, post, observable(obs_id)).value
+    value = weak_value(pre, post, observable(obs_id))
     print(f"{obs_id:<12} {value.real:>10.6f}")
 
 # The same number read off an actual pointer: couple a Gaussian meter to the

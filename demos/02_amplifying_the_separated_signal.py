@@ -10,11 +10,16 @@ photon's left-arm localization and the x-component quartet stay pinned.
 
 import numpy as np
 
-from weakmeter.weakvalue import cheshire_table
+from weakmeter import weak_value
+from weakmeter.optics import named_state
+from weakmeter.weakvalue import observable
 
+post = named_state("amp_f")
 print(f"{'theta':>10} {'sigma_z_R':>12} {'tan(theta/2)':>14} {'pi_L':>6} {'sigma_x_L':>10}")
 for theta in (np.pi / 6, np.pi / 4, np.pi / 2, 2 * np.pi / 3, 0.9 * np.pi):
-    rows = {r.observable: r.value for r in cheshire_table([theta])}
+    pre = named_state("amp_in", theta=theta)
+    rows = {obs_id: weak_value(pre, post, observable(obs_id))
+            for obs_id in ("sigma_z_R", "pi_L", "sigma_x_L")}
     print(f"{theta:>10.4f} {rows['sigma_z_R'].real:>12.6f} {np.tan(theta / 2):>14.6f}"
           f" {rows['pi_L'].real:>6.2f} {rows['sigma_x_L'].real:>10.2f}")
 

@@ -12,10 +12,10 @@ This script shows all three, plus the residual that certifies each fit.
 
 import numpy as np
 
-from weakmeter import CouplingSpec, pointer_readout
+from weakmeter import CouplingSpec, pointer_readout, weak_value
 from weakmeter.meter import make_meter
 from weakmeter.optics import named_state
-from weakmeter.weakvalue import noisy_effective_weak_value
+from weakmeter.weakvalue import observable
 
 alpha = np.pi / 4
 g = 1e-3
@@ -27,7 +27,7 @@ print(f"alpha = pi/4, g = {g}")
 print(f"{'g_prime*t':>10} {'formula (g.t+i)tan':>22} {'fit, noise->kick':>20} "
       f"{'fit, kick->noise':>20}")
 for gpt in (0.02, 0.05, 0.1):
-    formula = noisy_effective_weak_value("spin_orbit", alpha, gpt)
+    formula = weak_value(pre, post, observable("effective_spin_orbit", gprime_t=gpt))
     fits = {}
     for label, kick_time in (("end", None), ("start", 0.0)):
         spec = CouplingSpec(variant="spin_orbit", g=g, gprime=gpt, t=1.0,

@@ -11,24 +11,30 @@ entry of the table.
 
 import numpy as np
 
-from weakmeter import disembodied_measurement
+from weakmeter import CouplingSpec, pointer_readout, weak_value
 from weakmeter.meter import make_meter
-from weakmeter.weakvalue import disembodiment_table
+from weakmeter.optics import named_state
+from weakmeter.weakvalue import observable
 
 meter = make_meter(64, 4.0)
 
+
+def pointer_fit(variant, pre, post):
+    """The pointer fit of the arm-resolved measurement ``variant`` (g = g' = 1e-3, t = 1)."""
+    return pointer_readout(CouplingSpec(variant=variant), pre, post, meter)[1]
+
+
 for theta, alpha in ((np.pi / 2, np.pi / 4), (2 * np.pi / 3, np.pi / 3)):
-    rows = {r.observable: r.value for r in disembodiment_table(theta, alpha)}
+    pre = named_state("disembody_in", theta=theta)
+    post = named_state("disembody_f", alpha=alpha)
     print(f"theta = {theta:.4f}, alpha = {alpha:.4f} "
           f"(tan(theta/2) tan(alpha) = {np.tan(theta / 2) * np.tan(alpha):.4f})")
     for obs_id in ("sigma_z_L", "sigma_z_R", "Lx_sigma_x_L", "Lx_sigma_x_R"):
-        print(f"  {obs_id:<14} weak value {rows[obs_id].real:>9.6f}")
-    _, fit_signal = disembodied_measurement(theta, alpha, "sigma_zR",
-                                            g=1e-3, meter=meter)
-    _, fit_noise = disembodied_measurement(theta, alpha, "LxSx_L",
-                                           gprime=1e-3, t=1.0, meter=meter)
-    _, fit_silent = disembodied_measurement(theta, alpha, "LxSx_R",
-                                            gprime=1e-3, t=1.0, meter=meter)
+        value = weak_value(pre, post, observable(obs_id))
+        print(f"  {obs_id:<14} weak value {value.real:>9.6f}")
+    fit_signal = pointer_fit("measure_sigma_zR_noisy", pre, post)
+    fit_noise = pointer_fit("measure_LxSx_L", pre, post)
+    fit_silent = pointer_fit("measure_LxSx_R", pre, post)
     print(f"  meter fits: signal {fit_signal.value.real:.6f}, "
           f"noise (left) {fit_noise.value.real:.6f}, "
           f"noise (right) {abs(fit_silent.value):.2e}")

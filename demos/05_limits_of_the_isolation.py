@@ -11,10 +11,10 @@ the directly computed ratio i tan(alpha) - 1.
 
 import numpy as np
 
-from weakmeter import CouplingSpec, parallel_arm_readout, pointer_readout
+from weakmeter import CouplingSpec, parallel_arm_readout, pointer_readout, weak_value
 from weakmeter.meter import make_meter
 from weakmeter.optics import named_state
-from weakmeter.weakvalue import three_body_comparison
+from weakmeter.weakvalue import observable
 
 meter = make_meter(32, 4.0)
 
@@ -30,9 +30,10 @@ for variant in ("parallel_1", "parallel_2"):
 print()
 print("three-body kick: which closed form does the pointer obey?")
 alpha = np.pi / 4
-candidates = three_body_comparison(alpha)
 pre = named_state("noisy_in")
 post = named_state("noisy_f", alpha=alpha)
+candidates = {"direct": weak_value(pre, post, observable("effective_three_body")),
+              "quoted": 1.0 + 1j * np.tan(alpha)}
 spec = CouplingSpec(variant="three_body", g=1e-3)
 _, fit = pointer_readout(spec, pre, post, make_meter(64, 4.0))
 print(f"  direct ratio     {candidates['direct']:.6f}")

@@ -12,7 +12,6 @@ from .dynamics import (
     CouplingSpec,
     EffectiveWeakValueFit,
     build_hamiltonian,
-    disembodied_measurement,
     evolve_dyson2,
     evolve_exact,
     fit_effective_weak_value,
@@ -35,7 +34,6 @@ from .hilbert import (
     SpaceSignature,
     extend,
     inner,
-    tensor,
 )
 from .meter import (
     ContinuousMoments,
@@ -55,14 +53,6 @@ from .scenario import (
     records_to_jsonl,
     run_scenario,
 )
-from .weakvalue import (
-    WeakValueResult,
-    cheshire_table,
-    disembodiment_table,
-    noisy_effective_weak_value,
-    observable,
-    three_body_comparison,
-    weak_value,
-)
+from .weakvalue import observable, weak_value
 
 __version__ = "0.1.0"

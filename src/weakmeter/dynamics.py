@@ -71,7 +71,6 @@ __all__ = [
     "transfer_readouts",
     "fit_effective_weak_value",
     "pointer_readout",
-    "disembodied_measurement",
     "parallel_arm_readout",
 ]
 
@@ -641,32 +640,6 @@ def pointer_readout(spec: CouplingSpec, pre: Ket, post: Ket,
     if isinstance(entry, Exception):
         raise entry
     return entry
-
-
-_DISEMBODY_TARGETS = {
-    "sigma_zR": "measure_sigma_zR_noisy",
-    "LxSx_L": "measure_LxSx_L",
-    "LxSx_R": "measure_LxSx_R",
-}
-
-
-def disembodied_measurement(theta: float, alpha: float, target: str, *,
-                            g: float = 1e-3, gprime: float = 1e-3, t: float = 1.0,
-                            meter: DiscreteGaussianMeter, orbital_dim: int = 2,
-                            kick_sign: int = 1) -> tuple[MeterReadout, EffectiveWeakValueFit]:
-    """Full noise-isolation run: prepare, kick in one arm, post-select, read.
-
-    ``target`` picks the arm-resolved measurement: the amplified signal
-    (sigma_z, right arm), the isolated noise (L_x sigma_x, left arm), or
-    the right-arm noise probe expected to read zero.
-    """
-    if target not in _DISEMBODY_TARGETS:
-        raise ValueError(f"target must be one of {sorted(_DISEMBODY_TARGETS)}, got {target!r}")
-    pre = named_state("disembody_in", theta=theta, orbital_dim=orbital_dim)
-    post = named_state("disembody_f", alpha=alpha, orbital_dim=orbital_dim)
-    spec = CouplingSpec(variant=_DISEMBODY_TARGETS[target], g=g, gprime=gprime, t=t,
-                        kick_sign=kick_sign)
-    return pointer_readout(spec, pre, post, meter)
 
 
 def parallel_arm_readout(variant: str, theta: float, alpha: float, arm: str, *,

@@ -19,7 +19,6 @@ __all__ = [
     "SpaceSignature",
     "Ket",
     "Operator",
-    "tensor",
     "extend",
     "inner",
 ]
@@ -108,21 +107,6 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def __add__(self, other: "Ket") -> "Ket":
-        if self.signature != other.signature:
-            raise SignatureError("cannot add kets on different signatures")
-        return Ket(self.signature, self.amplitudes + other.amplitudes)
-
-    def __sub__(self, other: "Ket") -> "Ket":
-        if self.signature != other.signature:
-            raise SignatureError("cannot subtract kets on different signatures")
-        return Ket(self.signature, self.amplitudes - other.amplitudes)
-
-    def __mul__(self, scalar) -> "Ket":
-        return Ket(self.signature, self.amplitudes * complex(scalar))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class Operator:
@@ -139,27 +123,6 @@ class Operator:
             raise SignatureError(f"matrix shape {mat.shape} != ({d}, {d})")
         if not np.all(np.isfinite(mat.view(float))):
             raise ValueError("operator entries must be finite")
-
-    def apply(self, ket: Ket) -> Ket:
-        if ket.signature != self.signature:
-            raise SignatureError(
-                f"operator on {self.signature} applied to ket on {ket.signature}"
-            )
-        return Ket(self.signature, self.matrix @ ket.amplitudes)
-
-
-def tensor(a, b):
-    """Kronecker product of two kets or two operators.
-
-    The result's signature is the concatenation of the operands'; duplicate
-    factor labels raise :class:`SignatureError`.
-    """
-    sig = a.signature.concat(b.signature)
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(sig, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(sig, np.kron(a.matrix, b.matrix))
-    raise TypeError("tensor expects two kets or two operators")
 
 
 def extend(op: Operator, target: SpaceSignature) -> Operator:

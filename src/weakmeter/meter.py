@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnnihilationError, ParameterRangeError
-from .hilbert import Ket, SpaceSignature
+from .hilbert import Ket
 
 __all__ = [
     "GRID_UNITS",
@@ -92,10 +92,6 @@ class DiscreteGaussianMeter:
     def size(self) -> int:
         return 2 * self.half_width + 1
 
-    def ket(self, label: str = "meter") -> Ket:
-        sig = SpaceSignature(((label, self.size),))
-        return Ket(sig, self.amplitudes, normalized=True)
-
 
 def check_meter(half_width, width) -> None:
     """Raise :class:`ParameterRangeError` unless ``make_meter`` can take these values.
@@ -123,19 +119,24 @@ def make_meter(half_width: int, width: float) -> DiscreteGaussianMeter:
     """Build the normalized discrete Gaussian meter.
 
     Raises :class:`ParameterRangeError` for values :func:`check_meter`
-    rejects.  Warns when ``width > half_width / 5``: the lost tail mass then
-    exceeds the tolerance the continuous-limit comparisons assume.
+    rejects, and for a ``half_width`` whose 2N+1 point grid numpy cannot
+    size or allocate.  Warns when ``width > half_width / 5``: the lost tail
+    mass then exceeds the tolerance the continuous-limit comparisons assume.
     """
     check_meter(half_width, width)
     n = int(half_width)
     delta = float(width)
+    try:
+        meter = DiscreteGaussianMeter(half_width=n, width=delta)
+    except (ValueError, MemoryError):  # "Maximum allowed size exceeded", "Unable to allocate"
+        raise ParameterRangeError(
+            f"meter.N = {n}: numpy cannot allocate its 2N+1 point grid") from None
     if delta > n / TRUNCATION_GUARD:
         warnings.warn(
             f"meter width {delta} exceeds half_width/{TRUNCATION_GUARD:.0f} = "
             f"{n / TRUNCATION_GUARD}; truncation error exceeds tolerance",
             stacklevel=2,
         )
-    meter = DiscreteGaussianMeter(half_width=n, width=delta)
     if 1.0 <= delta <= n / TRUNCATION_GUARD:
         # in the grid-resolvable regime the uncertainty product sits at its
         # 1/4 Gaussian minimum (up to ~1e-4 truncation slack right at the

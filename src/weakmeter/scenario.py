@@ -695,14 +695,14 @@ def _run_key(jobs: list, memo: dict, chash: str, records: list) -> None:
         return
 
     meter_doc, coupling = first.doc.meter, first.doc.coupling
-    meter = _shared(memo, ("meter", meter_doc["N"], meter_doc["delta"]),
-                    lambda: make_meter(meter_doc["N"], meter_doc["delta"]))
     spec = _shared(memo, ("coupling", coupling), lambda: CouplingSpec(**coupling))
     try:
+        meter = _shared(memo, ("meter", meter_doc["N"], meter_doc["delta"]),
+                        lambda: make_meter(meter_doc["N"], meter_doc["delta"]))
         # the key's factors live only in this call: one key's grid arrays at a time
         factors = kick_factors(spec, first.pre.signature, meter)
         results = list(transfer_readouts(factors, meter, pres, posts))
-    except WeakmeterError as exc:  # the kick overflows, or the states' spaces differ
+    except WeakmeterError as exc:  # no grid, the kick overflows, or the states' spaces differ
         for job, weak_values in pending:
             fill(job, weak_values, exc)
         return

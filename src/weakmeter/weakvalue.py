@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -16,23 +15,17 @@ from .optics import (
     PATH_SIGNATURE,
     POLARIZATION_SIGNATURE,
     check_orbital_dim,
-    named_state,
     orbital_matrix,
 )
 
 __all__ = [
     "EPS_OVERLAP",
-    "WeakValueResult",
     "observable",
     "observable_ids",
     "lifted_observable",
     "weak_value",
     "check_overlap",
     "weak_value_tables",
-    "cheshire_table",
-    "noisy_effective_weak_value",
-    "three_body_comparison",
-    "disembodiment_table",
 ]
 
 # Below this normalized overlap the post-selection is degenerate and weak
@@ -169,16 +162,6 @@ def observable_ids() -> tuple[str, ...]:
     return tuple(_CATALOG)
 
 
-@dataclass(frozen=True)
-class WeakValueResult:
-    value: complex
-    overlap: complex
-    observable: str = ""
-    pre_id: str = ""
-    post_id: str = ""
-    params: dict = field(default_factory=dict)
-
-
 def check_overlap(overlap: complex, scale: float, eps_overlap: float = EPS_OVERLAP) -> None:
     """Raise :class:`DegeneratePostselectionError` unless |overlap| > eps_overlap * scale.
 
@@ -192,34 +175,25 @@ def check_overlap(overlap: complex, scale: float, eps_overlap: float = EPS_OVERL
         )
 
 
-def weak_value(pre: Ket, post: Ket, a: Operator, *, observable_id: str = "",
-               pre_id: str = "", post_id: str = "", params: dict | None = None,
-               eps_overlap: float = EPS_OVERLAP) -> WeakValueResult:
-    """<post|A|pre> / <post|pre>.
+def weak_value(pre: Ket, post: Ket, a: Operator, *, eps_overlap: float = EPS_OVERLAP) -> complex:
+    """<post|A|pre> / <post|pre>, the one entry of :func:`weak_value_tables` for this pair.
 
-    Invariant under independent rescalings and global phases of either
-    state.  Raises :class:`DegeneratePostselectionError` when the
-    norm-scaled overlap falls below ``eps_overlap``.
+    ``a`` is extended to the pre-state's signature first.  Invariant under
+    independent rescalings and global phases of either state.  Raises
+    :class:`DegeneratePostselectionError` when the norm-scaled overlap falls
+    below ``eps_overlap``.
     """
-    if a.signature != pre.signature:
-        op = extend(a, pre.signature)
-    else:
-        op = a
-    ovl = inner(post, pre)
-    check_overlap(ovl, pre.norm() * post.norm(), eps_overlap)
-    value = inner(post, op.apply(pre)) / ovl
-    return WeakValueResult(
-        value=value, overlap=ovl, observable=observable_id,
-        pre_id=pre_id, post_id=post_id, params=dict(params or {}),
-    )
+    overlaps, (table,) = weak_value_tables([pre], [post], [extend(a, pre.signature).matrix])
+    check_overlap(overlaps[0, 0], pre.norm() * post.norm(), eps_overlap)
+    return complex(table[0, 0])
 
 
 def weak_value_tables(pres, posts, matrices) -> tuple[np.ndarray, list[np.ndarray]]:
     """<post|pre> and <post|A|pre> / <post|pre> for every (post, pre) pair.
 
     Returns the overlaps and one table per matrix A in ``matrices`` (on the
-    states' signature), each indexed [post, pre].  The overlaps are
-    :func:`inner` itself, as in :func:`weak_value`; each matrix is one
+    states' signature), each indexed [post, pre]; :func:`weak_value` is one
+    entry.  The overlaps are :func:`inner` itself.  Each matrix is one
     contraction over all the states, in which every entry sums over the
     system axis on its own, so its bits do not depend on the other states.
     Degenerate pairs are not rejected here (see :func:`check_overlap`);
@@ -231,81 +205,3 @@ def weak_value_tables(pres, posts, matrices) -> tuple[np.ndarray, list[np.ndarra
     with np.errstate(divide="ignore", invalid="ignore"):
         return overlaps, [np.sum(bras * np.sum(matrix * kets[:, None, :], axis=-1), axis=-1)
                           / overlaps for matrix in matrices]
-
-
-_CHESHIRE_OBS = ("pi_L", "pi_R", "sigma_z_L", "sigma_z_R", "sigma_x_L", "sigma_x_R")
-
-
-def cheshire_table(thetas) -> list[WeakValueResult]:
-    """All six amplified-separation weak values for each requested theta.
-
-    Closed forms: pi_L = 1, pi_R = 0, sigma_z_L = 0, sigma_z_R = tan(theta/2),
-    sigma_x_L = 1, sigma_x_R = 0.
-    """
-    post = named_state("amp_f")
-    rows = []
-    for theta in np.atleast_1d(np.asarray(thetas, dtype=float)):
-        pre = named_state("amp_in", theta=float(theta))
-        for obs_id in _CHESHIRE_OBS:
-            rows.append(weak_value(
-                pre, post, observable(obs_id),
-                observable_id=obs_id, pre_id="amp_in", post_id="amp_f",
-                params={"theta": float(theta)},
-            ))
-    return rows
-
-
-def noisy_effective_weak_value(variant: str, alpha: float, gprime_t: float,
-                               *, orbital_dim: int = 2) -> complex:
-    """Directly evaluated weak value of the noisy effective observable.
-
-    ``spin_orbit`` gives (gprime_t + i) tan(alpha) exactly.  ``three_body``
-    gives i tan(alpha) - 1; see :func:`three_body_comparison` for the
-    competing closed form and the meter-dynamics adjudication.
-    """
-    if variant == "spin_orbit":
-        obs = observable("effective_spin_orbit", orbital_dim=orbital_dim, gprime_t=gprime_t)
-    elif variant == "three_body":
-        obs = observable("effective_three_body", orbital_dim=orbital_dim)
-    else:
-        raise UnknownIdError(f"variant must be 'spin_orbit' or 'three_body', got {variant!r}")
-    pre = named_state("noisy_in", orbital_dim=orbital_dim)
-    post = named_state("noisy_f", alpha=float(alpha), orbital_dim=orbital_dim)
-    return weak_value(pre, post, obs).value
-
-
-def three_body_comparison(alpha: float) -> dict:
-    """Both candidate values for the three-body effective weak value.
-
-    The direct ratio gives i tan(alpha) - 1, while the quoted closed form is
-    1 + i tan(alpha); the sign of the L_x (x) sigma_x term differs.  Nothing
-    is silently corrected here: the dynamics layer's meter fit is the
-    adjudicator (it sides with the direct ratio).
-    """
-    alpha = float(alpha)
-    return {
-        "direct": noisy_effective_weak_value("three_body", alpha, 0.0),
-        "quoted": 1.0 + 1j * np.tan(alpha),
-    }
-
-
-_DISEMBODY_OBS = ("sigma_z_L", "sigma_z_R", "Lx_sigma_x_L", "Lx_sigma_x_R")
-
-
-def disembodiment_table(theta: float, alpha: float, *, orbital_dim: int = 2) -> list[WeakValueResult]:
-    """The noise-isolation quartet (0, tan(theta/2) tan(alpha), 1, 0)."""
-    theta, alpha = float(theta), float(alpha)
-    if np.cos(theta / 2) * np.cos(alpha) == 0.0:
-        raise DegeneratePostselectionError(
-            "cos(theta/2) cos(alpha) = 0 makes the post-selection degenerate", 0.0
-        )
-    pre = named_state("disembody_in", theta=theta, orbital_dim=orbital_dim)
-    post = named_state("disembody_f", alpha=alpha, orbital_dim=orbital_dim)
-    rows = []
-    for obs_id in _DISEMBODY_OBS:
-        rows.append(weak_value(
-            pre, post, observable(obs_id, orbital_dim=orbital_dim),
-            observable_id=obs_id, pre_id="disembody_in", post_id="disembody_f",
-            params={"theta": theta, "alpha": alpha},
-        ))
-    return rows

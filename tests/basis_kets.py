@@ -1,4 +1,4 @@
-"""Basis kets and a hermiticity check that the tests build references from.
+"""Basis kets, products and sums of kets, and a hermiticity check for test references.
 
 The package writes every named state in closed form (``optics.named_state``);
 these helpers compose the same states from path, polarization and orbital
@@ -7,8 +7,9 @@ basis kets, so the tests can compare the two.
 
 import numpy as np
 
-from weakmeter.hilbert import FLAG_ATOL, Ket, Operator
+from weakmeter.hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature
 from weakmeter.optics import (
+    METER,
     ORBITAL_SIGNATURES,
     PATH_SIGNATURE,
     POLARIZATION_SIGNATURE,
@@ -38,3 +39,20 @@ def orbital_ket(label: str, dim: int = 2) -> Ket:
 
 def is_hermitian(op: Operator, atol: float = FLAG_ATOL) -> bool:
     return bool(np.max(np.abs(op.matrix - op.matrix.conj().T)) <= atol)
+
+
+def tensor(a: Ket, b: Ket) -> Ket:
+    """The product ket a (x) b on the concatenated signature."""
+    return Ket(a.signature.concat(b.signature), np.kron(a.amplitudes, b.amplitudes))
+
+
+def superpose(*terms) -> Ket:
+    """sum c * ket over the (c, ket) pairs, all kets on one signature."""
+    signature = terms[0][1].signature
+    assert all(ket.signature == signature for _, ket in terms)
+    return Ket(signature, sum(c * ket.amplitudes for c, ket in terms))
+
+
+def meter_ket(meter) -> Ket:
+    """A meter's amplitudes as a normalized ket on the single factor ``METER``."""
+    return Ket(SpaceSignature(((METER, meter.size),)), meter.amplitudes, normalized=True)

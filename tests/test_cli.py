@@ -301,6 +301,16 @@ class TestSweep:
         assert all("meter.N must be a positive integer" in row[-1] for row in failed)
 
 
+    def test_unsizable_meter_n_is_a_row_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "bundle:cheshire",
+                                 "--set", f"meter.N={10**30}")
+        assert code == EXIT_OK, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 4
+        assert all(row[-1] == f"ParameterRangeError: meter.N = {10**30}: numpy cannot "
+                   "allocate its 2N+1 point grid" for row in rows)
+
+
 class TestAllFailedExit:
     """``run`` and ``sweep`` exit 4 when every point fails, and 0 when any point runs."""
 

@@ -13,7 +13,6 @@ from weakmeter.dynamics import (
     _catalog_basis,
     build_hamiltonian,
     coupling_terms,
-    disembodied_measurement,
     evolve_dyson2,
     evolve_exact,
     fit_effective_weak_value,
@@ -31,10 +30,12 @@ from weakmeter.errors import (
     NumericalOverflowError,
     SignatureError,
 )
-from weakmeter.hilbert import FLAG_ATOL, Ket, SpaceSignature, extend, inner, tensor
+from weakmeter.hilbert import FLAG_ATOL, Ket, SpaceSignature, extend, inner
 from weakmeter.meter import make_meter, meter_readout, moments
 from weakmeter.optics import METER, named_state
 from weakmeter.weakvalue import observable, weak_value
+
+from basis_kets import meter_ket, tensor
 
 METER64 = make_meter(64, 4.0)
 METER32 = make_meter(32, 4.0)
@@ -159,7 +160,7 @@ class TestEvolveExact:
         pre = named_state("noisy_in")
         spec = CouplingSpec(variant="spin_orbit", g=0.0, gprime=0.0, t=1.0)
         joint = evolve_exact(spec, pre, METER32)
-        expected = tensor(pre, METER32.ket(METER))
+        expected = tensor(pre, meter_ket(METER32))
         np.testing.assert_allclose(joint.amplitudes, expected.amplitudes, atol=1e-14)
 
     def test_norm_conserved(self):
@@ -185,7 +186,7 @@ class TestEvolveExact:
         joint = evolve_exact(spec, pre, METER64)
         final = post_select_meter(joint, post)
         mean_p, _ = moments(final.amplitudes, "p")
-        a_w = weak_value(pre, post, observable("sigma_z_R")).value
+        a_w = weak_value(pre, post, observable("sigma_z_R"))
         assert mean_p / g == pytest.approx(a_w.real, rel=1e-3)
 
     def test_review_states_meter_expansion(self):
@@ -223,7 +224,7 @@ class TestEvolveExact:
             np.testing.assert_array_equal(term, term.conj().T)
         got = evolve_exact(spec, pre, meter)
 
-        joint = tensor(pre, meter.ket(METER))
+        joint = tensor(pre, meter_ket(meter))
         u = dense_evolution(spec, joint.signature)
         np.testing.assert_allclose(got.amplitudes, u @ joint.amplitudes, atol=1e-12)
 
@@ -476,7 +477,7 @@ class TestDyson2:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = evolve_dyson2(spec, pre, METER32)
-        joint = tensor(pre, METER32.ket(METER))
+        joint = tensor(pre, meter_ket(METER32))
         kick, _ = build_hamiltonian(spec, joint.signature)
         expected = joint.amplitudes + 1j * (kick.matrix @ joint.amplitudes)
         np.testing.assert_allclose(got.amplitudes, expected, atol=1e-14)
@@ -491,7 +492,7 @@ class TestDyson2:
             warnings.simplefilter("ignore")
             got = evolve_dyson2(spec, pre, meter)
 
-        joint = tensor(pre, meter.ket(METER))
+        joint = tensor(pre, meter_ket(meter))
         kick, static = build_hamiltonian(spec, joint.signature)
         k, n, psi, s, t = kick.matrix, static.matrix, joint.amplitudes, kick_sign, spec.t
         expected = (psi + 1j * s * (k @ psi) - 1j * t * (n @ psi) - 0.5 * t**2 * (n @ n @ psi)
@@ -540,7 +541,7 @@ class TestPostSelectMeter:
         sig = named_state("cheshire_in").signature
         pre = Ket(sig, [1, 0, 0, 0])
         post = Ket(sig, [0, 1, 0, 0])
-        joint = tensor(pre, METER32.ket(METER))
+        joint = tensor(pre, meter_ket(METER32))
         with pytest.raises(AnnihilationError):
             post_select_meter(joint, post)
 
@@ -575,7 +576,7 @@ class TestTransferAmplitudes:
         posts = random_kets(6, 3, pre.signature)
         got = transfer_amplitudes(kick_factors(spec, pre.signature, meter), pres, posts)
         assert got.shape == (3, 3, meter.size)
-        u = dense_evolution(spec, tensor(pre, meter.ket(METER)).signature)
+        u = dense_evolution(spec, tensor(pre, meter_ket(meter)).signature)
         for r, ket in enumerate(pres):
             evolved = (u @ np.kron(ket.amplitudes, meter.amplitudes)).reshape(-1, meter.size)
             for p, post in enumerate(posts):
@@ -699,7 +700,7 @@ class TestFit:
             fit_effective_weak_value(np.zeros(METER64.size), METER64, 1e-3)
 
     def test_identical_states_fit_to_zero(self):
-        fit = fit_effective_weak_value(METER64.ket(METER), METER64, 1e-3)
+        fit = fit_effective_weak_value(meter_ket(METER64), METER64, 1e-3)
         assert abs(fit.value) < 1e-12
         assert abs(fit.offset) < 1e-12
         assert fit.residual < 1e-12
@@ -777,8 +778,7 @@ class TestNoisyScenarioFits:
         pre = named_state("noisy_in")
         post = named_state("noisy_f", alpha=alpha)
         fit = run_and_fit(spec, pre, post, METER64)
-        formula = weak_value(
-            pre, post, observable("effective_spin_orbit", gprime_t=gprime * t)).value
+        formula = weak_value(pre, post, observable("effective_spin_orbit", gprime_t=gprime * t))
         assert abs(fit.value - formula) / abs(formula) < 0.05
 
     def test_three_body_fit_sides_with_direct_ratio(self):
@@ -804,30 +804,34 @@ class TestNoisyScenarioFits:
         assert fits[0] == pytest.approx(fits[1], abs=1e-10)
 
 
+def disembodied_readout(theta, alpha, variant, **coupling):
+    """pointer_readout of an arm-resolved measure_* variant on the noise-isolation states."""
+    pre = named_state("disembody_in", theta=theta)
+    post = named_state("disembody_f", alpha=alpha)
+    return pointer_readout(CouplingSpec(variant=variant, **coupling), pre, post, METER64)
+
+
 class TestDisembodiedMeasurement:
     def test_signal_fit_balanced(self):
-        _, fit = disembodied_measurement(np.pi / 2, np.pi / 4, "sigma_zR",
-                                         g=1e-3, meter=METER64)
+        _, fit = disembodied_readout(np.pi / 2, np.pi / 4, "measure_sigma_zR_noisy", g=1e-3)
         assert abs(fit.value - 1.0) < 0.01
 
     def test_noise_fit_left_arm(self):
-        _, fit = disembodied_measurement(np.pi / 2, np.pi / 4, "LxSx_L",
-                                         gprime=1e-3, t=1.0, meter=METER64)
+        _, fit = disembodied_readout(np.pi / 2, np.pi / 4, "measure_LxSx_L",
+                                     gprime=1e-3, t=1.0)
         assert abs(fit.value - 1.0) < 0.01
 
     def test_amplified_point(self):
-        _, fit = disembodied_measurement(2 * np.pi / 3, np.pi / 3, "sigma_zR",
-                                         g=1e-3, meter=METER64)
+        _, fit = disembodied_readout(2 * np.pi / 3, np.pi / 3, "measure_sigma_zR_noisy", g=1e-3)
         assert abs(fit.value - 3.0) / 3.0 < 0.02
 
     def test_right_arm_noise_is_silent(self):
-        _, fit = disembodied_measurement(np.pi / 2, np.pi / 4, "LxSx_R",
-                                         gprime=1e-3, t=1.0, meter=METER64)
+        _, fit = disembodied_readout(np.pi / 2, np.pi / 4, "measure_LxSx_R",
+                                     gprime=1e-3, t=1.0)
         assert abs(fit.value) < 1e-3
 
     def test_readout_success_probability(self):
-        readout, _ = disembodied_measurement(np.pi / 2, np.pi / 4, "sigma_zR",
-                                             g=1e-3, meter=METER64)
+        readout, _ = disembodied_readout(np.pi / 2, np.pi / 4, "measure_sigma_zR_noisy", g=1e-3)
         want = (np.cos(np.pi / 4) * np.cos(np.pi / 4) / np.sqrt(2)) ** 2
         assert readout.success_probability == pytest.approx(want, rel=1e-2)
 
@@ -858,11 +862,10 @@ class TestParallelNoise:
         post = named_state("noisy_f", alpha=alpha, orbital_dim=3)
         spec = CouplingSpec(variant="parallel_1", g=1e-3, gprime=gpt, t=1.0)
         fit = run_and_fit(spec, pre, post, METER32)
-        sz = weak_value(pre, post, extend(observable("sigma_z"), pre.signature)).value
-        sz_n = weak_value(pre, post, extend(observable("L_x", orbital_dim=3),
-                                            pre.signature)).value
+        sz = weak_value(pre, post, extend(observable("sigma_z"), pre.signature))
+        sz_n = weak_value(pre, post, extend(observable("L_x", orbital_dim=3), pre.signature))
         n = weak_value(pre, post, extend(observable("Lx_sigma_z", orbital_dim=3),
-                                         pre.signature)).value
+                                         pre.signature))
         predicted = sz - 1j * gpt * (sz_n - sz * n)
         assert fit.value == pytest.approx(predicted, rel=0.05)
         assert abs(fit.value - sz) > 0.5 * gpt  # the noise term is visible

@@ -8,16 +8,11 @@ from weakmeter.hilbert import (
     SpaceSignature,
     extend,
     inner,
-    tensor,
 )
 
 
 def sig(*factors):
     return SpaceSignature(tuple(factors))
-
-
-def eye(dim, label):
-    return Operator(sig((label, dim)), np.eye(dim, dtype=complex))
 
 
 class TestSpaceSignature:
@@ -37,38 +32,6 @@ class TestSpaceSignature:
     def test_concat_rejects_duplicates(self):
         with pytest.raises(SignatureError):
             sig(("a", 2)).concat(sig(("a", 3)))
-
-
-class TestTensor:
-    def test_identity_times_identity(self):
-        got = tensor(eye(2, "a"), eye(3, "b"))
-        np.testing.assert_allclose(got.matrix, np.eye(6))
-
-    def test_basis_ket_product(self):
-        l_ket = Ket(sig(("path", 2)), [1, 0])
-        h_ket = Ket(sig(("polarization", 2)), [1, 0])
-        got = tensor(l_ket, h_ket)
-        np.testing.assert_array_equal(got.amplitudes, [1, 0, 0, 0])
-
-    def test_projector_times_sigma_z_by_hand(self):
-        # 4x4 Kronecker product written out explicitly
-        pi_l = Operator(sig(("path", 2)), np.diag([1.0, 0.0]))
-        sz = Operator(sig(("polarization", 2)), np.diag([1.0, -1.0]))
-        expected = np.diag([1.0, -1.0, 0.0, 0.0])
-        np.testing.assert_allclose(tensor(pi_l, sz).matrix, expected)
-
-    def test_duplicate_label_rejected(self):
-        with pytest.raises(SignatureError):
-            tensor(eye(2, "x"), eye(2, "x"))
-
-    def test_kron_associativity(self):
-        rng = np.random.default_rng(3)
-        a = Operator(sig(("a", 2)), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        b = Operator(sig(("b", 3)), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        c = Operator(sig(("c", 2)), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert np.max(np.abs(left.matrix - right.matrix)) < 1e-14
 
 
 class TestExtend:
@@ -137,7 +100,7 @@ class TestInner:
         s = sig(("a", 2))
         a = Ket(s, [1j, 0.5])
         b = Ket(s, [1, 1])
-        assert inner(2j * a, b) == pytest.approx(-2j * inner(a, b))
+        assert inner(Ket(s, 2j * a.amplitudes), b) == pytest.approx(-2j * inner(a, b))
 
     def test_review_states_overlap(self):
         # hand expansion of the review pre/post pair gives i/2

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import weakmeter.meter as meter_module
 from weakmeter.errors import AnnihilationError, ParameterRangeError
 from weakmeter.meter import (
     GRID_UNITS,
@@ -43,6 +44,21 @@ class TestMakeMeter:
             make_meter(0, 1.0)
         with pytest.raises(ValueError):
             make_meter(8, -1.0)
+
+    @pytest.mark.parametrize("n", [10**30, 10**400], ids=["1e30", "1e400"])
+    def test_grid_numpy_cannot_size_is_a_range_error(self, n):
+        # 2N+1 points exceed numpy's largest array, so nothing is allocated
+        with pytest.raises(ParameterRangeError,
+                           match=rf"^meter.N = {n}: numpy cannot allocate its 2N\+1 point grid$"):
+            make_meter(n, 4.0)
+
+    def test_grid_numpy_cannot_allocate_is_a_range_error(self, monkeypatch):
+        def refuse(half_width):
+            raise MemoryError(f"Unable to allocate {2 * half_width + 1} points")
+
+        monkeypatch.setattr(meter_module, "q_grid", refuse)
+        with pytest.raises(ParameterRangeError, match="numpy cannot allocate"):
+            make_meter(64, 4.0)
 
     def test_truncation_guard_warns(self):
         with pytest.warns(UserWarning, match="truncation"):

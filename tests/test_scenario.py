@@ -535,6 +535,40 @@ sweep:
         assert records[0].error == "" and records[2].error == ""
         assert records[1].error.startswith("ParameterRangeError: meter.N must be a positive integer")
 
+    def test_unsizable_meter_n_fails_alone(self):
+        # 2N+1 = 2e30 + 1 points exceed numpy's largest array, so nothing is allocated
+        text = DISEMBODY_SWEEP.replace(
+            "  preselect.theta: {start: 0.07, stop: 0.87, steps: 9}",
+            "  meter.N: {values: [16, 1.0e+30, 18]}",
+        )
+        records = run_scenario(parse_scenario(text))
+        assert records[0].error == "" and records[2].error == ""
+        assert records[1].error == (f"ParameterRangeError: meter.N = {int(1e30)}: "
+                                    "numpy cannot allocate its 2N+1 point grid")
+        # the weak values come before any meter work, so the failed row keeps them
+        assert records[1].weak_values == records[0].weak_values
+        assert records[1].fit_value is None
+
+    def test_unallocatable_meter_n_fails_alone(self, monkeypatch):
+        import weakmeter.meter as meter
+
+        q_grid = meter.q_grid
+
+        def refuse_large(half_width):
+            if half_width > 1000:
+                raise MemoryError(f"Unable to allocate {2 * half_width + 1} points")
+            return q_grid(half_width)
+
+        monkeypatch.setattr(meter, "q_grid", refuse_large)
+        text = DISEMBODY_SWEEP.replace(
+            "  preselect.theta: {start: 0.07, stop: 0.87, steps: 9}",
+            "  meter.N: {values: [16, 5000, 18]}",
+        )
+        records = run_scenario(parse_scenario(text))
+        assert records[0].error == "" and records[2].error == ""
+        assert records[1].error == ("ParameterRangeError: meter.N = 5000: "
+                                    "numpy cannot allocate its 2N+1 point grid")
+
 
 ARM_SWEEP = """
 name: arm

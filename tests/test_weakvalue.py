@@ -18,14 +18,11 @@ from weakmeter.optics import (
 )
 from weakmeter.weakvalue import (
     EPS_OVERLAP,
-    cheshire_table,
-    disembodiment_table,
     lifted_observable,
-    noisy_effective_weak_value,
     observable,
     observable_ids,
-    three_body_comparison,
     weak_value,
+    weak_value_tables,
 )
 
 from basis_kets import is_hermitian
@@ -45,6 +42,32 @@ SZ_HV = np.outer(PLUS, PLUS.conj()) - np.outer(MINUS, MINUS.conj())
 SX_HV = np.outer(PLUS, MINUS.conj()) + np.outer(MINUS, PLUS.conj())
 LX = np.array([[0, -1j], [1j, 0]], complex)
 
+AMPLIFICATION_IDS = ("pi_L", "pi_R", "sigma_z_L", "sigma_z_R", "sigma_x_L", "sigma_x_R")
+DISEMBODIMENT_IDS = ("sigma_z_L", "sigma_z_R", "Lx_sigma_x_L", "Lx_sigma_x_R")
+
+
+def weak_values(pre, post, obs_ids):
+    """{id: weak value} of catalog observables on one pre/post pair."""
+    return {obs_id: weak_value(pre, post, observable(obs_id)) for obs_id in obs_ids}
+
+
+def amplification_row(theta):
+    """The six amplified-separation weak values at theta."""
+    return weak_values(named_state("amp_in", theta=theta), named_state("amp_f"),
+                       AMPLIFICATION_IDS)
+
+
+def disembodiment_row(theta, alpha):
+    """The noise-isolation quartet at (theta, alpha)."""
+    return weak_values(named_state("disembody_in", theta=theta),
+                       named_state("disembody_f", alpha=alpha), DISEMBODIMENT_IDS)
+
+
+def noisy_weak_value(obs_id, alpha, gprime_t=0.0):
+    """Weak value of an effective observable on noisy_in / noisy_f(alpha)."""
+    return weak_value(named_state("noisy_in"), named_state("noisy_f", alpha=alpha),
+                      observable(obs_id, gprime_t=gprime_t))
+
 
 class TestReviewQuartet:
     def test_quartet_values(self):
@@ -52,13 +75,13 @@ class TestReviewQuartet:
         post = named_state("cheshire_f")
         expected = {"pi_L": 1.0, "pi_R": 0.0, "sigma_z_L": 0.0, "sigma_z_R": 1.0}
         for obs_id, want in expected.items():
-            got = weak_value(pre, post, observable(obs_id)).value
+            got = weak_value(pre, post, observable(obs_id))
             assert abs(got - want) <= 1e-12
 
     def test_identity_weak_value(self):
         pre = named_state("cheshire_in")
         post = named_state("cheshire_f")
-        got = weak_value(pre, post, Operator(pre.signature, np.eye(pre.signature.dim))).value
+        got = weak_value(pre, post, Operator(pre.signature, np.eye(pre.signature.dim)))
         assert got == pytest.approx(1.0, abs=1e-14)
 
 
@@ -70,25 +93,22 @@ class TestAmplificationTable:
     def test_signal_values(self, theta, expected):
         pre = named_state("amp_in", theta=theta)
         post = named_state("amp_f")
-        got = weak_value(pre, post, observable("sigma_z_R")).value
+        got = weak_value(pre, post, observable("sigma_z_R"))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_table_rows(self):
-        rows = cheshire_table([np.pi / 2])
-        values = {r.observable: r.value for r in rows}
+        values = amplification_row(np.pi / 2)
         for obs_id, want in [("pi_L", 1), ("pi_R", 0), ("sigma_z_L", 0),
                              ("sigma_z_R", 1), ("sigma_x_L", 1), ("sigma_x_R", 0)]:
             assert abs(values[obs_id] - want) <= 1e-12
 
     def test_vanishing_angle_limit(self):
-        rows = cheshire_table([1e-9])
-        values = {r.observable: r.value for r in rows}
+        values = amplification_row(1e-9)
         assert abs(values["sigma_z_R"]) < 1e-8
 
     def test_beyond_spectrum(self):
         # tan(0.45 pi) = 6.3138 lies far outside [-1, 1]
-        rows = cheshire_table([0.9 * np.pi])
-        values = {r.observable: r.value for r in rows}
+        values = amplification_row(0.9 * np.pi)
         assert values["sigma_z_R"].real == pytest.approx(6.313751514675041, abs=1e-10)
         assert values["sigma_z_R"].real > 1.0
 
@@ -99,56 +119,56 @@ class TestAmplificationTable:
         post_raw = (np.kron([1, 0], H) + np.kron([0, 1], V)) / np.sqrt(2)
         want = oracle_wv(pre_raw, post_raw, np.kron(np.diag([0, 1]), SZ_HV))
         got = weak_value(named_state("amp_in", theta=theta), named_state("amp_f"),
-                         observable("sigma_z_R")).value
+                         observable("sigma_z_R"))
         assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestNoisyEffective:
     def test_spin_orbit_closed_form(self):
-        got = noisy_effective_weak_value("spin_orbit", np.pi / 4, 0.1)
-        assert got == pytest.approx(0.1 + 1.0j, abs=1e-12)
+        # (g't + i) tan(alpha) at the noisy_fit check's six points
+        for gprime_t in (0.05, 0.1):
+            for alpha in (np.pi / 6, np.pi / 4, np.pi / 3):
+                got = noisy_weak_value("effective_spin_orbit", alpha, gprime_t)
+                want = (gprime_t + 1j) * np.tan(alpha)
+                assert got == pytest.approx(want, abs=1e-12 * abs(want)), (gprime_t, alpha)
 
     def test_spin_orbit_zero_angle(self):
-        assert noisy_effective_weak_value("spin_orbit", 0.0, 0.1) == pytest.approx(0.0)
+        assert noisy_weak_value("effective_spin_orbit", 0.0, 0.1) == pytest.approx(0.0)
 
     def test_three_body_direct_vs_quoted(self):
         alpha = np.pi / 4
-        comparison = three_body_comparison(alpha)
+        direct = noisy_weak_value("effective_three_body", alpha)
+        quoted = 1.0 + 1j * np.tan(alpha)
         # the direct ratio disagrees with the quoted form by a sign on the
-        # orbital-polarization term; both are reported, nothing corrected
-        assert comparison["direct"] == pytest.approx(-1.0 + 1.0j, abs=1e-12)
-        assert comparison["quoted"] == pytest.approx(1.0 + 1.0j, abs=1e-12)
+        # orbital-polarization term
+        assert direct == pytest.approx(-1.0 + 1.0j, abs=1e-12)
+        assert direct - quoted == pytest.approx(-2.0, abs=1e-12)
 
         pre_raw = np.kron((np.array([1, 0]) + 1j * np.array([0, 1])) / np.sqrt(2), H)
         post_raw = np.kron([1, 0], np.cos(alpha) * H + np.sin(alpha) * V)
         a3 = np.kron(np.eye(2), SZ_HV) - np.kron(LX, SX_HV)
-        assert comparison["direct"] == pytest.approx(
-            oracle_wv(pre_raw, post_raw, a3), abs=1e-12)
+        assert direct == pytest.approx(oracle_wv(pre_raw, post_raw, a3), abs=1e-12)
 
     def test_degenerate_postselection(self):
         with pytest.raises(DegeneratePostselectionError) as err:
-            noisy_effective_weak_value("spin_orbit", np.pi / 2, 0.1)
+            noisy_weak_value("effective_spin_orbit", np.pi / 2, 0.1)
         assert err.value.overlap_abs < 1e-10
-
-    def test_unknown_variant(self):
-        with pytest.raises(UnknownIdError):
-            noisy_effective_weak_value("bogus", 0.1, 0.1)
 
 
 class TestDisembodimentTable:
     def test_balanced_point(self):
-        rows = {r.observable: r.value for r in disembodiment_table(np.pi / 2, np.pi / 4)}
+        rows = disembodiment_row(np.pi / 2, np.pi / 4)
         assert abs(rows["sigma_z_L"]) <= 1e-12
         assert rows["sigma_z_R"] == pytest.approx(1.0, abs=1e-12)
         assert rows["Lx_sigma_x_L"] == pytest.approx(1.0, abs=1e-12)
         assert abs(rows["Lx_sigma_x_R"]) <= 1e-12
 
     def test_amplified_point(self):
-        rows = {r.observable: r.value for r in disembodiment_table(2 * np.pi / 3, np.pi / 3)}
+        rows = disembodiment_row(2 * np.pi / 3, np.pi / 3)
         assert rows["sigma_z_R"] == pytest.approx(3.0, abs=1e-12)
 
     def test_zero_alpha(self):
-        rows = {r.observable: r.value for r in disembodiment_table(1.0, 0.0)}
+        rows = disembodiment_row(1.0, 0.0)
         assert abs(rows["sigma_z_R"]) <= 1e-12
 
     def test_closed_forms_on_grid(self):
@@ -157,14 +177,14 @@ class TestDisembodimentTable:
         for theta, alpha in pairs:
             if abs(np.cos(theta / 2) * np.cos(alpha)) < 1e-3:
                 continue
-            rows = {r.observable: r.value for r in disembodiment_table(theta, alpha)}
+            rows = disembodiment_row(theta, alpha)
             want = np.tan(theta / 2) * np.tan(alpha)
             assert abs(rows["sigma_z_L"]) <= 1e-12
             assert abs(rows["sigma_z_R"] - want) <= 1e-12 * max(1, abs(want))
             assert abs(rows["Lx_sigma_x_L"] - 1.0) <= 1e-12
             assert abs(rows["Lx_sigma_x_R"]) <= 1e-12
 
-            amp = {r.observable: r.value for r in cheshire_table([theta])}
+            amp = amplification_row(theta)
             signal = np.tan(theta / 2)
             assert abs(amp["sigma_z_R"] - signal) <= 1e-12 * max(1, abs(signal))
             for obs_id, fixed in [("pi_L", 1), ("pi_R", 0), ("sigma_z_L", 0),
@@ -173,11 +193,13 @@ class TestDisembodimentTable:
 
 
 class TestWeakValueProperties:
-    def rand_state(self, rng, sig):
+    @staticmethod
+    def rand_state(rng, sig):
         amps = rng.normal(size=sig.dim) + 1j * rng.normal(size=sig.dim)
         return Ket(sig, amps)
 
-    def rand_hermitian_op(self, rng, sig):
+    @staticmethod
+    def rand_hermitian_op(rng, sig):
         m = rng.normal(size=(sig.dim, sig.dim)) + 1j * rng.normal(size=(sig.dim, sig.dim))
         return Operator(sig, (m + m.conj().T) / 2)
 
@@ -190,9 +212,9 @@ class TestWeakValueProperties:
             ca = complex(*rng.normal(size=2))
             cb = complex(*rng.normal(size=2))
             combo = Operator(sig, ca * a.matrix + cb * b.matrix)
-            lhs = weak_value(pre, post, combo).value
-            rhs = (ca * weak_value(pre, post, a).value
-                   + cb * weak_value(pre, post, b).value)
+            lhs = weak_value(pre, post, combo)
+            rhs = (ca * weak_value(pre, post, a)
+                   + cb * weak_value(pre, post, b))
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1, abs(rhs)))
 
     def test_projector_completeness(self):
@@ -200,8 +222,8 @@ class TestWeakValueProperties:
         sig = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
         for _ in range(20):
             pre, post = self.rand_state(rng, sig), self.rand_state(rng, sig)
-            total = (weak_value(pre, post, observable("pi_L")).value
-                     + weak_value(pre, post, observable("pi_R")).value)
+            total = (weak_value(pre, post, observable("pi_L"))
+                     + weak_value(pre, post, observable("pi_R")))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("pauli", ["sigma_z", "sigma_x"])
@@ -210,9 +232,9 @@ class TestWeakValueProperties:
         sig = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
         for _ in range(20):
             pre, post = self.rand_state(rng, sig), self.rand_state(rng, sig)
-            split = (weak_value(pre, post, observable(f"{pauli}_L")).value
-                     + weak_value(pre, post, observable(f"{pauli}_R")).value)
-            whole = weak_value(pre, post, extend(observable(pauli), sig)).value
+            split = (weak_value(pre, post, observable(f"{pauli}_L"))
+                     + weak_value(pre, post, observable(f"{pauli}_R")))
+            whole = weak_value(pre, post, extend(observable(pauli), sig))
             assert split == pytest.approx(whole, abs=1e-10 * max(1, abs(whole)))
 
     def test_eigenstate_consistency(self):
@@ -222,7 +244,7 @@ class TestWeakValueProperties:
         w, v = np.linalg.eigh(op.matrix)
         for i in range(len(w)):
             eig = Ket(sig, v[:, i])
-            got = weak_value(eig, eig, op).value
+            got = weak_value(eig, eig, op)
             assert got == pytest.approx(w[i], abs=1e-12)
 
     def test_scale_invariance(self):
@@ -230,9 +252,9 @@ class TestWeakValueProperties:
         sig = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
         pre, post = self.rand_state(rng, sig), self.rand_state(rng, sig)
         op = self.rand_hermitian_op(rng, sig)
-        base = weak_value(pre, post, op).value
-        scaled = weak_value(
-            (3.7 - 0.2j) * pre, (0.01 + 5j) * post, op).value
+        base = weak_value(pre, post, op)
+        scaled = weak_value(Ket(sig, (3.7 - 0.2j) * pre.amplitudes),
+                            Ket(sig, (0.01 + 5j) * post.amplitudes), op)
         assert scaled == pytest.approx(base, abs=1e-12 * max(1, abs(base)))
 
     def test_degenerate_threshold_is_scale_invariant(self):
@@ -263,6 +285,48 @@ class TestWeakValueProperties:
         effective = observable("effective_parallel_lz", orbital_dim=2, gprime_t=0.3)
         sz_only = observable("effective_parallel_lz", orbital_dim=2, gprime_t=0.0)
         np.testing.assert_allclose(effective.matrix, sz_only.matrix)
+
+
+class TestOneRoute:
+    """weak_value(pre, post, A) is its entry of weak_value_tables, bit for bit."""
+
+    @staticmethod
+    def assert_entries(pres, posts, ops, tables):
+        for op, table in zip(ops, tables):
+            for p, post in enumerate(posts):
+                for r, pre in enumerate(pres):
+                    got = np.complex128(weak_value(pre, post, op))
+                    assert got.tobytes() == table[p, r].tobytes(), (p, r, got, table[p, r])
+
+    def test_random_states_and_hermitian_operators(self):
+        rng = np.random.default_rng(12)
+        sig = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
+        make = TestWeakValueProperties
+        pres = [make.rand_state(rng, sig) for _ in range(7)]
+        posts = [make.rand_state(rng, sig) for _ in range(5)]
+        ops = [make.rand_hermitian_op(rng, sig) for _ in range(6)]
+        _, tables = weak_value_tables(pres, posts, [op.matrix for op in ops])
+        self.assert_entries(pres, posts, ops, tables)
+
+    @pytest.mark.parametrize("pre_id, post_id", [("amp_in", "amp_f"),
+                                                 ("disembody_in", "disembody_f")])
+    def test_catalog_ids(self, pre_id, post_id):
+        pres = [named_state(pre_id, theta=theta) for theta in (0.3, 1.1, 2.0, 0.9 * np.pi)]
+        posts = ([named_state(post_id)] if post_id == "amp_f" else
+                 [named_state(post_id, alpha=alpha) for alpha in (0.25, 0.7, 1.2)])
+        system = pres[0].signature
+        for obs_id in observable_ids():
+            if obs_id.startswith("effective_"):
+                continue
+            op = observable(obs_id)
+            try:
+                matrix = lifted_observable(obs_id, system)
+            except SignatureError:  # a factor the states do not carry
+                with pytest.raises(SignatureError):
+                    weak_value(pres[0], posts[0], op)
+                continue
+            _, tables = weak_value_tables(pres, posts, [matrix])
+            self.assert_entries(pres, posts, [op], tables)
 
 
 # Explicit factors for the catalog pin, in the circular (+, -) polarization
