@@ -105,14 +105,14 @@ def cmd_list(args) -> int:
 
 
 def _run_and_emit(doc: ScenarioDoc, args) -> int:
-    """Run ``doc``, write its rows, and exit 4 if every point failed."""
+    """Run ``doc``, write its rows, and exit 4 if no point has a pointer reading."""
     records = run_scenario(doc)
     if args.format == "csv":
         text = records_to_csv(records, sweep_paths=list(doc.sweep))
     else:
         text = records_to_jsonl(records)
     _emit(text, args.out)
-    if records and all(rec.error and not rec.weak_values for rec in records):
+    if records and all(rec.fit_value is None for rec in records):
         print("all sweep points failed; see the error column", file=sys.stderr)
         return EXIT_COMPUTE
     return EXIT_OK

@@ -19,15 +19,16 @@ Every coupling is diagonal in the pointer position (see ``COUPLINGS``), so
 a post-selected pointer is the meter times the transfer amplitude
 f(q) = <post| U(q) |pre>, and no joint system+meter operator is formed.
 The kick's A and B commute, so U(q) = V diag(exp(i s g q a)) V^dagger
-exp(i s g B), built from d x d terms in two steps: a basis (the terms
-checked, one ``eigh`` of each nonzero term) and its cheap application at a
-strength, g', times and grid.  ``kick_factors_from_terms`` takes both steps
-on every call; ``kick_factors``, the catalog path, reads a row's basis (S
-unscaled by g') from a per-process table keyed on the row and the system
-signature, so its calls take no ``eigh``.
-``_transfer_rows`` is the one kernel that applies the evolution: every
-pointer (``pointer_readout``, sweeps) is read from it, and ``evolve_exact``
-is its joint-state view with the system basis as post-states.
+exp(i s g B) and f(q) = sum_i c_i exp(i s g a_i q): d coefficients and d
+frequencies, free of any grid (:class:`KickFactors`), built in two steps: a
+basis (the terms checked, one ``eigh`` of each nonzero term) and its cheap
+application at a strength, g' and times.  ``kick_factors_from_terms`` takes
+both steps on every call; ``kick_factors``, the catalog path, reads a row's
+basis (S unscaled by g') from a per-process table keyed on the row and the
+system signature, so its calls take no ``eigh``.
+``_transfer_rows`` is the one grid reader: every pointer
+(``pointer_readout``, sweeps) is read from it, and ``evolve_exact`` is its
+joint-state view with the system basis as post-states.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature
 from .meter import DiscreteGaussianMeter, MeterReadout, _readouts, q_grid
-from .optics import METER, ORBITAL, named_state
+from .optics import METER, named_state
 from .weakvalue import lifted_observable
 
 __all__ = [
@@ -205,18 +206,11 @@ def _system_signature(joint: SpaceSignature) -> SpaceSignature:
     return joint.drop([METER])
 
 
-def _orbital_dim(sig: SpaceSignature) -> int:
-    try:
-        return sig.dimension_of(ORBITAL)
-    except SignatureError:
-        return 2
-
-
-def _term(obs_id: str | None, orbital_dim: int, system: SpaceSignature) -> np.ndarray:
+def _term(obs_id: str | None, system: SpaceSignature) -> np.ndarray:
     """Catalog observable ``obs_id`` on ``system``, zeros for None (:func:`lifted_observable`)."""
     if obs_id is None:
         return np.zeros((system.dim, system.dim), dtype=complex)
-    return lifted_observable(obs_id, system, orbital_dim=orbital_dim)
+    return lifted_observable(obs_id, system)
 
 
 def coupling_terms(spec: CouplingSpec,
@@ -229,9 +223,8 @@ def coupling_terms(spec: CouplingSpec,
     observables share.
     """
     row = spec.coupling
-    d = _orbital_dim(system)
-    return (getattr(spec, row.strength), _term(row.a, d, system), _term(row.b, d, system),
-            spec.gprime * _term(row.s, d, system))
+    return (getattr(spec, row.strength), _term(row.a, system), _term(row.b, system),
+            spec.gprime * _term(row.s, system))
 
 
 def build_hamiltonian(spec: CouplingSpec, sig: SpaceSignature) -> tuple[Operator, Operator]:
@@ -253,26 +246,28 @@ def build_hamiltonian(spec: CouplingSpec, sig: SpaceSignature) -> tuple[Operator
 
 @dataclass(frozen=True, eq=False)
 class KickFactors:
-    """What :func:`evolve_exact` and :func:`transfer_amplitudes` apply at one key.
+    """The transfer amplitude's spectral form at one (kick terms, system) key.
 
-    A key is a (kick terms, system, grid) triple.  The kick's A and B
-    commute, so with A = V diag(a) V^dagger the evolution at grid point q_k is
+    The kick's A and B commute, so with A = V diag(a) V^dagger, at pointer
+    position q
 
-        S_after U(q_k) S_before = post_map diag(phases[k]) pre_map,
+        S_after U(q) S_before = post_map diag(exp(+i s strength q a)) pre_map,
 
     where ``pre_map`` = V^dagger exp(+i s strength B) S_before takes a
     pre-state into A's eigenbasis, ``post_map`` = S_after V takes it back,
-    and phases[k, i] = exp(+i s strength q_k a_i) (s the kick sign,
-    S_before/S_after the static factors exp(-i S time) on either side of the
-    kick).  The pointer fit divides by ``strength``, the coupling in front
-    of q.  The maps are d x d; only ``phases``, (2N+1, d), grows with the grid.
+    a are the ``eigenvalues`` and s is ``kick_sign`` (S_before/S_after the
+    static factors exp(-i S time) on either side of the kick).  So
+    <post| S_after U(q) S_before |pre> = sum_i c_i exp(i s strength a_i q),
+    c_i = (<post| post_map)_i (pre_map |pre>)_i.  The pointer fit divides by
+    ``strength``, the coupling in front of q.  No array depends on the grid.
     """
 
     system: SpaceSignature
     strength: float
+    kick_sign: int
+    eigenvalues: np.ndarray
     pre_map: np.ndarray
     post_map: np.ndarray
-    phases: np.ndarray
 
 
 def _require_kick_terms(system: SpaceSignature, a: np.ndarray, b: np.ndarray, s: np.ndarray):
@@ -320,8 +315,7 @@ def _catalog_basis(row: Coupling, system: SpaceSignature) -> _KickBasis:
     signatures in use only (as ``weakvalue._lifted``).  The arrays are
     read-only.  A row whose terms fail the checks raises on every call.
     """
-    d = _orbital_dim(system)
-    basis = _kick_basis(system, *(_term(obs_id, d, system) for obs_id in (row.a, row.b, row.s)))
+    basis = _kick_basis(system, *(_term(obs_id, system) for obs_id in (row.a, row.b, row.s)))
     for pair in filter(None, basis):
         for array in pair:
             array.setflags(write=False)
@@ -329,20 +323,16 @@ def _catalog_basis(row: Coupling, system: SpaceSignature) -> _KickBasis:
 
 
 def _apply_kick(system: SpaceSignature, basis: _KickBasis, strength: float, gprime: float,
-                meter: DiscreteGaussianMeter, kick_sign: int, before: float, after: float,
-                name: str) -> KickFactors:
+                kick_sign: int, before: float, after: float, name: str) -> KickFactors:
     """The factors of exp(-i g' S after) exp(+i s strength (A q + B)) exp(-i g' S before)."""
     eigenvalues, vectors = basis.a
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        angles = kick_sign * strength * (meter.q[:, None] * eigenvalues)
-        kick_b = None if basis.b is None else _exp(*basis.b, 1j * kick_sign * strength)
-    if not (np.isfinite(angles).all() and (kick_b is None or np.isfinite(kick_b).all())):
-        raise NumericalOverflowError(
-            f"kick generator {name} * (A q + B) is not finite on the grid "
-            f"|q| <= {meter.half_width} ({name} = {strength!r})"
-        )
     pre_map, post_map = vectors.conj().T, vectors
-    if kick_b is not None:
+    if basis.b is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            kick_b = _exp(*basis.b, 1j * kick_sign * strength)
+        if not np.isfinite(kick_b).all():
+            raise NumericalOverflowError(
+                f"kick offset exp(i {name} B) is not finite ({name} = {strength!r})")
         pre_map = pre_map @ kick_b
     if basis.s is not None and gprime:
         static_values, static_vectors = basis.s
@@ -351,16 +341,16 @@ def _apply_kick(system: SpaceSignature, basis: _KickBasis, strength: float, gpri
             pre_map = pre_map @ _exp(static_values, static_vectors, -1j * before)
         if after:
             post_map = _exp(static_values, static_vectors, -1j * after) @ vectors
-    factors = KickFactors(system=system, strength=strength, pre_map=pre_map,
-                          post_map=post_map, phases=np.exp(1j * angles))
-    for array in (factors.pre_map, factors.post_map, factors.phases):
+    factors = KickFactors(system=system, strength=strength, kick_sign=kick_sign,
+                          eigenvalues=eigenvalues, pre_map=pre_map, post_map=post_map)
+    for array in (factors.eigenvalues, factors.pre_map, factors.post_map):
         array.setflags(write=False)  # shared by every point at this key
     return factors
 
 
 def kick_factors_from_terms(system: SpaceSignature, strength: float, a: np.ndarray,
-                            b: np.ndarray, static: np.ndarray, meter: DiscreteGaussianMeter, *,
-                            kick_sign: int = 1, before: float = 0.0, after: float = 0.0,
+                            b: np.ndarray, static: np.ndarray, *, kick_sign: int = 1,
+                            before: float = 0.0, after: float = 0.0,
                             name: str = "strength") -> KickFactors:
     """Kick factors of exp(-i static after) exp(+i s strength (A q + B)) exp(-i static before).
 
@@ -368,15 +358,15 @@ def kick_factors_from_terms(system: SpaceSignature, strength: float, a: np.ndarr
     (zeros where absent), A and B commuting, else ``ValueError`` (or
     :class:`SignatureError` off ``system``); s is ``kick_sign``.  The terms
     are checked and each nonzero one takes one ``eigh`` on every call, the
-    static one serving both its factors.  A kick leaving the float range on
-    the grid raises :class:`NumericalOverflowError` naming the strength ``name``.
+    static one serving both its factors.  An offset factor exp(i s strength B)
+    leaving the float range raises :class:`NumericalOverflowError` naming the
+    strength ``name``.
     """
-    return _apply_kick(system, _kick_basis(system, a, b, static), strength, 1.0, meter,
+    return _apply_kick(system, _kick_basis(system, a, b, static), strength, 1.0,
                        kick_sign, before, after, name)
 
 
-def kick_factors(spec: CouplingSpec, system: SpaceSignature,
-                 meter: DiscreteGaussianMeter) -> KickFactors:
+def kick_factors(spec: CouplingSpec, system: SpaceSignature) -> KickFactors:
     """The kick factors of a catalog row: :func:`kick_factors_from_terms` on :func:`coupling_terms`.
 
     The row's terms are checked and decomposed once per process and system
@@ -384,14 +374,14 @@ def kick_factors(spec: CouplingSpec, system: SpaceSignature,
     the signature only); a call scales those eigenvalues by its strength,
     g' and times and takes no ``eigh``.  So the factors equal those of
     :func:`kick_factors_from_terms` bit for bit where no static factor acts,
-    and to rounding otherwise.  They depend on the coupling, the system
-    signature and the grid size only, so one set serves every pre-state of
-    a sweep at that key.
+    and to rounding otherwise.  They depend on the coupling and the system
+    signature only, so one set serves every pre-state and every meter grid
+    at that key.
     """
     row = spec.coupling
     before = spec.resolved_kick_time
     return _apply_kick(system, _catalog_basis(row, system), getattr(spec, row.strength),
-                       spec.gprime, meter, spec.kick_sign, before, spec.t - before, row.strength)
+                       spec.gprime, spec.kick_sign, before, spec.t - before, row.strength)
 
 
 def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter) -> Ket:
@@ -405,8 +395,7 @@ def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMet
     grid size.
     """
     system = pre_system.signature
-    factors = kick_factors(spec, system, meter)
-    (f,) = _transfer_rows(factors, [pre_system], factors.post_map)
+    (f,) = _transfer_rows(kick_factors(spec, system), meter, [pre_system])
     return Ket(system.concat(SpaceSignature(((METER, meter.size),))), f * meter.amplitudes)
 
 
@@ -475,24 +464,38 @@ def post_select_meter(joint: Ket, post_system: Ket) -> Ket:
     return Ket(SpaceSignature(((METER, size),)), meter_amps)
 
 
-def _transfer_rows(factors: KickFactors, pres, bras: np.ndarray):
+def _transfer_rows(factors: KickFactors, meter: DiscreteGaussianMeter, pres, posts=None):
     """Iterator over F[:, r, :] of :func:`transfer_amplitudes`, one pre-state at a time.
 
-    ``bras`` holds one row <post| post_map per post-state (:func:`_post_bras`).
-    The pre-states are checked before it returns.
+    The one grid reader: it evaluates the phases exp(i s strength q_k a_i)
+    on the meter's grid once per call.  ``posts`` None reads onto the system
+    basis, whose bras are the rows of ``post_map``.  The grid's zone limit,
+    the post-states and the pre-states are checked, in that order, before it
+    returns.  On the grid q_k = k a phase is 2 pi-periodic in strength * a,
+    so past pi per grid step the pointer aliases; its p-width 1/(2 delta)
+    must fit below pi too.  A NaN or infinite strength fails the check.
     """
+    phase = abs(float(factors.strength)) * float(np.max(np.abs(factors.eigenvalues)))
+    if not phase + 0.5 / meter.width < math.pi:
+        raise NumericalOverflowError(
+            f"kick phase per grid step {phase:.6g} plus the p-width 1/(2 delta) = "
+            f"{0.5 / meter.width:.6g} is not below pi, the grid's zone limit "
+            f"(strength = {factors.strength!r})")
+    bras = factors.post_map if posts is None else _post_bras(factors, posts)
     for pre in pres:
         if pre.signature != factors.system:
             raise SignatureError(
                 f"pre-state on {pre.signature} does not match the kick factors' "
                 f"system {factors.system}"
             )
+    phases = np.exp(1j * (factors.kick_sign * factors.strength
+                          * (meter.q[:, None] * factors.eigenvalues)))
 
     def rows():
         for pre in pres:
             ket = factors.pre_map @ pre.amplitudes
             # F[p, k] = sum_i bras[p, i] phases[k, i] ket[i]
-            yield np.einsum("pi,ki->pk", bras * ket, factors.phases)
+            yield np.einsum("pi,ki->pk", bras * ket, phases)
 
     return rows()
 
@@ -506,17 +509,19 @@ def _post_bras(factors: KickFactors, posts) -> np.ndarray:
     return bras
 
 
-def transfer_amplitudes(factors: KickFactors, pres, posts) -> np.ndarray:
+def transfer_amplitudes(factors: KickFactors, meter: DiscreteGaussianMeter, pres,
+                        posts) -> np.ndarray:
     """F[p, r, k] = <posts[p]| S_after U(q_k) S_before |pres[r]> on the meter grid.
 
     Every coupling is diagonal in q, so post-selecting the evolved
     pres[r] (x) meter on posts[p] leaves exactly F[p, r] * meter.amplitudes
     (:func:`evolve_exact` then :func:`post_select_meter`, without forming the
     joint state).  An entry's bits depend on its own pre- and post-state only,
-    never on the rest of the batch.
+    never on the rest of the batch.  A kick past the grid's zone limit raises
+    :class:`NumericalOverflowError` (:func:`_transfer_rows`).
     """
-    out = np.empty((len(posts), len(pres), len(factors.phases)), dtype=complex)
-    for r, row in enumerate(_transfer_rows(factors, pres, _post_bras(factors, posts))):
+    out = np.empty((len(posts), len(pres), meter.size), dtype=complex)
+    for r, row in enumerate(_transfer_rows(factors, meter, pres, posts)):
         out[:, r] = row
     return out
 
@@ -605,15 +610,15 @@ def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, 
     pair (:class:`MeterReadout`, :class:`EffectiveWeakValueFit`) that
     :func:`meter_readout` and :func:`fit_effective_weak_value` give for that
     meter, or the error post-selection or the fit would raise (returned, not
-    raised).  The fit takes log F directly.  Grid-sized arrays are held for
-    one pre-state at a time, and no entry depends on the others.
+    raised).  A kick past the grid's zone limit raises, as in
+    :func:`transfer_amplitudes`.  The fit takes log F directly.  Grid-sized
+    arrays are held for one pre-state at a time, and no entry depends on the
+    others.
     """
-    if len(factors.phases) != meter.size:
-        raise ValueError("kick factors were built for another meter grid")
     g = factors.strength
     fit = _pointer_fitter(meter, g)
     post_norms = [post.norm() for post in posts]
-    transfer = _transfer_rows(factors, pres, _post_bras(factors, posts))
+    transfer = _transfer_rows(factors, meter, pres, posts)
     for pre, f in zip(pres, transfer):
         pre_norm = pre.norm()
         readouts = _readouts(meter.amplitudes * f, meter.q, meter.p_fft)
@@ -636,7 +641,7 @@ def pointer_readout(spec: CouplingSpec, pre: Ket, post: Ket,
 
     :func:`transfer_readouts` for one pair; its error, if any, is raised.
     """
-    ((entry,),) = transfer_readouts(kick_factors(spec, pre.signature, meter), meter, [pre], [post])
+    ((entry,),) = transfer_readouts(kick_factors(spec, pre.signature), meter, [pre], [post])
     if isinstance(entry, Exception):
         raise entry
     return entry

@@ -47,7 +47,12 @@ class IllConditionedFitError(WeakmeterError):
 
 
 class NumericalOverflowError(WeakmeterError):
-    """A finite input drove an intermediate quantity out of the float range."""
+    """A finite input drove a quantity past what its representation holds.
+
+    Either an intermediate left the float range, or a kick's phase per grid
+    step plus the pointer's p-width reached pi, the meter grid's zone limit,
+    past which the pointer reading aliases.
+    """
 
 
 class ScenarioError(WeakmeterError):

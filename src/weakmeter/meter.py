@@ -137,15 +137,6 @@ def make_meter(half_width: int, width: float) -> DiscreteGaussianMeter:
             f"{n / TRUNCATION_GUARD}; truncation error exceeds tolerance",
             stacklevel=2,
         )
-    if 1.0 <= delta <= n / TRUNCATION_GUARD:
-        # in the grid-resolvable regime the uncertainty product sits at its
-        # 1/4 Gaussian minimum (up to ~1e-4 truncation slack right at the
-        # guard boundary); a real dip means the q/p grids lost conjugacy
-        (fresh,) = _readouts(meter.amplitudes[None], meter.q, meter.p_fft)
-        if fresh.var_q * fresh.var_p < 0.25 * (1.0 - 1e-3):
-            raise AssertionError(
-                f"uncertainty product {fresh.var_q * fresh.var_p} below 1/4 on construction"
-            )
     return meter
 
 

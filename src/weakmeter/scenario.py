@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -505,14 +506,10 @@ class ResultRecord:
 
 
 def _sweep_points(doc: ScenarioDoc):
-    paths = list(doc.sweep)
-    if not paths:
-        yield {}
-        return
+    """Each point as {path: value}, the last path varying fastest; one {} when unswept."""
     data = doc.to_dict()
     grids = []
-    for path in paths:
-        spec = doc.sweep[path]
+    for path, spec in doc.sweep.items():
         if "values" in spec:
             values = [float(v) for v in spec["values"]]
         else:
@@ -523,16 +520,8 @@ def _sweep_points(doc: ScenarioDoc):
             # other value fails its own point at re-validation
             values = [int(v) if v.is_integer() else v for v in values]
         grids.append(values)
-    index = [0] * len(paths)
-    while True:
-        yield {path: grids[i][index[i]] for i, path in enumerate(paths)}
-        for i in reversed(range(len(paths))):
-            index[i] += 1
-            if index[i] < len(grids[i]):
-                break
-            index[i] = 0
-        else:
-            return
+    for values in itertools.product(*grids):
+        yield dict(zip(doc.sweep, values))
 
 
 def _angles(section: dict) -> dict:
@@ -558,7 +547,6 @@ class _Job:
     index: int
     point: dict
     doc: ScenarioDoc
-    orbital_dim: int
     pre: Ket
     post: Ket
 
@@ -605,7 +593,7 @@ def _job(doc: ScenarioDoc, index: int, point: dict, memo: dict) -> _Job:
                        lambda: named_state(section["id"], orbital_dim=orbital_dim,
                                            **_angles(section)))
 
-    return _Job(index, point, doc, orbital_dim, state(doc.preselect), state(doc.postselect))
+    return _Job(index, point, doc, state(doc.preselect), state(doc.postselect))
 
 
 def _distinct(kets) -> tuple[list, dict]:
@@ -624,8 +612,7 @@ def _observables(job: _Job) -> tuple[list, WeakmeterError | None]:
     ops = []
     for obs_id in job.doc.observables:
         try:
-            ops.append(lifted_observable(obs_id, job.pre.signature, orbital_dim=job.orbital_dim,
-                                         gprime_t=gprime_t))
+            ops.append(lifted_observable(obs_id, job.pre.signature, gprime_t=gprime_t))
         except WeakmeterError as exc:
             return ops, exc
     return ops, None
@@ -655,9 +642,9 @@ def _run_key(jobs: list, memo: dict, chash: str, records: list) -> None:
 
     Each point meets the checks of a single-point run in the same order: a
     degenerate overlap, an observable that does not fit the states, the
-    kick's overflow, annihilation, the fit's conditioning, then the residual
-    flag.  States on different spaces fail in the weak values, if any, else
-    in post-selection.
+    kick's overflow, the grid's zone limit, annihilation, the fit's
+    conditioning, then the residual flag.  States on different spaces fail
+    in the weak values, if any, else in post-selection.
     """
     first = jobs[0]
     ops, op_error = _observables(first)
@@ -699,10 +686,10 @@ def _run_key(jobs: list, memo: dict, chash: str, records: list) -> None:
     try:
         meter = _shared(memo, ("meter", meter_doc["N"], meter_doc["delta"]),
                         lambda: make_meter(meter_doc["N"], meter_doc["delta"]))
-        # the key's factors live only in this call: one key's grid arrays at a time
-        factors = kick_factors(spec, first.pre.signature, meter)
+        # the key's factors and grid arrays live only in this call, one key at a time
+        factors = kick_factors(spec, first.pre.signature)
         results = list(transfer_readouts(factors, meter, pres, posts))
-    except WeakmeterError as exc:  # no grid, the kick overflows, or the states' spaces differ
+    except WeakmeterError as exc:  # no grid, a kick overflow or past the zone, spaces differ
         for job, weak_values in pending:
             fill(job, weak_values, exc)
         return

@@ -303,7 +303,7 @@ def check_parallel_noise(kick_sign: int = 1) -> CheckResult:
         for arm in ("L", "R"):
             spec = CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=100.0,
                                 measure_arm=arm, kick_sign=kick_sign)
-            factors = kick_factors(spec, pres[0].signature, meter)
+            factors = kick_factors(spec, pres[0].signature)
             entries = [entry for row in transfer_readouts(factors, meter, pres, posts)
                        for entry in row]
             for error in (entry for entry in entries if isinstance(entry, Exception)):

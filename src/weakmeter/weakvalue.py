@@ -11,6 +11,7 @@ from .errors import DegeneratePostselectionError, UnknownIdError
 from .hilbert import Ket, Operator, SpaceSignature, extend, inner
 from .optics import (
     ARM_PROJECTORS,
+    ORBITAL,
     ORBITAL_SIGNATURES,
     PATH_SIGNATURE,
     POLARIZATION_SIGNATURE,
@@ -134,28 +135,29 @@ def observable(obs_id: str, *, orbital_dim: int = 2, gprime_t: float = 0.0) -> O
 
 
 @functools.cache
-def _lifted(obs_id: str, orbital_dim: int, system: SpaceSignature):
+def _lifted(obs_id: str, system: SpaceSignature):
     """(matrix, cross, coefficient) of :func:`_terms`, each matrix extended to ``system``.
 
-    Cached for the life of the process: the key holds no coupling strength,
-    time or grid size, so it ranges over the catalog ids, orbital dimensions
+    The entry takes the system's orbital dimension, 2 when it has no
+    orbital factor.  Cached for the life of the process: the key holds no
+    coupling strength, time or grid size, so it ranges over the catalog ids
     and system signatures in use only.  The matrices are read-only.
     """
-    sig, *terms, coefficient = _terms(obs_id, orbital_dim)
+    sig, *terms, coefficient = _terms(obs_id, dict(system.factors).get(ORBITAL, 2))
     matrix, cross = (None if term is None else extend(Operator(sig, term), system).matrix
                      for term in terms)
     return matrix, cross, coefficient
 
 
-def lifted_observable(obs_id: str, system: SpaceSignature, *, orbital_dim: int = 2,
-                      gprime_t: float = 0.0) -> np.ndarray:
+def lifted_observable(obs_id: str, system: SpaceSignature, *, gprime_t: float = 0.0) -> np.ndarray:
     """The matrix of ``extend(observable(obs_id, ...), system)``, from a per-process table.
 
+    The observable takes the system's orbital dimension (see :func:`_lifted`).
     Equal to it entry by entry (a zero may differ in sign: an ``effective_*``
     entry lifts its two terms and combines them after).  An id without a
     ``gprime_t`` term returns the shared read-only matrix.
     """
-    return _combined(*_lifted(obs_id, orbital_dim, system), gprime_t)
+    return _combined(*_lifted(obs_id, system), gprime_t)
 
 
 def observable_ids() -> tuple[str, ...]:

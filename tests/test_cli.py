@@ -86,21 +86,23 @@ class TestRun:
         ("disembodiment", ["coupling.g=0"],
          "IllConditionedFitError: fit requires a positive coupling"),
         ("disembodiment", ["coupling.g=1e308"],
-         "NumericalOverflowError: kick generator g * (A q + B) is not finite"),
-        # gprime * t = 1e307 is finite; gprime_t * |q| on the N = 64 grid is not
+         "NumericalOverflowError: kick phase per grid step 1e+308 plus the p-width "
+         "1/(2 delta) = 0.125 is not below pi, the grid's zone limit (strength = 1e+308)"),
+        # gprime * t = 1e307 is finite, and far past the grid's zone limit
         ("disembodiment_noise", ["coupling.gprime=1e306", "coupling.t=10"],
-         "NumericalOverflowError: kick generator gprime_t * (A q + B) is not finite on the "
-         "grid |q| <= 64 (gprime_t = 1e+307)"),
+         "NumericalOverflowError: kick phase per grid step 1e+307 plus the p-width "
+         "1/(2 delta) = 0.125 is not below pi, the grid's zone limit (strength = 1e+307)"),
         ("disembodiment_noise", ["coupling.variant=measure_LxSx_R", "coupling.gprime=1e306",
                                  "coupling.t=10"],
-         "NumericalOverflowError: kick generator gprime_t * (A q + B) is not finite on the "
-         "grid |q| <= 64 (gprime_t = 1e+307)"),
+         "NumericalOverflowError: kick phase per grid step 1e+307 plus the p-width "
+         "1/(2 delta) = 0.125 is not below pi, the grid's zone limit (strength = 1e+307)"),
     ], ids=["g-zero", "g-overflow", "gprime-t-overflow-L", "gprime-t-overflow-R"])
     def test_unusable_coupling_fails_its_row(self, capsys, bundle, sets, cause):
+        # no row has a pointer reading, so the run exits 4
         code, out, err = run_cli(capsys, "run", f"bundle:{bundle}",
                                  *(arg for value in sets for arg in ("--set", value)))
-        assert code == EXIT_OK, err
-        assert "Traceback" not in err
+        assert code == EXIT_COMPUTE
+        assert err == "all sweep points failed; see the error column\n"
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert len(rows) == 4
         assert all(row[-1].startswith(cause) for row in rows)
@@ -304,7 +306,7 @@ class TestSweep:
     def test_unsizable_meter_n_is_a_row_error(self, capsys):
         code, out, err = run_cli(capsys, "run", "bundle:cheshire",
                                  "--set", f"meter.N={10**30}")
-        assert code == EXIT_OK, err
+        assert code == EXIT_COMPUTE, err
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert len(rows) == 4
         assert all(row[-1] == f"ParameterRangeError: meter.N = {10**30}: numpy cannot "
@@ -341,6 +343,52 @@ class TestAllFailedExit:
             assert rows[0][-1].startswith("ParameterRangeError:")
             assert all(row[-1] == "" for row in rows[1:])
             assert len(rows) == 1 + 4  # the failed point, then one row per observable
+
+    def test_rows_with_weak_values_and_no_pointer_reading_exit_compute(self, capsys):
+        # every row keeps its weak values, but no point reads the pointer
+        code, out, err = run_cli(capsys, "run", "bundle:cheshire", "--set", "coupling.g=0")
+        assert code == EXIT_COMPUTE
+        assert err == self.ALL_FAILED
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[2] for row in rows] == ["1", "0", "0", "1"]
+        assert all(row[-1].startswith("IllConditionedFitError:") for row in rows)
+
+    def test_fit_residual_flag_alone_counts_as_read(self, capsys):
+        # g = 3 wraps the fit's log below the zone limit; the flag marks the
+        # rows, but the pointer was read
+        code, out, err = run_cli(capsys, "run", "bundle:cheshire", "--set", "coupling.g=3")
+        assert code == EXIT_OK, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 4
+        assert all(row[-1].startswith("fit-residual:") and row[7] for row in rows)
+
+
+class TestZoneLimit:
+    """A kick past pi per grid step, less the pointer's p-width, fails its rows with exit 4.
+
+    On the grid q_k = k the phase exp(i g q a) is 2 pi-periodic in g a, so
+    past the limit the pointer would read a wrong value with no flag.
+    """
+
+    @pytest.mark.parametrize("bundle, sets, phase", [
+        ("cheshire", ["coupling.g=6.283185307179586"], "6.28319"),
+        ("cheshire", ["coupling.g=3.1415926"], "3.14159"),
+        ("cheshire", ["coupling.g=3.1415925535897933"], "3.14159"),  # pi - 1e-7
+        ("disembodiment_noise", ["coupling.gprime=1", "coupling.t=6.283185307179586"],
+         "6.28319"),
+    ], ids=["g-2pi", "g-3.1415926", "g-pi-less-1e-7", "gprime-t-2pi"])
+    def test_rows_past_the_zone_fail(self, capsys, bundle, sets, phase):
+        code, out, err = run_cli(capsys, "run", f"bundle:{bundle}",
+                                 *(arg for value in sets for arg in ("--set", value)))
+        assert code == EXIT_COMPUTE
+        assert err == "all sweep points failed; see the error column\n"
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 4
+        for row in rows:
+            assert row[-1].startswith(f"NumericalOverflowError: kick phase per grid step {phase} "
+                                      "plus the p-width 1/(2 delta) = 0.125 is not below pi, "
+                                      "the grid's zone limit")
+            assert row[4:10] == [""] * 6  # no reading, no fit
 
 
 class TestShowState:

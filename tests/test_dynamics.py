@@ -236,23 +236,21 @@ class TestEvolveExact:
         # joint state evolve_exact builds from fresh factors
         spec = dense_spec(variant, arm, 1, kick_time)
         pre, meter = random_pre_and_meter(31)
-        factors = kick_factors(spec, pre.signature, meter)
+        factors = kick_factors(spec, pre.signature)
         basis = [Ket(pre.signature, row) for row in np.eye(pre.signature.dim)]
         for seed in (31, 32):
             pre, _ = random_pre_and_meter(seed)
-            shared = transfer_amplitudes(factors, [pre], basis)[:, 0] * meter.amplitudes
+            shared = transfer_amplitudes(factors, meter, [pre], basis)[:, 0] * meter.amplitudes
             np.testing.assert_array_equal(shared.ravel(),
                                           evolve_exact(spec, pre, meter).amplitudes)
 
     def test_factors_of_another_key_rejected(self):
         pre, meter = random_pre_and_meter(31)
         spec = dense_spec("parallel_1", "R", 1, 0.4)
-        factors = kick_factors(spec, pre.signature, meter)
+        factors = kick_factors(spec, pre.signature)
         doublet = named_state("disembody_in", theta=0.9)
-        with pytest.raises(ValueError, match="kick factors"):
-            list(transfer_readouts(factors, make_meter(7, 1.2), [pre], [pre]))
         with pytest.raises(SignatureError, match="kick factors"):
-            transfer_amplitudes(factors, [doublet], [pre])
+            transfer_amplitudes(factors, meter, [doublet], [pre])
         with pytest.raises(SignatureError, match="kick factors"):
             list(transfer_readouts(factors, meter, [doublet], [pre]))
 
@@ -290,7 +288,7 @@ class TestKickFactors:
         assert row.orbital_dim == COUPLINGS[variant, None].orbital_dim
         assert row.orbital_dim == (3 if variant.startswith("parallel_") else 2)
         pre = named_state("disembody_in", theta=0.9, orbital_dim=row.orbital_dim)
-        factors = kick_factors(dense_spec(variant, arm, 1, 0.4), pre.signature, METER32)
+        factors = kick_factors(dense_spec(variant, arm, 1, 0.4), pre.signature)
         assert factors.pre_map.shape == (pre.signature.dim,) * 2
         assert evolve_exact(dense_spec(variant, arm, 1, 0.4), pre, METER32).norm() == \
             pytest.approx(1.0, abs=1e-12)
@@ -299,13 +297,13 @@ class TestKickFactors:
         system = named_state("noisy_in").signature.drop(["orbital"])
         with pytest.raises(ValueError, match=r"do not commute \(max \|AB - BA\| = 2\.000e\+00\)"):
             kick_factors_from_terms(system, 0.3, observable("sigma_z").matrix,
-                                    observable("sigma_x").matrix, np.zeros((2, 2)), METER32)
+                                    observable("sigma_x").matrix, np.zeros((2, 2)))
 
     def test_one_d_by_d_eigendecomposition_per_key(self, monkeypatch):
         # the first call at a (row, system) key takes one d x d eigh per nonzero
         # term (A, B and the unscaled static S, which serves both sides of the
         # kick); later calls at that key take none, whatever their g, g', t,
-        # kick_time, kick_sign or grid; no eigh is ever batched over the grid
+        # kick_time or kick_sign; no factor has the grid's size
         shapes = []
         eigh = np.linalg.eigh
 
@@ -316,24 +314,24 @@ class TestKickFactors:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         _catalog_basis.cache_clear()
         pre, meter = random_pre_and_meter(31)
-        later = [  # (g, g', t, kick_time, kick_sign, grid N)
-            (0.3, 0.2, 1.5, 0.4, 1, 6), (0.05, 0.0, 1.5, None, -1, 6), (0.7, 1e-3, 3.0, 0.0, 1, 3),
-            (0.3, 0.2, 0.5, 0.5, -1, 17), (1e-3, 0.4, 2.0, 1.1, 1, 40)]
+        later = [  # (g, g', t, kick_time, kick_sign)
+            (0.3, 0.2, 1.5, 0.4, 1), (0.05, 0.0, 1.5, None, -1), (0.7, 1e-3, 3.0, 0.0, 1),
+            (0.3, 0.2, 0.5, 0.5, -1), (1e-3, 0.4, 2.0, 1.1, 1)]
         for variant, arm, terms in [("noiseless_kick", None, 1), ("measure_sigma_zR", None, 2),
                                     ("spin_orbit", None, 2), ("parallel_1", "R", 3),
                                     ("measure_LxSx_L", None, 2)]:
             shapes.clear()
-            factors = kick_factors(dense_spec(variant, arm, 1, 0.4), pre.signature, meter)
+            factors = kick_factors(dense_spec(variant, arm, 1, 0.4), pre.signature)
             assert shapes == [(12, 12)] * terms
-            assert factors.phases.shape == (meter.size, 12)
+            assert factors.eigenvalues.shape == (12,)
             assert factors.pre_map.shape == factors.post_map.shape == (12, 12)
             shapes.clear()
-            for g, gprime, t, kick_time, kick_sign, n in later:
+            for g, gprime, t, kick_time, kick_sign in later:
                 spec = CouplingSpec(variant=variant, g=g, gprime=gprime, t=t, kick_time=kick_time,
                                     measure_arm=arm, kick_sign=kick_sign)
-                grid = make_meter(n, 0.5)
-                factors = kick_factors(spec, pre.signature, grid)
-                assert factors.phases.shape == (grid.size, 12)
+                factors = kick_factors(spec, pre.signature)
+                assert factors.eigenvalues.shape == (12,)
+                assert factors.kick_sign == kick_sign
             assert shapes == []
 
     @ALL_COUPLINGS
@@ -348,13 +346,13 @@ class TestKickFactors:
                                                               (1, -1)):
             spec = CouplingSpec(variant=variant, g=0.3, gprime=gprime, t=t, kick_time=kick_time,
                                 measure_arm=arm, kick_sign=kick_sign)
-            got = kick_factors(spec, system, METER32)
-            want = kick_factors_from_terms(system, *coupling_terms(spec, system), METER32,
+            got = kick_factors(spec, system)
+            want = kick_factors_from_terms(system, *coupling_terms(spec, system),
                                            kick_sign=kick_sign, before=kick_time,
                                            after=t - kick_time, name=row.strength)
-            assert got.strength == want.strength
-            for x, y in ((got.pre_map, want.pre_map), (got.post_map, want.post_map),
-                         (got.phases, want.phases)):
+            assert (got.strength, got.kick_sign) == (want.strength, want.kick_sign)
+            np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+            for x, y in ((got.pre_map, want.pre_map), (got.post_map, want.post_map)):
                 if gprime == 0.0 or row.s is None:
                     np.testing.assert_array_equal(x, y)
                 else:
@@ -364,12 +362,11 @@ class TestKickFactors:
     def test_basis_cache_does_not_grow_with_parameters(self, variant, arm):
         row = COUPLINGS[variant, arm]
         system = named_state("disembody_in", theta=0.9, orbital_dim=row.orbital_dim).signature
-        kick_factors(dense_spec(variant, arm, 1, 0.4), system, METER32)
+        kick_factors(dense_spec(variant, arm, 1, 0.4), system)
         entries = _catalog_basis.cache_info().currsize
-        for g, gprime, t, n in itertools.product((0.01, 0.3), (0.0, 1e-3, 0.2), (1.0, 2.5),
-                                                 (4, 9)):
+        for g, gprime, t in itertools.product((0.01, 0.3), (0.0, 1e-3, 0.2), (1.0, 2.5)):
             spec = CouplingSpec(variant=variant, g=g, gprime=gprime, t=t, measure_arm=arm)
-            kick_factors(spec, system, make_meter(n, 0.5))
+            kick_factors(spec, system)
         assert _catalog_basis.cache_info().currsize == entries
         for array in itertools.chain(*filter(None, _catalog_basis(row, system))):
             assert not array.flags.writeable
@@ -381,19 +378,19 @@ class TestKickFactors:
         spec = CouplingSpec(variant="noiseless_kick", g=0.3)
         system = named_state("amp_in", theta=0.5).signature
         with pytest.raises(ValueError) as direct:
-            kick_factors_from_terms(system, *coupling_terms(spec, system), METER32)
+            kick_factors_from_terms(system, *coupling_terms(spec, system))
         assert "do not commute (max |AB - BA| = 2.000e+00)" in str(direct.value)
         for _ in range(3):
             with pytest.raises(ValueError) as cached:
-                kick_factors(spec, system, METER32)
+                kick_factors(spec, system)
             assert str(cached.value) == str(direct.value)
 
     def test_factors_and_catalog_terms_are_read_only(self):
         pre, meter = random_pre_and_meter(31)
         spec = dense_spec("parallel_1", "R", 1, 0.4)
-        factors = kick_factors(spec, pre.signature, meter)
+        factors = kick_factors(spec, pre.signature)
         _, a, b, _ = coupling_terms(spec, pre.signature)
-        for array in (factors.pre_map, factors.post_map, factors.phases, a, b):
+        for array in (factors.pre_map, factors.post_map, a, b):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
         # one shared array per catalog term, not a copy per call
@@ -414,10 +411,10 @@ class TestKickFactorsFromTerms:
 
     def test_zero_terms_give_identity_maps(self):
         zero = np.zeros((5, 5))
-        factors = kick_factors_from_terms(self.SYSTEM, 0.3, zero, zero, zero, METER32,
+        factors = kick_factors_from_terms(self.SYSTEM, 0.3, zero, zero, zero,
                                           before=0.4, after=0.6)
         np.testing.assert_array_equal(factors.post_map @ factors.pre_map, np.eye(5))
-        np.testing.assert_array_equal(factors.phases, np.ones((METER32.size, 5)))
+        np.testing.assert_array_equal(factors.eigenvalues, np.zeros(5))
         assert factors.strength == 0.3
 
     def test_static_quarter_turn(self):
@@ -425,7 +422,7 @@ class TestKickFactorsFromTerms:
         system = SpaceSignature((("polarization", 2),))
         zero, sigma_z = np.zeros((2, 2)), np.diag([1.0, -1.0])
         for before, after in ((np.pi / 2, 0.0), (0.0, np.pi / 2)):
-            factors = kick_factors_from_terms(system, 0.3, zero, zero, sigma_z, METER32,
+            factors = kick_factors_from_terms(system, 0.3, zero, zero, sigma_z,
                                               before=before, after=after)
             np.testing.assert_allclose(factors.post_map @ factors.pre_map,
                                        np.diag([-1j, 1j]), atol=1e-14)
@@ -433,16 +430,17 @@ class TestKickFactorsFromTerms:
     @pytest.mark.parametrize("kick_sign", [1, -1])
     @pytest.mark.parametrize("seed", range(5))
     def test_random_terms_match_dense_exponentials(self, seed, kick_sign):
-        # off-catalog Hermitian terms: post_map diag(phases[k]) pre_map is
-        # exp(-i S after) exp(+i s g (q_k A + B)) exp(-i S before), and unitary
+        # off-catalog Hermitian terms: post_map diag(exp(i s g q_k a)) pre_map
+        # is exp(-i S after) exp(+i s g (q_k A + B)) exp(-i S before), and unitary
         rng = np.random.default_rng(seed)
         a, b, static = random_commuting_terms(rng, 5)
         g, before, after = rng.uniform(0.05, 0.5), *rng.uniform(0.0, 10.0, size=2)
         meter = make_meter(6, 1.2)
-        factors = kick_factors_from_terms(self.SYSTEM, g, a, b, static, meter,
+        factors = kick_factors_from_terms(self.SYSTEM, g, a, b, static,
                                           kick_sign=kick_sign, before=before, after=after)
         outer = (scipy.linalg.expm(-1j * static * after), scipy.linalg.expm(-1j * static * before))
-        for q, phases in zip(meter.q, factors.phases):
+        for q in make_meter(6, 1.2).q:
+            phases = np.exp(1j * kick_sign * g * q * factors.eigenvalues)
             got = factors.post_map @ (phases[:, None] * factors.pre_map)
             want = outer[0] @ scipy.linalg.expm(1j * kick_sign * g * (q * a + b)) @ outer[1]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -459,14 +457,15 @@ class TestKickFactorsFromTerms:
                 (SignatureError, "must be 5 x 5 on system:5", np.zeros((4, 4)))]:
             with pytest.raises(error, match=match):
                 kick_factors_from_terms(self.SYSTEM, 0.3, *{**terms, term: bad}.values(),
-                                        METER32, before=1.0, after=1.0)
+                                        before=1.0, after=1.0)
 
     def test_overflow_names_the_strength(self):
         a, b, static = random_commuting_terms(np.random.default_rng(3), 5)
+        assert np.max(np.abs(np.linalg.eigvalsh(b))) > 0.5  # so 1e308 * 4 B overflows
         with pytest.raises(NumericalOverflowError,
-                           match=r"kick generator strength \* \(A q \+ B\) is not finite "
-                                 r"on the grid \|q\| <= 32 \(strength = 1e\+308\)"):
-            kick_factors_from_terms(self.SYSTEM, 1e308, a, b, static, METER32)
+                           match=r"^kick offset exp\(i strength B\) is not finite "
+                                 r"\(strength = 1e\+308\)$"):
+            kick_factors_from_terms(self.SYSTEM, 1e308, a, 4 * b, static)
 
 
 class TestDyson2:
@@ -574,7 +573,7 @@ class TestTransferAmplitudes:
         spec = dense_spec(variant, arm, kick_sign, kick_time)
         pres = random_kets(5, 2, pre.signature) + [pre]
         posts = random_kets(6, 3, pre.signature)
-        got = transfer_amplitudes(kick_factors(spec, pre.signature, meter), pres, posts)
+        got = transfer_amplitudes(kick_factors(spec, pre.signature), meter, pres, posts)
         assert got.shape == (3, 3, meter.size)
         u = dense_evolution(spec, tensor(pre, meter_ket(meter)).signature)
         for r, ket in enumerate(pres):
@@ -586,26 +585,26 @@ class TestTransferAmplitudes:
     @ALL_COUPLINGS
     def test_entries_do_not_depend_on_the_batch(self, variant, arm):
         pre, meter = random_pre_and_meter(31)
-        factors = kick_factors(dense_spec(variant, arm, 1, 0.4), pre.signature, meter)
+        factors = kick_factors(dense_spec(variant, arm, 1, 0.4), pre.signature)
         pres, posts = random_kets(7, 4, pre.signature), random_kets(8, 5, pre.signature)
-        batch = transfer_amplitudes(factors, pres, posts)
+        batch = transfer_amplitudes(factors, meter, pres, posts)
         readouts = list(transfer_readouts(factors, meter, pres, posts))
         for p, post in enumerate(posts):
             for r, ket in enumerate(pres):
-                np.testing.assert_array_equal(batch[p, r],
-                                              transfer_amplitudes(factors, [ket], [post])[0, 0])
+                single = transfer_amplitudes(factors, meter, [ket], [post])[0, 0]
+                np.testing.assert_array_equal(batch[p, r], single)
                 # readout and fit alike, bit for bit (repr tells -0.0 from 0.0)
                 ((alone,),) = transfer_readouts(factors, meter, [ket], [post])
                 assert repr(readouts[r][p]) == repr(alone)
 
     def test_states_off_the_factors_space_rejected(self):
         pre, meter = random_pre_and_meter(31)
-        factors = kick_factors(dense_spec("parallel_1", "R", 1, 0.4), pre.signature, meter)
+        factors = kick_factors(dense_spec("parallel_1", "R", 1, 0.4), pre.signature)
         doublet = named_state("disembody_f", alpha=0.3)
         with pytest.raises(SignatureError, match="post-selection on"):
-            transfer_amplitudes(factors, [pre], [doublet])
+            transfer_amplitudes(factors, meter, [pre], [doublet])
         with pytest.raises(SignatureError, match="pre-state on"):
-            transfer_amplitudes(factors, [doublet], [pre])
+            transfer_amplitudes(factors, meter, [doublet], [pre])
 
 
 def lstsq_fit(final, meter, g):
@@ -628,8 +627,8 @@ class TestTransferReadouts:
         spec = CouplingSpec(variant="measure_sigma_zR_noisy", g=1e-3)
         pres = [named_state("disembody_in", theta=t) for t in (0.6, 1.4)]
         posts = [named_state("disembody_f", alpha=a) for a in (0.3, 0.7, 1.1)]
-        factors = kick_factors(spec, pres[0].signature, METER64)
-        amplitudes = transfer_amplitudes(factors, pres, posts)
+        factors = kick_factors(spec, pres[0].signature)
+        amplitudes = transfer_amplitudes(factors, METER64, pres, posts)
         rows = list(transfer_readouts(factors, METER64, pres, posts))
         assert [len(row) for row in rows] == [3, 3]
         for r in range(len(pres)):
@@ -650,7 +649,7 @@ class TestTransferReadouts:
         pre = Ket(sig, [1, 0, 0, 0])
         post = Ket(sig, [0, 1, 0, 0])
         spec = CouplingSpec(variant="measure_sigma_zR", g=1e-3)
-        factors = kick_factors(spec, sig, METER32)
+        factors = kick_factors(spec, sig)
         (row,) = transfer_readouts(factors, METER32, [pre], [post, pre])
         with pytest.raises(AnnihilationError) as chain:
             post_select_meter(evolve_exact(spec, pre, METER32), post)
@@ -658,7 +657,7 @@ class TestTransferReadouts:
         readout, fit = row[1]
         assert readout.success_probability == pytest.approx(1.0, abs=1e-12)
         zero = CouplingSpec(variant="measure_sigma_zR", g=0.0)
-        (row,) = transfer_readouts(kick_factors(zero, sig, METER32), METER32, [pre], [pre])
+        (row,) = transfer_readouts(kick_factors(zero, sig), METER32, [pre], [pre])
         assert isinstance(row[0], IllConditionedFitError)
         assert str(row[0]) == "fit requires a positive coupling, got g=0.0"
 
@@ -666,7 +665,7 @@ class TestTransferReadouts:
         spec = CouplingSpec(variant="measure_sigma_zR_noisy", g=1e-3)
         pre = named_state("disembody_in", theta=0.6)
         post = named_state("disembody_f", alpha=0.3)
-        (row,) = transfer_readouts(kick_factors(spec, pre.signature, METER64), METER64,
+        (row,) = transfer_readouts(kick_factors(spec, pre.signature), METER64,
                                    [pre], [post])
         assert pointer_readout(spec, pre, post, METER64) == row[0]
         sig = named_state("cheshire_in").signature
@@ -676,6 +675,69 @@ class TestTransferReadouts:
         zero = CouplingSpec(variant="measure_sigma_zR", g=0.0)
         with pytest.raises(IllConditionedFitError, match="positive coupling"):
             pointer_readout(zero, Ket(sig, [1, 0, 0, 0]), Ket(sig, [1, 0, 0, 0]), METER32)
+
+
+class TestGridFreeFactors:
+    """Kick factors hold d-sized data only; each grid reader evaluates them on its meter."""
+
+    @pytest.mark.parametrize("variant, arm", [("measure_sigma_zR_noisy", None),
+                                              ("parallel_1", "L"), ("spin_orbit", None)])
+    def test_one_set_of_factors_reads_any_grid(self, variant, arm):
+        spec = CouplingSpec(variant=variant, g=1e-3, gprime=1e-2, t=3.0, kick_time=1.0,
+                            measure_arm=arm)
+        dim = COUPLINGS[variant, arm].orbital_dim
+        pres = [named_state("disembody_in", theta=t, orbital_dim=dim) for t in (0.6, 1.4)]
+        posts = [named_state("disembody_f", alpha=a, orbital_dim=dim) for a in (0.3, 0.7)]
+        factors = kick_factors(spec, pres[0].signature)
+        d = pres[0].signature.dim
+        for array in (factors.eigenvalues, factors.pre_map, factors.post_map):
+            assert array.shape in ((d,), (d, d))
+        for meter in (make_meter(16, 2.0), make_meter(64, 4.0)):
+            fresh = kick_factors(spec, pres[0].signature)
+            # bit for bit (repr tells -0.0 from 0.0)
+            assert (repr(list(transfer_readouts(factors, meter, pres, posts)))
+                    == repr(list(transfer_readouts(fresh, meter, pres, posts))))
+            np.testing.assert_array_equal(transfer_amplitudes(factors, meter, pres, posts),
+                                          transfer_amplitudes(fresh, meter, pres, posts))
+
+    SYSTEM = SpaceSignature((("system", 2),))
+    A = np.diag([1.0, -2.0])  # max |a| = 2
+
+    def factors(self, strength):
+        zero = np.zeros((2, 2))
+        return kick_factors_from_terms(self.SYSTEM, strength, self.A, zero, zero)
+
+    def test_zone_limit_carries_the_p_width(self):
+        # max |strength a| + 1/(2 delta) < pi reads; at delta = 2 the margin is 0.25
+        meter = make_meter(16, 2.0)
+        pre = Ket(self.SYSTEM, [0.6, 0.8])
+        limit = (np.pi - 0.25) / 2
+        for strength in (0.999 * limit, -0.999 * limit):
+            assert transfer_amplitudes(self.factors(strength), meter, [pre], [pre]).shape == \
+                (1, 1, meter.size)
+        for strength in (1.001 * limit, -1.001 * limit, np.pi / 2, 1e308, np.inf, np.nan):
+            with pytest.raises(NumericalOverflowError, match="the grid's zone limit"):
+                transfer_amplitudes(self.factors(strength), meter, [pre], [pre])
+        # the same strength reads on a wider pointer, whose p-width is smaller
+        transfer_amplitudes(self.factors(1.001 * limit), make_meter(64, 8.0), [pre], [pre])
+
+    def test_every_grid_reader_checks_the_zone_first(self):
+        meter = make_meter(16, 2.0)
+        pre = Ket(self.SYSTEM, [0.6, 0.8])
+        elsewhere = named_state("cheshire_in")
+        message = (r"^kick phase per grid step 3\.2 plus the p-width 1/\(2 delta\) = 0\.25 "
+                   r"is not below pi, the grid's zone limit \(strength = 1\.6\)$")
+        factors = self.factors(1.6)
+        for read in (lambda: transfer_amplitudes(factors, meter, [pre], [elsewhere]),
+                     lambda: transfer_amplitudes(factors, meter, [elsewhere], [pre]),
+                     lambda: list(transfer_readouts(factors, meter, [pre], [elsewhere]))):
+            with pytest.raises(NumericalOverflowError, match=message):
+                read()
+        spec = CouplingSpec(variant="measure_sigma_zR", g=3.0)
+        with pytest.raises(NumericalOverflowError, match="zone limit"):
+            evolve_exact(spec, elsewhere, meter)
+        with pytest.raises(NumericalOverflowError, match="zone limit"):
+            pointer_readout(spec, elsewhere, elsewhere, meter)
 
 
 class TestFit:

@@ -90,7 +90,7 @@ def test_pointer_fit_reads_the_weak_value(d, seed, log_g):
     system = SpaceSignature((("system", d),))
     A = (v * a) @ v.conj().T
     B = (v * b) @ v.conj().T
-    factors = kick_factors_from_terms(system, g, A, B, np.zeros((d, d)), METER)
+    factors = kick_factors_from_terms(system, g, A, B, np.zeros((d, d)))
     ((entry,),) = transfer_readouts(factors, METER, [Ket(system, pre)], [Ket(system, post)])
     _, fit = entry
 

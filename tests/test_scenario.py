@@ -342,9 +342,9 @@ def count_kick_factors(monkeypatch):
     calls = []
     original = scenario.kick_factors
 
-    def counted(spec, system, meter):
-        calls.append((spec, meter.size))
-        return original(spec, system, meter)
+    def counted(spec, system):
+        calls.append(spec)
+        return original(spec, system)
 
     monkeypatch.setattr(scenario, "kick_factors", counted)
     return calls
@@ -373,7 +373,7 @@ class TestReuse:
 
     @pytest.mark.parametrize("variant, arm", list(COUPLINGS))
     def test_lifted_catalog_cache_does_not_grow_with_parameters(self, variant, arm):
-        # the cache key is (observable id, orbital dim, system): sweeping every
+        # the cache key is (observable id, system): sweeping every
         # coupling number (so g't too) and the grid size reuses the first
         # point's entries, for coupling terms and observables alike
         from weakmeter.weakvalue import _lifted
@@ -420,9 +420,9 @@ sweep:
         built = []
         original = scenario.kick_factors
 
-        def tracked(spec, system, meter):
+        def tracked(spec, system):
             assert all(alive() is None for _, alive in built)
-            factors = original(spec, system, meter)
+            factors = original(spec, system)
             built.append((spec.g, weakref.ref(factors)))
             return factors
 
@@ -602,8 +602,9 @@ class TestErrorRows:
 
     def test_coupling_rows_in_order(self):
         records = run_scenario(parse_scenario(ARM_SWEEP))
-        overflow = ("NumericalOverflowError: kick generator g * (A q + B) is not finite "
-                    "on the grid |q| <= 16 (g = 1e+308)")
+        overflow = ("NumericalOverflowError: kick phase per grid step 1e+308 plus the p-width "
+                    "1/(2 delta) = 0.25 is not below pi, the grid's zone limit "
+                    "(strength = 1e+308)")
         assert [rec.error for rec in records] == [
             "IllConditionedFitError: fit requires a positive coupling, got g=0.0"] * 2 + [
             overflow] * 2 + ["", "",
@@ -635,9 +636,14 @@ sweep:
         assert records[0].error == ""
 
     def test_single_grid_point_row(self):
+        # a meter this narrow has a p-width 1/(2 delta) = 10 past pi, so the
+        # zone check fails the row before its fit could (which would find all
+        # weight at one grid point)
         text = NOISY.replace("meter: {N: 32, delta: 4.0}", "meter: {N: 1, delta: 0.05}")
         (rec,) = run_scenario(parse_scenario(text))
-        assert rec.error == "IllConditionedFitError: all fit weight sits at a single grid point"
+        assert rec.error == ("NumericalOverflowError: kick phase per grid step 0.001 plus the "
+                             "p-width 1/(2 delta) = 10 is not below pi, the grid's zone limit "
+                             "(strength = 0.001)")
 
     @pytest.mark.parametrize("observables, error", [
         ("[pi_L]", "SignatureError: inner product between different signatures: "

@@ -461,11 +461,9 @@ class TestLiftedObservable:
                                              gprime_t=gprime_t), target).matrix
                 except SignatureError as exc:  # a factor the states do not carry
                     with pytest.raises(SignatureError, match=re.escape(str(exc))):
-                        lifted_observable(obs_id, target, orbital_dim=orbital_dim,
-                                          gprime_t=gprime_t)
+                        lifted_observable(obs_id, target, gprime_t=gprime_t)
                     continue
-                got = lifted_observable(obs_id, target, orbital_dim=orbital_dim,
-                                        gprime_t=gprime_t)
+                got = lifted_observable(obs_id, target, gprime_t=gprime_t)
                 # equal up to the sign of a zero
                 np.testing.assert_array_equal(got, want, err_msg=f"{obs_id} {gprime_t}")
 
