@@ -11,7 +11,7 @@ the directly computed ratio i tan(alpha) - 1.
 
 import numpy as np
 
-from weakmeter import CouplingSpec, parallel_arm_readout, pointer_readout, weak_value
+from weakmeter import CouplingSpec, pointer_readout, weak_value
 from weakmeter.meter import make_meter
 from weakmeter.optics import named_state
 from weakmeter.weakvalue import observable
@@ -20,12 +20,17 @@ meter = make_meter(32, 4.0)
 
 print("parallel noise: per-arm pointer responses (theta = alpha = 0.7 rad)")
 for variant in ("parallel_1", "parallel_2"):
-    left = parallel_arm_readout(variant, 0.7, 0.7, "L", g=1e-3, gprime=1e-3,
-                                t=100.0, meter=meter)
-    right = parallel_arm_readout(variant, 0.7, 0.7, "R", g=1e-3, gprime=1e-3,
-                                 t=100.0, meter=meter)
-    print(f"  {variant}: left arm |{abs(left.value):.4f}|, "
-          f"right arm |{abs(right.value):.4f}|  (both stay above 1e-3)")
+    # arm 'R' reads the signal sigma_z_R, arm 'L' the arm-resolved noise
+    # observable; the states live on the row's orbital space (the triplet)
+    fits = {}
+    for arm in ("L", "R"):
+        spec = CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=100.0, measure_arm=arm)
+        dim = spec.coupling.orbital_dim
+        pre = named_state("disembody_in", theta=0.7, orbital_dim=dim)
+        post = named_state("disembody_f", alpha=0.7, orbital_dim=dim)
+        _, fits[arm] = pointer_readout(spec, pre, post, meter)
+    print(f"  {variant}: left arm |{abs(fits['L'].value):.4f}|, "
+          f"right arm |{abs(fits['R'].value):.4f}|  (both stay above 1e-3)")
 
 print()
 print("three-body kick: which closed form does the pointer obey?")

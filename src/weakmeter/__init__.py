@@ -15,7 +15,6 @@ from .dynamics import (
     evolve_dyson2,
     evolve_exact,
     fit_effective_weak_value,
-    parallel_arm_readout,
     pointer_readout,
     post_select_meter,
 )
@@ -42,7 +41,6 @@ from .meter import (
     continuous_reference,
     make_meter,
     meter_readout,
-    moments,
 )
 from .optics import named_state
 from .scenario import (

@@ -8,21 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
 
 from .errors import ScenarioError, ScenarioSyntaxError, WeakmeterError
 from .hilbert import Ket
-from .optics import (
-    METER,
-    ORBITAL,
-    PATH,
-    POLARIZATION,
-    STATE_IDS,
-    hv_components,
-    named_state,
-)
+from .optics import PATH, POLARIZATION, STATE_IDS, hv_components, named_state
 from .scenario import (
     ScenarioDoc,
     apply_override,
@@ -139,19 +132,15 @@ def cmd_verify(args) -> int:
 
 
 def _basis_labels(ket: Ket) -> list[str]:
+    """Product-basis labels of a ``named_state`` ket: path, orbital and polarization factors."""
     per_factor = []
     for label, dim in ket.signature.factors:
         if label == PATH:
             per_factor.append(("L", "R"))
         elif label == POLARIZATION:
             per_factor.append(("H", "V"))
-        elif label == ORBITAL:
+        else:  # the orbital doublet or triplet
             per_factor.append(("va", "vb") if dim == 2 else ("m+1", "m0", "m-1"))
-        elif label == METER:
-            half = (dim - 1) // 2
-            per_factor.append(tuple(f"q={k}" for k in range(-half, half + 1)))
-        else:
-            per_factor.append(tuple(str(i) for i in range(dim)))
     labels = [""]
     for names in per_factor:
         labels = [f"{prefix},{name}" if prefix else name
@@ -270,6 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """One ``warning: <message>`` line on stderr, without the source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -278,7 +272,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

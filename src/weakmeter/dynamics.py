@@ -49,9 +49,9 @@ from .errors import (
     SignatureError,
     UnknownIdError,
 )
-from .hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature
+from .hilbert import Ket, Operator, SpaceSignature
 from .meter import DiscreteGaussianMeter, MeterReadout, _readouts, q_grid
-from .optics import METER, named_state
+from .optics import METER
 from .weakvalue import lifted_observable
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
     "transfer_readouts",
     "fit_effective_weak_value",
     "pointer_readout",
-    "parallel_arm_readout",
 ]
 
 
@@ -111,6 +110,12 @@ COUPLINGS = {
 }
 
 VARIANTS = tuple(dict.fromkeys(variant for variant, _ in COUPLINGS))
+
+# tolerance of the kick terms' Hermitian and commuting checks
+TERM_ATOL = 1e-12
+
+# the scenario field behind each Coupling.strength, as kick errors name it
+_STRENGTH_FIELDS = {"g": "coupling.g", "gprime_t": "coupling.gprime * coupling.t"}
 
 
 @dataclass(frozen=True)
@@ -259,11 +264,13 @@ class KickFactors:
     static factors exp(-i S time) on either side of the kick).  So
     <post| S_after U(q) S_before |pre> = sum_i c_i exp(i s strength a_i q),
     c_i = (<post| post_map)_i (pre_map |pre>)_i.  The pointer fit divides by
-    ``strength``, the coupling in front of q.  No array depends on the grid.
+    ``strength``, the coupling in front of q, which errors call ``name``.  No
+    array depends on the grid.
     """
 
     system: SpaceSignature
     strength: float
+    name: str
     kick_sign: int
     eigenvalues: np.ndarray
     pre_map: np.ndarray
@@ -276,11 +283,11 @@ def _require_kick_terms(system: SpaceSignature, a: np.ndarray, b: np.ndarray, s:
     terms = np.array((a, b, s))
     with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the check
         skew = float(np.max(np.abs(terms - terms.conj().transpose(0, 2, 1))))
-    if not skew <= FLAG_ATOL * max(1.0, float(np.max(np.abs(terms)))):
+    if not skew <= TERM_ATOL * max(1.0, float(np.max(np.abs(terms)))):
         raise ValueError(f"kick terms A, B, S must be finite and Hermitian "
                          f"(max |M - M^dagger| = {skew:.3e})")
     gap = float(np.max(np.abs(a @ b - b @ a)))
-    if gap > FLAG_ATOL:
+    if gap > TERM_ATOL:
         raise ValueError(f"A and B do not commute (max |AB - BA| = {gap:.3e}), "
                          "so the kick cannot be factored")
 
@@ -341,7 +348,7 @@ def _apply_kick(system: SpaceSignature, basis: _KickBasis, strength: float, gpri
             pre_map = pre_map @ _exp(static_values, static_vectors, -1j * before)
         if after:
             post_map = _exp(static_values, static_vectors, -1j * after) @ vectors
-    factors = KickFactors(system=system, strength=strength, kick_sign=kick_sign,
+    factors = KickFactors(system=system, strength=strength, name=name, kick_sign=kick_sign,
                           eigenvalues=eigenvalues, pre_map=pre_map, post_map=post_map)
     for array in (factors.eigenvalues, factors.pre_map, factors.post_map):
         array.setflags(write=False)  # shared by every point at this key
@@ -376,12 +383,14 @@ def kick_factors(spec: CouplingSpec, system: SpaceSignature) -> KickFactors:
     :func:`kick_factors_from_terms` bit for bit where no static factor acts,
     and to rounding otherwise.  They depend on the coupling and the system
     signature only, so one set serves every pre-state and every meter grid
-    at that key.
+    at that key.  Errors name the strength by its scenario field, such as
+    ``coupling.g``.
     """
     row = spec.coupling
     before = spec.resolved_kick_time
     return _apply_kick(system, _catalog_basis(row, system), getattr(spec, row.strength),
-                       spec.gprime, spec.kick_sign, before, spec.t - before, row.strength)
+                       spec.gprime, spec.kick_sign, before, spec.t - before,
+                       _STRENGTH_FIELDS[row.strength])
 
 
 def evolve_exact(spec: CouplingSpec, pre_system: Ket, meter: DiscreteGaussianMeter) -> Ket:
@@ -480,7 +489,7 @@ def _transfer_rows(factors: KickFactors, meter: DiscreteGaussianMeter, pres, pos
         raise NumericalOverflowError(
             f"kick phase per grid step {phase:.6g} plus the p-width 1/(2 delta) = "
             f"{0.5 / meter.width:.6g} is not below pi, the grid's zone limit "
-            f"(strength = {factors.strength!r})")
+            f"({factors.name} = {factors.strength!r})")
     bras = factors.post_map if posts is None else _post_bras(factors, posts)
     for pre in pres:
         if pre.signature != factors.system:
@@ -646,19 +655,3 @@ def pointer_readout(spec: CouplingSpec, pre: Ket, post: Ket,
         raise entry
     return entry
 
-
-def parallel_arm_readout(variant: str, theta: float, alpha: float, arm: str, *,
-                         g: float = 1e-3, gprime: float = 1e-3, t: float = 100.0,
-                         meter: DiscreteGaussianMeter,
-                         kick_sign: int = 1) -> EffectiveWeakValueFit:
-    """Per-arm pointer fit for the noise-isolation pipeline under parallel noise.
-
-    Arm 'R' measures the signal sigma_z_R; arm 'L' measures the arm-resolved
-    noise observable, whose reading is itself sigma_z-mediated.  The states
-    live on the row's orbital space (:attr:`Coupling.orbital_dim`).
-    """
-    spec = CouplingSpec(variant=variant, g=g, gprime=gprime, t=t, measure_arm=arm,
-                        kick_sign=kick_sign)
-    pre = named_state("disembody_in", theta=theta, orbital_dim=spec.coupling.orbital_dim)
-    post = named_state("disembody_f", alpha=alpha, orbital_dim=spec.coupling.orbital_dim)
-    return pointer_readout(spec, pre, post, meter)[1]

@@ -23,8 +23,6 @@ __all__ = [
     "inner",
 ]
 
-FLAG_ATOL = 1e-12
-
 
 def _frozen(values, dtype=complex) -> np.ndarray:
     out = np.array(values, dtype=dtype)
@@ -84,13 +82,11 @@ class SpaceSignature:
 class Ket:
     """Complex amplitude vector over a signature's product basis.
 
-    May be unnormalized (post-selection output).  When ``normalized=True``
-    the norm is verified to lie within 1e-12 of one.
+    May be unnormalized (post-selection output).
     """
 
     signature: SpaceSignature
     amplitudes: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         amps = _frozen(np.asarray(self.amplitudes).reshape(-1))
@@ -101,8 +97,6 @@ class Ket:
             )
         if not np.isfinite(amps.view(float)).all():
             raise ValueError("ket amplitudes must be finite")
-        if self.normalized and abs(self.norm() - 1.0) > FLAG_ATOL:
-            raise ValueError(f"ket flagged normalized but norm = {self.norm()!r}")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

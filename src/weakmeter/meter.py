@@ -2,7 +2,7 @@
 
 Units: the position grid is q_k = k for k in {-N..N} (grid steps); the
 conjugate momentum grid is p_l = 2*pi*l/(2N+1) (radians per grid step).
-All readouts carry this unit tag.
+Every readout and reference is in these units, :data:`GRID_UNITS`.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ __all__ = [
     "make_meter",
     "q_grid",
     "p_grid",
-    "moments",
     "meter_readout",
-    "meter_readouts",
     "continuous_reference",
 ]
 
@@ -142,7 +140,7 @@ def make_meter(half_width: int, width: float) -> DiscreteGaussianMeter:
 
 @dataclass(frozen=True)
 class MeterReadout:
-    """Grid moments of a (possibly unnormalized) pointer state.
+    """Grid moments of a (possibly unnormalized) pointer state, in :data:`GRID_UNITS`.
 
     ``success_probability`` is the squared norm of the unnormalized
     post-selected meter; for a fresh meter it is 1.
@@ -153,26 +151,16 @@ class MeterReadout:
     var_q: float
     var_p: float
     success_probability: float
-    units: str = GRID_UNITS
 
 
 @dataclass(frozen=True)
 class ContinuousMoments:
-    """Continuous-limit (N -> infinity) pointer moments."""
+    """Continuous-limit (N -> infinity) pointer moments, in :data:`GRID_UNITS`."""
 
     mean_q: float
     mean_p: float
     var_q: float
     var_p: float
-    units: str = GRID_UNITS
-
-
-def _as_vector(meter_amplitudes) -> np.ndarray:
-    if isinstance(meter_amplitudes, DiscreteGaussianMeter):
-        return np.asarray(meter_amplitudes.amplitudes)
-    if isinstance(meter_amplitudes, Ket):
-        return np.asarray(meter_amplitudes.amplitudes)
-    return np.asarray(meter_amplitudes, dtype=complex).reshape(-1)
 
 
 def _row_moments(density: np.ndarray, grid: np.ndarray):
@@ -182,65 +170,44 @@ def _row_moments(density: np.ndarray, grid: np.ndarray):
     return mean, var
 
 
-def _p_density(vecs: np.ndarray, weight) -> np.ndarray:
-    return np.abs(np.fft.fft(vecs, axis=-1)) ** 2 / (vecs.shape[-1] * weight)
-
-
-def _weighed(meter_amplitudes) -> tuple[np.ndarray, np.ndarray, float]:
-    vec = _as_vector(meter_amplitudes)
-    if len(vec) % 2 == 0:
-        raise ValueError("meter grid must have odd length 2N+1")
-    abs2 = np.abs(vec) ** 2
-    weight = float(np.sum(abs2))
-    if weight <= 0.0:
-        raise AnnihilationError("zero meter state: post-selection annihilated it")
-    return vec, abs2, weight
-
-
-def moments(meter_amplitudes, representation: str = "q") -> tuple[float, float]:
-    """(mean, variance) of the normalized pointer density on the q or p grid.
-
-    The p density is |FFT(vec)|^2 / (2N+1), taken against the p grid in FFT
-    order, 2*pi*fftfreq(2N+1) = ifftshift(p_grid(N)).  A density does not see
-    the phase that centering the transform would add, so no shift is needed.
-    """
-    vec, abs2, weight = _weighed(meter_amplitudes)
-    if representation == "q":
-        mean, var = _row_moments(abs2 / weight, q_grid((len(vec) - 1) // 2))
-    elif representation == "p":
-        mean, var = _row_moments(_p_density(vec, weight), _fft_order_p(len(vec)))
-    else:
-        raise ValueError(f"representation must be 'q' or 'p', got {representation!r}")
-    return float(mean), float(var)
-
-
-def meter_readout(meter_amplitudes) -> MeterReadout:
-    """Full readout: q and p moments plus the post-selection probability."""
-    vec, _, _ = _weighed(meter_amplitudes)
-    return meter_readouts(vec[None])[0]
-
-
 def _readouts(rows: np.ndarray, q: np.ndarray, p: np.ndarray) -> list[MeterReadout]:
-    """:func:`meter_readouts` on the rows' meter grids ``q`` and ``p`` (in FFT order)."""
+    """:func:`meter_readout` of each row of a (rows, 2N+1) array on the grids ``q`` and ``p``.
+
+    ``p`` is the p grid in FFT order, 2*pi*fftfreq(2N+1) = ifftshift(p_grid(N)),
+    against which the p density |FFT(row)|^2 / (2N+1) is taken: a density does
+    not see the phase that centering the transform would add, so no shift is
+    needed.  A row's values do not depend on the other rows, and a zero row
+    reads NaN moments rather than raising.
+    """
     abs2 = np.abs(rows) ** 2
     weights = abs2.sum(axis=-1)
     weight = weights[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_q, var_q = _row_moments(abs2 / weight, q)
-        mean_p, var_p = _row_moments(_p_density(rows, weight), p)
+        p_density = np.abs(np.fft.fft(rows, axis=-1)) ** 2 / (rows.shape[-1] * weight)
+        mean_p, var_p = _row_moments(p_density, p)
     return [MeterReadout(mean_q=mq, mean_p=mp, var_q=vq, var_p=vp, success_probability=w)
             for mq, mp, vq, vp, w in zip(mean_q.tolist(), mean_p.tolist(), var_q.tolist(),
                                          var_p.tolist(), weights.tolist())]
 
 
-def meter_readouts(rows: np.ndarray) -> list[MeterReadout]:
-    """:func:`meter_readout` of each row of a (rows, 2N+1) array.
+def meter_readout(meter_amplitudes) -> MeterReadout:
+    """Full readout of one pointer: q and p moments plus the post-selection probability.
 
-    A row's values do not depend on the other rows, and a zero row reads
-    NaN moments rather than raising.
+    Takes a meter, a meter ket or a vector of odd length 2N+1; raises
+    ``ValueError`` for an even length and :class:`AnnihilationError` for a
+    zero state.
     """
-    size = np.shape(rows)[-1]
-    return _readouts(rows, q_grid((size - 1) // 2), _fft_order_p(size))
+    if isinstance(meter_amplitudes, (DiscreteGaussianMeter, Ket)):
+        vec = np.asarray(meter_amplitudes.amplitudes)
+    else:
+        vec = np.asarray(meter_amplitudes, dtype=complex).reshape(-1)
+    size = len(vec)
+    if size % 2 == 0:
+        raise ValueError("meter grid must have odd length 2N+1")
+    if np.sum(np.abs(vec) ** 2) <= 0.0:
+        raise AnnihilationError("zero meter state: post-selection annihilated it")
+    return _readouts(vec[None], q_grid((size - 1) // 2), _fft_order_p(size))[0]
 
 
 def continuous_reference(width: float, g: float, weak_value: complex) -> ContinuousMoments:

@@ -378,6 +378,15 @@ def _validate_observables(section) -> tuple[str, ...]:
     return tuple(str(obs) for obs in section)
 
 
+# the sections a sweep path can address, in the order _validate checks them
+_SECTION_RULES = {
+    "preselect": lambda section: _validate_state(section, "preselect"),
+    "postselect": lambda section: _validate_state(section, "postselect"),
+    "coupling": _validate_coupling,
+    "meter": _validate_meter,
+}
+
+
 def _resolve_path(data: dict, path: str):
     node = data
     parts = path.split(".") if isinstance(path, str) else ()  # a YAML key may be any scalar
@@ -400,6 +409,9 @@ def _validate_sweep(section, doc_dict: dict) -> dict:
         node, leaf = _resolve_path(doc_dict, path)
         if not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):
             raise ParameterRangeError(f"sweep path {path!r} must address a numeric field")
+        # an integer field (meter.N, coupling.kick_sign) keeps the ints it is
+        # given, which a float would round past 2**53
+        integral = isinstance(node[leaf], int)
         if not isinstance(spec, dict):
             raise ScenarioSyntaxError(f"sweep.{path} must be a mapping")
         _reject_unknown(spec, _SWEEP_KEYS, f"sweep.{path}")
@@ -411,8 +423,9 @@ def _validate_sweep(section, doc_dict: dict) -> dict:
             values = spec["values"]
             if not isinstance(values, list) or not values:
                 raise ParameterRangeError(f"sweep.{path}.values must be a nonempty list")
-            out[str(path)] = {
-                "values": [_require_number(v, f"sweep.{path}.values") for v in values]}
+            numbers = [_require_number(v, f"sweep.{path}.values") for v in values]
+            out[str(path)] = {"values": [v if integral and isinstance(v, int) else x
+                                         for v, x in zip(values, numbers)]}
         else:
             missing = [k for k in ("start", "stop", "steps") if k not in spec]
             if missing:
@@ -442,24 +455,12 @@ def _validate(raw: dict) -> ScenarioDoc:
     for required in ("preselect", "postselect"):
         if required not in raw:
             raise ParameterRangeError(f"scenario needs a {required!r} section")
-    pre = _validate_state(raw["preselect"], "preselect")
-    post = _validate_state(raw["postselect"], "postselect")
-    coupling = _validate_coupling(raw.get("coupling"))
-    meter = _validate_meter(raw.get("meter"))
+    sections = {section: rule(raw.get(section)) for section, rule in _SECTION_RULES.items()}
     observables = _validate_observables(raw.get("observables"))
-    base = {
-        "name": name,
-        "preselect": pre,
-        "postselect": post,
-        "coupling": coupling,
-        "meter": meter,
-        "observables": list(observables),
-    }
-    sweep = _validate_sweep(raw.get("sweep"), base)
-    return ScenarioDoc(
-        name=name, preselect=pre, postselect=post, coupling=coupling,
-        meter=meter, observables=observables, sweep=sweep,
-    )
+    # a sweep of the name or the observables is refused as non-numeric, not unknown
+    sweep = _validate_sweep(raw.get("sweep"), {"name": name, "observables": observables,
+                                               **sections})
+    return ScenarioDoc(name=name, observables=observables, sweep=sweep, **sections)
 
 
 def parse_scenario(text: str) -> ScenarioDoc:
@@ -511,14 +512,14 @@ def _sweep_points(doc: ScenarioDoc):
     grids = []
     for path, spec in doc.sweep.items():
         if "values" in spec:
-            values = [float(v) for v in spec["values"]]
+            values = list(spec["values"])
         else:
             values = [float(v) for v in np.linspace(spec["start"], spec["stop"], spec["steps"])]
         node, leaf = _resolve_path(data, path)
         if isinstance(node[leaf], int) and not isinstance(node[leaf], bool):
-            # an integer field (meter.N) takes integral values as int; any
-            # other value fails its own point at re-validation
-            values = [int(v) if v.is_integer() else v for v in values]
+            # an integer field takes integral values as int; any other value
+            # fails its own point at re-validation
+            values = [int(v) if isinstance(v, int) or v.is_integer() else v for v in values]
         grids.append(values)
     for values in itertools.product(*grids):
         yield dict(zip(doc.sweep, values))
@@ -549,15 +550,6 @@ class _Job:
     doc: ScenarioDoc
     pre: Ket
     post: Ket
-
-
-# the sections a sweep path can address, in the order _validate checks them
-_SECTION_RULES = {
-    "preselect": lambda section: _validate_state(section, "preselect"),
-    "postselect": lambda section: _validate_state(section, "postselect"),
-    "coupling": _validate_coupling,
-    "meter": _validate_meter,
-}
 
 
 def _at_point(doc: ScenarioDoc, point: dict, memo: dict) -> ScenarioDoc:
@@ -733,6 +725,8 @@ CSV_COLUMNS = ("scenario", "observable", "wv_re", "wv_im", "mean_q", "mean_p",
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if type(value) is int:  # a swept integer field, every digit of it
+        return str(value)
     return f"{value:.17g}"
 
 

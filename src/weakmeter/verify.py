@@ -25,7 +25,7 @@ from .dynamics import (
     transfer_readouts,
 )
 from .hilbert import Ket
-from .meter import continuous_reference, make_meter, moments
+from .meter import continuous_reference, make_meter, meter_readout
 from .optics import named_state
 from .weakvalue import check_overlap, lifted_observable, weak_value_tables
 
@@ -178,10 +178,10 @@ def check_disembodiment(kick_sign: int = 1) -> CheckResult:
 
 
 _POINTER_CASES = (
-    ("cheshire_in", {}, "cheshire_f", {}, "measure_sigma_zR", 2, 1.0),
-    ("amp_in", {"theta": 2 * np.pi / 3}, "amp_f", {}, "measure_sigma_zR", 2, np.sqrt(3.0)),
+    ("cheshire_in", {}, "cheshire_f", {}, "measure_sigma_zR", 1.0),
+    ("amp_in", {"theta": 2 * np.pi / 3}, "amp_f", {}, "measure_sigma_zR", np.sqrt(3.0)),
     ("disembody_in", {"theta": 2 * np.pi / 3}, "disembody_f", {"alpha": np.pi / 3},
-     "measure_sigma_zR_noisy", 2, 3.0),
+     "measure_sigma_zR_noisy", 3.0),
 )
 
 
@@ -189,9 +189,9 @@ def check_pointer_shift(kick_sign: int = 1) -> CheckResult:
     """Richardson-extrapolated mean_p / g matches Re(A_w) to 0.1%."""
     meter = make_meter(64, 4.0)
     lines, ok = [], True
-    for pre_id, pre_kw, post_id, post_kw, variant, dim, expect in _POINTER_CASES:
-        pre = named_state(pre_id, orbital_dim=dim, **pre_kw)
-        post = named_state(post_id, orbital_dim=dim, **post_kw)
+    for pre_id, pre_kw, post_id, post_kw, variant, expect in _POINTER_CASES:
+        pre = named_state(pre_id, **pre_kw)
+        post = named_state(post_id, **post_kw)
 
         def shift_over_g(g: float) -> float:
             spec = CouplingSpec(variant=variant, g=g, kick_sign=kick_sign)
@@ -257,10 +257,8 @@ def check_convergence(kick_sign: int = 1) -> CheckResult:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 meter = make_meter(n, delta)
-            shifted = np.exp(1j * g * meter.q * a_w) * meter.amplitudes
-            mq, vq = moments(shifted, "q")
-            mp, vp = moments(shifted, "p")
-            got = np.array([mq, mp, vq, vp])
+            readout = meter_readout(np.exp(1j * g * meter.q * a_w) * meter.amplitudes)
+            got = np.array([readout.mean_q, readout.mean_p, readout.var_q, readout.var_p])
             return float(np.max(np.abs(got - targets) / np.abs(targets)))
 
         n_target = int(16 * delta**2)
@@ -286,19 +284,20 @@ def check_convergence(kick_sign: int = 1) -> CheckResult:
 def check_parallel_noise(kick_sign: int = 1) -> CheckResult:
     """Both arms keep a sigma_z-mediated response above 1e-3 under parallel noise.
 
-    The pipeline of :func:`parallel_arm_readout` on a 3 x 3 angle grid: per
-    (variant, arm), one set of kick factors and one :func:`transfer_readouts`
-    pass give all nine pointer fits.
+    The states are ``disembody_in`` and ``disembody_f`` on a 3 x 3 angle grid,
+    on the parallel rows' orbital space.  Arm 'R' measures the signal
+    sigma_z_R; arm 'L' measures the arm-resolved noise observable, whose
+    reading is itself sigma_z-mediated.  Per (variant, arm), one set of kick
+    factors and one :func:`transfer_readouts` pass give all nine pointer fits.
     """
     meter = make_meter(32, 4.0)
     angles = (0.25, 0.7, 1.15)
     variants = ("parallel_1", "parallel_2")
-    states = {d: ([named_state("disembody_in", theta=x, orbital_dim=d) for x in angles],
-                  [named_state("disembody_f", alpha=x, orbital_dim=d) for x in angles])
-              for d in {COUPLINGS[variant, None].orbital_dim for variant in variants}}
+    (dim,) = {COUPLINGS[variant, None].orbital_dim for variant in variants}
+    pres = [named_state("disembody_in", theta=x, orbital_dim=dim) for x in angles]
+    posts = [named_state("disembody_f", alpha=x, orbital_dim=dim) for x in angles]
     lines, ok = [], True
     for variant in variants:
-        pres, posts = states[COUPLINGS[variant, None].orbital_dim]
         worst = {}
         for arm in ("L", "R"):
             spec = CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=100.0,

@@ -164,29 +164,29 @@ def observable_ids() -> tuple[str, ...]:
     return tuple(_CATALOG)
 
 
-def check_overlap(overlap: complex, scale: float, eps_overlap: float = EPS_OVERLAP) -> None:
-    """Raise :class:`DegeneratePostselectionError` unless |overlap| > eps_overlap * scale.
+def check_overlap(overlap: complex, scale: float) -> None:
+    """Raise :class:`DegeneratePostselectionError` unless |overlap| > EPS_OVERLAP * scale.
 
     ``scale`` is the product of the two state norms.
     """
-    if scale == 0.0 or abs(overlap) <= eps_overlap * scale:
+    if scale == 0.0 or abs(overlap) <= EPS_OVERLAP * scale:
         raise DegeneratePostselectionError(
             f"post-selection is degenerate: normalized overlap "
-            f"{abs(overlap) / scale if scale else 0.0:.3e} <= {eps_overlap:.0e}",
+            f"{abs(overlap) / scale if scale else 0.0:.3e} <= {EPS_OVERLAP:.0e}",
             overlap_abs=abs(overlap) / scale if scale else 0.0,
         )
 
 
-def weak_value(pre: Ket, post: Ket, a: Operator, *, eps_overlap: float = EPS_OVERLAP) -> complex:
+def weak_value(pre: Ket, post: Ket, a: Operator) -> complex:
     """<post|A|pre> / <post|pre>, the one entry of :func:`weak_value_tables` for this pair.
 
     ``a`` is extended to the pre-state's signature first.  Invariant under
     independent rescalings and global phases of either state.  Raises
     :class:`DegeneratePostselectionError` when the norm-scaled overlap falls
-    below ``eps_overlap``.
+    to :data:`EPS_OVERLAP` or below.
     """
     overlaps, (table,) = weak_value_tables([pre], [post], [extend(a, pre.signature).matrix])
-    check_overlap(overlaps[0, 0], pre.norm() * post.norm(), eps_overlap)
+    check_overlap(overlaps[0, 0], pre.norm() * post.norm())
     return complex(table[0, 0])
 
 

@@ -7,7 +7,8 @@ basis kets, so the tests can compare the two.
 
 import numpy as np
 
-from weakmeter.hilbert import FLAG_ATOL, Ket, Operator, SpaceSignature
+from weakmeter.dynamics import TERM_ATOL
+from weakmeter.hilbert import Ket, Operator, SpaceSignature
 from weakmeter.optics import (
     METER,
     ORBITAL_SIGNATURES,
@@ -18,9 +19,15 @@ from weakmeter.optics import (
 )
 
 
+def unit(ket: Ket) -> Ket:
+    """``ket``, asserted normalized to within 1e-12."""
+    assert abs(ket.norm() - 1.0) <= 1e-12, ket.norm()
+    return ket
+
+
 def path_ket(arm: str) -> Ket:
     column = {"L": (1, 0), "R": (0, 1)}[arm]
-    return Ket(PATH_SIGNATURE, np.array(column, dtype=complex), normalized=True)
+    return unit(Ket(PATH_SIGNATURE, np.array(column, dtype=complex)))
 
 
 def pol_ket(label: str) -> Ket:
@@ -30,14 +37,14 @@ def pol_ket(label: str) -> Ket:
         "H": pol_from_hv(1, 0),
         "V": pol_from_hv(0, 1),
     }[label]
-    return Ket(POLARIZATION_SIGNATURE, coords, normalized=True)
+    return unit(Ket(POLARIZATION_SIGNATURE, coords))
 
 
 def orbital_ket(label: str, dim: int = 2) -> Ket:
-    return Ket(ORBITAL_SIGNATURES[dim], orbital_vector(label, dim), normalized=True)
+    return unit(Ket(ORBITAL_SIGNATURES[dim], orbital_vector(label, dim)))
 
 
-def is_hermitian(op: Operator, atol: float = FLAG_ATOL) -> bool:
+def is_hermitian(op: Operator, atol: float = TERM_ATOL) -> bool:
     return bool(np.max(np.abs(op.matrix - op.matrix.conj().T)) <= atol)
 
 
@@ -55,4 +62,4 @@ def superpose(*terms) -> Ket:
 
 def meter_ket(meter) -> Ket:
     """A meter's amplitudes as a normalized ket on the single factor ``METER``."""
-    return Ket(SpaceSignature(((METER, meter.size),)), meter.amplitudes, normalized=True)
+    return unit(Ket(SpaceSignature(((METER, meter.size),)), meter.amplitudes))

@@ -1,6 +1,7 @@
-"""The seed parser and the gain rule of ``tools/bench_pairs.py``, on synthetic runs."""
+"""The seed parser, gain rule and set-up probes of ``tools/bench_pairs.py``, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,41 @@ def test_gain_needs_a_median_gap_beyond_the_parent_iqr(shift, gain):
     row = summary(PARENT, [p - shift for p in PARENT])
     assert row["change_wins"] == 10
     assert row["gain"] is gain
+
+
+def test_setup_probes_alternate_in_the_pairs_order(monkeypatch):
+    calls = []
+
+    def fake_probe(tree, workload, seed):
+        calls.append(tree)
+        return float(len(calls))
+
+    monkeypatch.setattr(bench_pairs, "probe", fake_probe)
+    trees = {"parent": "P", "change": "C"}
+    samples = bench_pairs.setup_probes(trees, "wide_meter", 7, ("change", "parent"))
+    assert calls == ["C", "P"] * bench_pairs.SETUP_PROBES
+    assert samples == {"change": [1.0, 3.0, 5.0, 7.0], "parent": [2.0, 4.0, 6.0, 8.0]}
+
+
+def test_main_records_probes_beside_the_runs(monkeypatch, tmp_path):
+    # two seeds of one workload: each pair adds SETUP_PROBES samples per side
+    probes = iter(range(1000))
+
+    def fake_run(tree, workload, seed, seconds):
+        metrics = {metric: {"value": 1.0} for metric in bench_pairs.METRICS}
+        return {"metrics": metrics, "failed": 0}, ["cpu test"]
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "checkout", lambda commit, into: into)
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    # the parent is 10 s slower in every probe, so the change wins each one
+    monkeypatch.setattr(bench_pairs, "probe", lambda tree, workload, seed: (
+        next(probes) + (10.0 if tree.name == "parent" else 0.0)))
+    assert bench_pairs.main(["--tag", "t", "--seeds", "1,2", "--workloads", "verify_suite"]) == 0
+    entry = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["verify_suite"]
+    assert [len(entry["setup_probes"][side]) for side in bench_pairs.SIDES] == \
+        [2 * bench_pairs.SETUP_PROBES] * 2
+    row = entry["setup_probe_summary"]
+    assert (row["pairs"], row["change_wins"], row["gain"]) == (8, 8, True)
+    assert set(entry["summary"]) == set(bench_pairs.METRICS)

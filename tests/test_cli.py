@@ -34,6 +34,14 @@ class TestList:
 
 
 class TestRun:
+    def test_warning_is_one_line(self, capsys):
+        # the truncation guard's warning, without the source line that raised it
+        code, out, err = run_cli(capsys, "run", "bundle:cheshire", "--set", "meter.N=8")
+        assert code == EXIT_OK
+        assert err == ("warning: meter width 4.0 exceeds half_width/5 = 1.6; "
+                       "truncation error exceeds tolerance\n")
+        assert out.startswith("scenario,observable,") and out.count("\n") == 5
+
     def test_cheshire_bundle_quartet_row(self, capsys):
         code, out, _ = run_cli(capsys, "run", "bundle:cheshire")
         assert code == EXIT_OK
@@ -87,15 +95,17 @@ class TestRun:
          "IllConditionedFitError: fit requires a positive coupling"),
         ("disembodiment", ["coupling.g=1e308"],
          "NumericalOverflowError: kick phase per grid step 1e+308 plus the p-width "
-         "1/(2 delta) = 0.125 is not below pi, the grid's zone limit (strength = 1e+308)"),
+         "1/(2 delta) = 0.125 is not below pi, the grid's zone limit (coupling.g = 1e+308)"),
         # gprime * t = 1e307 is finite, and far past the grid's zone limit
         ("disembodiment_noise", ["coupling.gprime=1e306", "coupling.t=10"],
          "NumericalOverflowError: kick phase per grid step 1e+307 plus the p-width "
-         "1/(2 delta) = 0.125 is not below pi, the grid's zone limit (strength = 1e+307)"),
+         "1/(2 delta) = 0.125 is not below pi, the grid's zone limit "
+         "(coupling.gprime * coupling.t = 1e+307)"),
         ("disembodiment_noise", ["coupling.variant=measure_LxSx_R", "coupling.gprime=1e306",
                                  "coupling.t=10"],
          "NumericalOverflowError: kick phase per grid step 1e+307 plus the p-width "
-         "1/(2 delta) = 0.125 is not below pi, the grid's zone limit (strength = 1e+307)"),
+         "1/(2 delta) = 0.125 is not below pi, the grid's zone limit "
+         "(coupling.gprime * coupling.t = 1e+307)"),
     ], ids=["g-zero", "g-overflow", "gprime-t-overflow-L", "gprime-t-overflow-R"])
     def test_unusable_coupling_fails_its_row(self, capsys, bundle, sets, cause):
         # no row has a pointer reading, so the run exits 4
@@ -370,14 +380,16 @@ class TestZoneLimit:
     past the limit the pointer would read a wrong value with no flag.
     """
 
-    @pytest.mark.parametrize("bundle, sets, phase", [
-        ("cheshire", ["coupling.g=6.283185307179586"], "6.28319"),
-        ("cheshire", ["coupling.g=3.1415926"], "3.14159"),
-        ("cheshire", ["coupling.g=3.1415925535897933"], "3.14159"),  # pi - 1e-7
+    @pytest.mark.parametrize("bundle, sets, phase, strength", [
+        ("cheshire", ["coupling.g=6.283185307179586"], "6.28319",
+         "coupling.g = 6.283185307179586"),
+        ("cheshire", ["coupling.g=3.1415926"], "3.14159", "coupling.g = 3.1415926"),
+        ("cheshire", ["coupling.g=3.1415925535897933"], "3.14159",  # pi - 1e-7
+         "coupling.g = 3.1415925535897933"),
         ("disembodiment_noise", ["coupling.gprime=1", "coupling.t=6.283185307179586"],
-         "6.28319"),
+         "6.28319", "coupling.gprime * coupling.t = 6.283185307179586"),
     ], ids=["g-2pi", "g-3.1415926", "g-pi-less-1e-7", "gprime-t-2pi"])
-    def test_rows_past_the_zone_fail(self, capsys, bundle, sets, phase):
+    def test_rows_past_the_zone_fail(self, capsys, bundle, sets, phase, strength):
         code, out, err = run_cli(capsys, "run", f"bundle:{bundle}",
                                  *(arg for value in sets for arg in ("--set", value)))
         assert code == EXIT_COMPUTE
@@ -387,7 +399,7 @@ class TestZoneLimit:
         for row in rows:
             assert row[-1].startswith(f"NumericalOverflowError: kick phase per grid step {phase} "
                                       "plus the p-width 1/(2 delta) = 0.125 is not below pi, "
-                                      "the grid's zone limit")
+                                      f"the grid's zone limit ({strength})")
             assert row[4:10] == [""] * 6  # no reading, no fit
 
 

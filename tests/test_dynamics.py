@@ -8,6 +8,7 @@ import scipy.linalg
 
 from weakmeter.dynamics import (
     COUPLINGS,
+    TERM_ATOL,
     Coupling,
     CouplingSpec,
     _catalog_basis,
@@ -18,7 +19,6 @@ from weakmeter.dynamics import (
     fit_effective_weak_value,
     kick_factors,
     kick_factors_from_terms,
-    parallel_arm_readout,
     pointer_readout,
     post_select_meter,
     transfer_amplitudes,
@@ -30,8 +30,8 @@ from weakmeter.errors import (
     NumericalOverflowError,
     SignatureError,
 )
-from weakmeter.hilbert import FLAG_ATOL, Ket, SpaceSignature, extend, inner
-from weakmeter.meter import make_meter, meter_readout, moments
+from weakmeter.hilbert import Ket, SpaceSignature, extend, inner
+from weakmeter.meter import make_meter, meter_readout
 from weakmeter.optics import METER, named_state
 from weakmeter.weakvalue import observable, weak_value
 
@@ -185,7 +185,7 @@ class TestEvolveExact:
         spec = CouplingSpec(variant="measure_sigma_zR", g=g)
         joint = evolve_exact(spec, pre, METER64)
         final = post_select_meter(joint, post)
-        mean_p, _ = moments(final.amplitudes, "p")
+        mean_p = meter_readout(final).mean_p
         a_w = weak_value(pre, post, observable("sigma_z_R"))
         assert mean_p / g == pytest.approx(a_w.real, rel=1e-3)
 
@@ -272,17 +272,29 @@ class TestEvolveExact:
 
 
 class TestKickFactors:
+    @ALL_COUPLINGS
+    def test_factors_name_their_scenario_field(self, variant, arm):
+        # kick errors quote this name with the strength
+        spec = dense_spec(variant, arm, 1, 0.4)
+        row = COUPLINGS[variant, arm]
+        system = named_state("disembody_in", theta=0.9, orbital_dim=row.orbital_dim).signature
+        factors = kick_factors(spec, system)
+        name, strength = {"g": ("coupling.g", spec.g),
+                          "gprime_t": ("coupling.gprime * coupling.t", spec.gprime * spec.t)
+                          }[row.strength]
+        assert (factors.name, factors.strength) == (name, strength)
+
     @pytest.mark.parametrize("orbital_dim", [2, 3])
     @ALL_COUPLINGS
     def test_every_catalog_kick_commutes(self, variant, arm, orbital_dim):
         # U(q) = exp(i g q A) exp(i g B) is exact only for [A, B] = 0
         system = named_state("disembody_in", theta=0.9, orbital_dim=orbital_dim).signature
         _, a, b, _ = coupling_terms(dense_spec(variant, arm, 1, 0.4), system)
-        assert np.max(np.abs(a @ b - b @ a)) <= FLAG_ATOL
+        assert np.max(np.abs(a @ b - b @ a)) <= TERM_ATOL
 
     @ALL_COUPLINGS
     def test_every_row_builds_at_its_declared_orbital_dim(self, variant, arm):
-        # scenarios, verify and parallel_arm_readout put a row's states on
+        # scenarios, verify and demo 05 put a row's states on
         # Coupling.orbital_dim; every row of a variant declares the same one
         row = COUPLINGS[variant, arm]
         assert row.orbital_dim == COUPLINGS[variant, None].orbital_dim
@@ -415,7 +427,7 @@ class TestKickFactorsFromTerms:
                                           before=0.4, after=0.6)
         np.testing.assert_array_equal(factors.post_map @ factors.pre_map, np.eye(5))
         np.testing.assert_array_equal(factors.eigenvalues, np.zeros(5))
-        assert factors.strength == 0.3
+        assert (factors.strength, factors.name) == (0.3, "strength")
 
     def test_static_quarter_turn(self):
         # 2x2 closed form: exp(-i pi/2 sigma_z) = diag(-i, i), on either side of the kick
@@ -734,9 +746,9 @@ class TestGridFreeFactors:
             with pytest.raises(NumericalOverflowError, match=message):
                 read()
         spec = CouplingSpec(variant="measure_sigma_zR", g=3.0)
-        with pytest.raises(NumericalOverflowError, match="zone limit"):
+        with pytest.raises(NumericalOverflowError, match=r"zone limit \(coupling\.g = 3\.0\)$"):
             evolve_exact(spec, elsewhere, meter)
-        with pytest.raises(NumericalOverflowError, match="zone limit"):
+        with pytest.raises(NumericalOverflowError, match=r"zone limit \(coupling\.g = 3\.0\)$"):
             pointer_readout(spec, elsewhere, elsewhere, meter)
 
 
@@ -898,23 +910,27 @@ class TestDisembodiedMeasurement:
         assert readout.success_probability == pytest.approx(want, rel=1e-2)
 
 
+def parallel_arm_fit(variant, theta, alpha, arm, *, gprime=1e-3):
+    """Pointer fit of one arm under parallel noise, states on the row's orbital space."""
+    spec = CouplingSpec(variant=variant, g=1e-3, gprime=gprime, t=100.0, measure_arm=arm)
+    pre = named_state("disembody_in", theta=theta, orbital_dim=spec.coupling.orbital_dim)
+    post = named_state("disembody_f", alpha=alpha, orbital_dim=spec.coupling.orbital_dim)
+    return pointer_readout(spec, pre, post, METER32)[1]
+
+
 class TestParallelNoise:
     @pytest.mark.parametrize("variant", ["parallel_1", "parallel_2"])
     def test_both_arms_respond_above_threshold(self, variant):
         for theta, alpha in [(0.25, 0.25), (0.7, 0.7), (1.15, 1.15)]:
             for arm in ("L", "R"):
-                fit = parallel_arm_readout(variant, theta, alpha, arm,
-                                           g=1e-3, gprime=1e-3, t=100.0, meter=METER32)
-                assert abs(fit.value) > 1e-3
+                assert abs(parallel_arm_fit(variant, theta, alpha, arm).value) > 1e-3
 
     def test_left_arm_reading_scales_with_noise(self):
         # the left-arm response exists only through the noise cross term
         fits = []
         for gpt in (0.05, 0.1):
-            fit = parallel_arm_readout("parallel_1", 0.7, 0.7, "L",
-                                       g=1e-3, gprime=gpt / 100.0, t=100.0,
-                                       meter=METER32)
-            fits.append(abs(fit.value))
+            fits.append(abs(parallel_arm_fit("parallel_1", 0.7, 0.7, "L",
+                                             gprime=gpt / 100.0).value))
         assert fits[1] / fits[0] == pytest.approx(2.0, rel=0.05)
 
     def test_linear_arrangement_fit_shows_noise_term(self):

@@ -115,10 +115,6 @@ class TestInner:
 
 
 class TestKetOperatorInvariants:
-    def test_normalized_flag_verified(self):
-        with pytest.raises(ValueError):
-            Ket(sig(("a", 2)), [1, 1], normalized=True)
-
     def test_amplitudes_frozen(self):
         ket = Ket(sig(("a", 2)), [1, 0])
         with pytest.raises(ValueError):

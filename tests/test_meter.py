@@ -6,11 +6,9 @@ import pytest
 import weakmeter.meter as meter_module
 from weakmeter.errors import AnnihilationError, ParameterRangeError
 from weakmeter.meter import (
-    GRID_UNITS,
     continuous_reference,
     make_meter,
     meter_readout,
-    moments,
     p_grid,
     q_grid,
 )
@@ -26,8 +24,7 @@ class TestMakeMeter:
     @pytest.mark.parametrize("n,delta", [(8, 1.0), (64, 4.0), (200, 11.0)])
     def test_mean_is_zero_by_symmetry(self, n, delta):
         meter = make_meter(n, delta)
-        mean, _ = moments(meter.amplitudes, "q")
-        assert abs(mean) < 1e-14
+        assert abs(meter_readout(meter).mean_q) < 1e-14
 
     def test_position_variance_against_quadrature_oracle(self):
         # sum vs continuous integral of q^2 exp(-q^2 / 2 delta^2)
@@ -36,8 +33,7 @@ class TestMakeMeter:
         density = np.exp(-grid**2 / (2 * delta**2))
         oracle = np.trapezoid(grid**2 * density, grid) / np.trapezoid(density, grid)
         meter = make_meter(64, delta)
-        _, var_q = moments(meter.amplitudes, "q")
-        assert var_q == pytest.approx(oracle, rel=1e-6)
+        assert meter_readout(meter).var_q == pytest.approx(oracle, rel=1e-6)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -67,9 +63,8 @@ class TestMakeMeter:
     def test_heisenberg_product_within_guard(self):
         for n, delta in [(16, 1.0), (64, 4.0), (128, 8.0)]:
             meter = make_meter(n, delta)
-            _, var_q = moments(meter.amplitudes, "q")
-            _, var_p = moments(meter.amplitudes, "p")
-            assert var_q * var_p >= 0.25 * (1 - 1e-6)
+            readout = meter_readout(meter)
+            assert readout.var_q * readout.var_p >= 0.25 * (1 - 1e-6)
 
     @pytest.mark.parametrize("n,delta", [(8, 1.0), (64, 4.0), (200, 11.0)])
     def test_held_arrays_are_read_only(self, n, delta):
@@ -94,32 +89,34 @@ class TestMakeMeter:
 class TestMoments:
     def test_fresh_meter_is_centered(self):
         meter = make_meter(32, 3.0)
-        assert moments(meter.amplitudes, "q")[0] == pytest.approx(0.0, abs=1e-14)
-        assert moments(meter.amplitudes, "p")[0] == pytest.approx(0.0, abs=1e-14)
+        readout = meter_readout(meter)
+        assert readout.mean_q == pytest.approx(0.0, abs=1e-14)
+        assert readout.mean_p == pytest.approx(0.0, abs=1e-14)
 
     def test_momentum_shift_theorem(self):
         meter = make_meter(128, 8.0)
         g, a = 0.05, 1.0
         shifted = np.exp(1j * g * a * meter.q) * meter.amplitudes
-        mean_p, _ = moments(shifted, "p")
-        assert mean_p == pytest.approx(g * a, abs=1e-9)
+        assert meter_readout(shifted).mean_p == pytest.approx(g * a, abs=1e-9)
 
     def test_recentered_meter(self):
         meter = make_meter(64, 4.0)
         q0 = 7
         rolled = np.roll(meter.amplitudes, q0)
-        mean_q, _ = moments(rolled, "q")
-        assert mean_q == pytest.approx(q0, abs=1e-9)
+        assert meter_readout(rolled).mean_q == pytest.approx(q0, abs=1e-9)
 
     def test_zero_vector_raises(self):
         with pytest.raises(AnnihilationError):
-            moments(np.zeros(9), "q")
+            meter_readout(np.zeros(9))
+
+    def test_even_length_raises(self):
+        with pytest.raises(ValueError, match="odd length"):
+            meter_readout(np.ones(8))
 
     def test_readout_success_probability(self):
         meter = make_meter(32, 3.0)
         readout = meter_readout(0.5 * meter.amplitudes)
         assert readout.success_probability == pytest.approx(0.25)
-        assert readout.units == GRID_UNITS
 
 
 class TestContinuousReference:
@@ -162,8 +159,8 @@ class TestConvergenceToContinuum:
             meter = make_meter(n, delta)
         shifted = np.exp(1j * g * meter.q * a_w) * meter.amplitudes
         ref = continuous_reference(delta, g, a_w)
-        got = np.array([moments(shifted, "q")[0], moments(shifted, "p")[0],
-                        moments(shifted, "q")[1], moments(shifted, "p")[1]])
+        readout = meter_readout(shifted)
+        got = np.array([readout.mean_q, readout.mean_p, readout.var_q, readout.var_p])
         want = np.array([ref.mean_q, ref.mean_p, ref.var_q, ref.var_p])
         return float(np.max(np.abs(got - want) / np.abs(want)))
 
@@ -210,7 +207,7 @@ class TestGridOperators:
         shifted = np.roll(meter.amplitudes, 5)
         q_op = np.diag(q_grid(32))
         expect = np.vdot(shifted, q_op @ shifted).real
-        assert expect == pytest.approx(moments(shifted, "q")[0], abs=1e-12)
+        assert expect == pytest.approx(meter_readout(shifted).mean_q, abs=1e-12)
 
     def test_momentum_operator_expectation(self):
         meter = make_meter(32, 3.0)
@@ -218,7 +215,7 @@ class TestGridOperators:
         p_op = p_hat(32)
         assert np.max(np.abs(p_op - p_op.conj().T)) <= 1e-12
         expect = np.vdot(kicked, p_op @ kicked).real
-        assert expect == pytest.approx(moments(kicked, "p")[0], abs=1e-12)
+        assert expect == pytest.approx(meter_readout(kicked).mean_p, abs=1e-12)
 
     def test_momentum_operator_diagonal_in_p(self):
         kernel = dft_matrix(17)
@@ -238,9 +235,9 @@ class TestFftReadout:
         p = p_grid(n)
         mean = np.sum(p * density)
         var = np.sum((p - mean) ** 2 * density)
-        got_mean, got_var = moments(vec, "p")
-        assert abs(got_mean - mean) <= 1e-13 * np.pi
-        assert abs(got_var - var) <= 1e-13 * var
+        readout = meter_readout(vec)
+        assert abs(readout.mean_p - mean) <= 1e-13 * np.pi
+        assert abs(readout.var_p - var) <= 1e-13 * var
 
     @pytest.mark.parametrize("n", [1, 2, 32, 64, 128, 1024])
     def test_fft_order_grid_is_shifted_p_grid(self, n):

@@ -16,7 +16,7 @@ from weakmeter.optics import (
     pol_from_hv,
 )
 
-from basis_kets import orbital_ket, path_ket, pol_ket, superpose, tensor
+from basis_kets import orbital_ket, path_ket, pol_ket, superpose, tensor, unit
 
 PP = PATH_SIGNATURE.concat(POLARIZATION_SIGNATURE)
 
@@ -190,7 +190,7 @@ def composed_state(name, theta=None, alpha=None, orbital_dim=2):
 
     def orbital_superposition(dim):
         amps = (orbital_vector("va", dim) + 1j * orbital_vector("vb", dim)) / np.sqrt(2.0)
-        return Ket(ORBITAL_SIGNATURES[dim], amps, normalized=True)
+        return unit(Ket(ORBITAL_SIGNATURES[dim], amps))
 
     def insert_orbital(path_pol, orb):
         sig = SpaceSignature((("path", 2), ("orbital", orb.signature.dim), ("polarization", 2)))

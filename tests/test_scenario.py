@@ -569,6 +569,37 @@ sweep:
         assert records[1].error == ("ParameterRangeError: meter.N = 5000: "
                                     "numpy cannot allocate its 2N+1 point grid")
 
+    def test_integer_meter_n_past_float_precision_keeps_its_digits(self, monkeypatch):
+        # 2**53 + 1 has no float: the swept int reaches the meter, the
+        # canonical text, the error row and the CSV point column as written
+        import weakmeter.meter as meter
+
+        n = 2**53 + 1
+        q_grid, asked = meter.q_grid, []
+
+        def refuse_large(half_width):
+            if half_width <= 1000:
+                return q_grid(half_width)
+            asked.append(half_width)
+            raise MemoryError(f"Unable to allocate {2 * half_width + 1} points")
+
+        text = DISEMBODY_SWEEP.replace(
+            "  preselect.theta: {start: 0.07, stop: 0.87, steps: 9}",
+            f"  meter.N: {{values: [16, {n}]}}",
+        )
+        doc = parse_scenario(text)
+        assert doc.sweep == {"meter.N": {"values": [16, n]}}
+        assert f"    - 16\n    - {n}\n" in scenario_to_text(doc)
+        monkeypatch.setattr(meter, "q_grid", refuse_large)
+        records = run_scenario(doc)
+        assert asked == [n]
+        assert [rec.point["meter.N"] for rec in records] == [16, n]
+        assert records[0].error == ""
+        assert records[1].error == (f"ParameterRangeError: meter.N = {n}: "
+                                    "numpy cannot allocate its 2N+1 point grid")
+        rows = records_to_csv(records, sweep_paths=["meter.N"]).splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["16", str(n)]
+
 
 ARM_SWEEP = """
 name: arm
@@ -604,7 +635,7 @@ class TestErrorRows:
         records = run_scenario(parse_scenario(ARM_SWEEP))
         overflow = ("NumericalOverflowError: kick phase per grid step 1e+308 plus the p-width "
                     "1/(2 delta) = 0.25 is not below pi, the grid's zone limit "
-                    "(strength = 1e+308)")
+                    "(coupling.g = 1e+308)")
         assert [rec.error for rec in records] == [
             "IllConditionedFitError: fit requires a positive coupling, got g=0.0"] * 2 + [
             overflow] * 2 + ["", "",
@@ -643,7 +674,7 @@ sweep:
         (rec,) = run_scenario(parse_scenario(text))
         assert rec.error == ("NumericalOverflowError: kick phase per grid step 0.001 plus the "
                              "p-width 1/(2 delta) = 10 is not below pi, the grid's zone limit "
-                             "(strength = 0.001)")
+                             "(coupling.g = 0.001)")
 
     @pytest.mark.parametrize("observables, error", [
         ("[pi_L]", "SignatureError: inner product between different signatures: "
@@ -714,8 +745,9 @@ class TestCanonicalText:
         "start-stop-steps": (DISEMBODY_SWEEP,
                              "28c5b96c1f71f7f69ddc55006d4bc3c5cd884e8675a55e57fe7aeda5f9632d44"),
         "values": (ANGLE_GRID, "533b0d85d7d468dfa8ba58dc9da051c3b5ebc50a5ccf8ea3d13bc0c4b2292950"),
+        # its meter.N values stay ints and are written "- 8", "- 10"
         "five-paths": (PARALLEL_MULTI,
-                       "5633b527383161540d6ce0b13c05b44c78f5a04c2b483f96b0c9d617ab89c61e"),
+                       "00f84d42fc0781e903cd7fa07a932cf0a92f0b717221c140395fd9948cac7b3f"),
     }
 
     def test_bundle_hashes_are_pinned(self):

@@ -262,7 +262,17 @@ class TestWeakValueProperties:
         a = Ket(sig, [1, 0])
         b = Ket(sig, [0, 1e-6])  # tiny but orthogonal-to-a
         with pytest.raises(DegeneratePostselectionError):
-            weak_value(a, b, Operator(sig, np.eye(2)), eps_overlap=EPS_OVERLAP)
+            weak_value(a, b, Operator(sig, np.eye(2)))
+        # the bound is EPS_OVERLAP on the norm-scaled overlap, at every scale
+        for scale in (1e-6, 1.0, 1e6):
+            for factor in (0.5, 2.0):
+                eps = factor * EPS_OVERLAP
+                post = Ket(sig, scale * np.array([eps, np.sqrt(1 - eps**2)]))
+                if factor < 1:
+                    with pytest.raises(DegeneratePostselectionError):
+                        weak_value(a, post, Operator(sig, np.eye(2)))
+                else:
+                    assert weak_value(a, post, Operator(sig, np.eye(2))) == pytest.approx(1.0)
 
     def test_catalog_hermitian_members(self):
         for obs_id in observable_ids():

@@ -7,14 +7,21 @@ the workloads interleaved; each run is
 
     python3 perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0
 
-in its checkout, and its last stdout line is kept.  The file holds those
-lines, the machine facts, and per workload and end-to-end metric the
+in its checkout, and its last stdout line is kept.  After each pair of runs
+of a workload come ``SETUP_PROBES`` fresh ``perfbench/run.py --setup-probe``
+processes per side, alternating side by side in the pair's order; each
+prints the set-up seconds of one process (import plus scenario parsing).
+The 5-probe ``setup_s`` of a run is too coarse to resolve its 25% bound on a
+small VM, and the probes add samples of the same quantity.  The file holds
+the run lines, the probe samples, the machine facts, and per workload the
 medians, quartiles (``statistics.quantiles(n=4, method='inclusive')``) and
-the change's wins (pairs whose change value is strictly lower; every metric
-is lower-is-better).  ``gain`` says whether a claim of that metric would
-hold: wins in at least nine tenths of the pairs, and a median gap larger
-than the parent's interquartile range.  The file is rewritten after every
-pair, so an interrupted session keeps what it measured.
+the change's wins (a win: a change value strictly lower than the parent
+value of its pair, or of the probe it alternated with; every metric is
+lower-is-better) of each end-to-end metric and of the probes.  ``gain``
+says whether a claim would hold: wins in at least nine tenths of the
+pairs, and a median gap larger than the parent's interquartile range.  The
+file is rewritten after every pair, so an interrupted session keeps what it
+measured.
 
 Run it from the repository root, e.g.
 
@@ -48,6 +55,8 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("verify_suite", "angle_sweep", "wide_meter")
 METRICS = ("op_s", "peak_mem_mb", "setup_s")
 SIDES = ("parent", "change")
+SETUP_PROBES = 4  # fresh set-up processes per side, pair and workload
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
 
 
 def git(*args: str) -> str:
@@ -75,30 +84,48 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, lis
     """The last stdout line of one benchmark run in ``tree``, and its machine lines."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    lines = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
+    lines = subprocess.run(command, cwd=tree, env=ENV, capture_output=True, text=True,
                            check=True).stdout.splitlines()
     return json.loads(lines[-1]), [line[len("machine "):] for line in lines
                                    if line.startswith("machine ")]
 
 
+def probe(tree: Path, workload: str, seed: int) -> float:
+    """The set-up seconds one fresh ``perfbench/run.py --setup-probe`` process prints."""
+    command = [sys.executable, "perfbench/run.py", "--setup-probe", "--workload", workload,
+               "--seed", str(seed)]
+    return float(subprocess.run(command, cwd=tree, env=ENV, capture_output=True, text=True,
+                                check=True).stdout.split()[-1])
+
+
+def setup_probes(trees: dict, workload: str, seed: int, order) -> dict:
+    """``SETUP_PROBES`` probe samples per side, the sides alternating in ``order``."""
+    samples = {side: [] for side in SIDES}
+    for _ in range(SETUP_PROBES):
+        for side in order:
+            samples[side].append(probe(trees[side], workload, seed))
+    return samples
+
+
+def compare(parent: list, change: list) -> dict:
+    """Medians, quartiles, wins and ``gain`` of paired parent and change values."""
+    row = {}
+    for side, xs in zip(SIDES, (parent, change)):
+        q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+        row |= {f"{side}_median": round(statistics.median(xs), 6),
+                f"{side}_q1": round(q1, 6), f"{side}_q3": round(q3, 6)}
+    pairs = len(parent)
+    wins = sum(c < p for p, c in zip(parent, change))
+    gap = statistics.median(parent) - statistics.median(change)
+    return row | {"change_over_parent": round(row["change_median"] / row["parent_median"], 6),
+                  "change_wins": wins, "pairs": pairs,
+                  "gain": wins >= 0.9 * pairs and gap > row["parent_q3"] - row["parent_q1"]}
+
+
 def summary(runs: dict) -> dict:
-    out = {}
-    for metric in METRICS:
-        values = {side: [r["metrics"][metric]["value"] for r in runs[side]] for side in SIDES}
-        row = {}
-        for side, xs in values.items():
-            q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-            row |= {f"{side}_median": round(statistics.median(xs), 6),
-                    f"{side}_q1": round(q1, 6), f"{side}_q3": round(q3, 6)}
-        pairs = len(values["parent"])
-        wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
-        gap = statistics.median(values["parent"]) - statistics.median(values["change"])
-        row |= {"change_over_parent": round(row["change_median"] / row["parent_median"], 6),
-                "change_wins": wins, "pairs": pairs,
-                "gain": wins >= 0.9 * pairs and gap > row["parent_q3"] - row["parent_q1"]}
-        out[metric] = row
-    return out
+    return {metric: compare(*([r["metrics"][metric]["value"] for r in runs[side]]
+                              for side in SIDES))
+            for metric in METRICS}
 
 
 def main(argv=None) -> int:
@@ -129,11 +156,15 @@ def main(argv=None) -> int:
         "protocol": f"{len(args.seeds)} pairs per workload by tools/bench_pairs.py: each side "
                     "in its own git archive checkout; the side that runs first alternates "
                     "pair by pair (parent first on even pair index); pairs interleave the "
-                    "workloads; quartiles by statistics.quantiles(n=4, method='inclusive'); "
-                    "a win is a pair whose change value is strictly lower; each entry of runs "
-                    "is the last stdout line of one run, in seed order",
+                    f"workloads; after each pair of runs, {SETUP_PROBES} fresh "
+                    "'perfbench/run.py --setup-probe' processes per side, alternating in the "
+                    "pair's order, into setup_probes; quartiles by statistics.quantiles(n=4, "
+                    "method='inclusive'); a win is a pair (or alternated probe pair) whose "
+                    "change value is strictly lower; each entry of runs is the last stdout "
+                    "line of one run, in seed order",
         "machine": [],
-        "workloads": {w: {"seeds": args.seeds, "runs": {side: [] for side in SIDES}}
+        "workloads": {w: {"seeds": args.seeds, "runs": {side: [] for side in SIDES},
+                          "setup_probes": {side: [] for side in SIDES}}
                       for w in args.workloads},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
@@ -150,13 +181,18 @@ def main(argv=None) -> int:
                         f"platform={platform.platform()}"]
                     print(f"pair {index} seed {seed} {workload} {side}: "
                           f"{json.dumps(result['metrics'])}", file=sys.stderr)
+                for side, samples in setup_probes(trees, workload, seed, order).items():
+                    entry["setup_probes"][side].extend(samples)
                 if index:
                     entry["summary"] = summary(entry["runs"])
+                entry["setup_probe_summary"] = compare(*(entry["setup_probes"][side]
+                                                         for side in SIDES))
                 entry["failed_operations"] = {
                     side: sum(r["failed"] for r in entry["runs"][side]) for side in SIDES}
             out_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for workload, entry in doc["workloads"].items():
-        for metric, row in entry["summary"].items():
+        rows = entry["summary"] | {"setup_probe_s": entry["setup_probe_summary"]}
+        for metric, row in rows.items():
             print(f"{workload} {metric}: {row['parent_median']:g} -> {row['change_median']:g} "
                   f"(parent IQR {row['parent_q3'] - row['parent_q1']:.3g}), change wins "
                   f"{row['change_wins']}/{row['pairs']}, gain {row['gain']}")
