@@ -114,6 +114,9 @@ VARIANTS = tuple(dict.fromkeys(variant for variant, _ in COUPLINGS))
 # tolerance of the kick terms' Hermitian and commuting checks
 TERM_ATOL = 1e-12
 
+# grid entries (rows x 2N+1) one readout and fit of transfer_readouts stacks: 1 MiB
+BLOCK_ENTRIES = 1 << 16
+
 # the scenario field behind each Coupling.strength, as kick errors name it
 _STRENGTH_FIELDS = {"g": "coupling.g", "gprime_t": "coupling.gprime * coupling.t"}
 
@@ -476,6 +479,8 @@ def post_select_meter(joint: Ket, post_system: Ket) -> Ket:
 def _transfer_rows(factors: KickFactors, meter: DiscreteGaussianMeter, pres, posts=None):
     """Iterator over F[:, r, :] of :func:`transfer_amplitudes`, one pre-state at a time.
 
+    Each row is one (posts, d) x (2N+1, d) contraction of its own, so
+    :func:`transfer_readouts` may stack the rows of several pre-states.
     The one grid reader: it evaluates the phases exp(i s strength q_k a_i)
     on the meter's grid once per call.  ``posts`` None reads onto the system
     basis, whose bras are the rows of ``post_map``.  The grid's zone limit,
@@ -620,28 +625,32 @@ def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, 
     :func:`meter_readout` and :func:`fit_effective_weak_value` give for that
     meter, or the error post-selection or the fit would raise (returned, not
     raised).  A kick past the grid's zone limit raises, as in
-    :func:`transfer_amplitudes`.  The fit takes log F directly.  Grid-sized
-    arrays are held for one pre-state at a time, and no entry depends on the
-    others.
+    :func:`transfer_amplitudes`.  The fit takes log F directly.  The rows of
+    as many pre-states as fit in ``BLOCK_ENTRIES`` grid entries (one at
+    least) are stacked and read by one readout and one fit; every row
+    reduces on its own, so no entry depends on the others.
     """
     g = factors.strength
     fit = _pointer_fitter(meter, g)
     post_norms = [post.norm() for post in posts]
     transfer = _transfer_rows(factors, meter, pres, posts)
-    for pre, f in zip(pres, transfer):
-        pre_norm = pre.norm()
+    per_block = max(1, BLOCK_ENTRIES // max(1, len(posts) * meter.size))
+    for start in range(0, len(pres), per_block):
+        block = pres[start:start + per_block]
+        f = np.concatenate([next(transfer) for _ in block])
         readouts = _readouts(meter.amplitudes * f, meter.q, meter.p_fft)
         fits = fit(f)
-        row = []
-        for p, readout in enumerate(readouts):
-            try:
-                _require_survivor(math.sqrt(readout.success_probability),
-                                  pre_norm * post_norms[p])
-                _require_coupling(g)
-                row.append((readout, _fit_row(fits, p)))
-            except (AnnihilationError, IllConditionedFitError) as exc:
-                row.append(exc)
-        yield row
+        for r, pre in enumerate(block):
+            row, pre_norm = [], pre.norm()
+            for i, post_norm in enumerate(post_norms, start=r * len(posts)):
+                try:
+                    _require_survivor(math.sqrt(readouts[i].success_probability),
+                                      pre_norm * post_norm)
+                    _require_coupling(g)
+                    row.append((readouts[i], _fit_row(fits, i)))
+                except (AnnihilationError, IllConditionedFitError) as exc:
+                    row.append(exc)
+            yield row
 
 
 def pointer_readout(spec: CouplingSpec, pre: Ket, post: Ket,

@@ -28,7 +28,6 @@ from .errors import (
     UnknownKeyError,
     WeakmeterError,
 )
-from .hilbert import Ket
 from .meter import check_meter, make_meter
 from .optics import STATE_IDS, check_state, named_state
 from .weakvalue import check_overlap, lifted_observable, observable_ids, weak_value_tables
@@ -280,21 +279,34 @@ def _block(lines: list, key: str, value, indent: str) -> None:
         lines.append(f"{head} {_yaml_scalar(value)}")
 
 
+# a name PyYAML writes plain when its resolver reads it as a string (not yes, null or No)
+_PLAIN_NAME = r"[A-Za-z][A-Za-z0-9_-]*"
+
+
+def _name_line(name: str) -> str:
+    if (re.fullmatch(_PLAIN_NAME, name) and _STR_TAG
+            == yaml.resolver.Resolver().resolve(yaml.ScalarNode, name, (True, False))):
+        return f"name: {name}"
+    return yaml.safe_dump({"name": name}, default_flow_style=False)[:-1]
+
+
 def scenario_to_text(doc: ScenarioDoc) -> str:
     """The canonical text of ``doc``, whose sha256 is the config hash.
 
     It is ``yaml.safe_dump(doc.to_dict(), sort_keys=True,
     default_flow_style=False)`` byte for byte, written here from the
     validated schema: numbers as PyYAML's SafeRepresenter writes them, ids
-    and paths as they are.  Only the free-form name is rendered by PyYAML,
-    so its quoting and line folding stay PyYAML's.  A value outside the
-    schema raises ``yaml.representer.RepresenterError``.
+    and paths as they are.  A name of an ASCII letter then letters, digits,
+    ``_`` and ``-`` that PyYAML's resolver reads as a string is written
+    plain; PyYAML renders any other name, so its quoting and line folding
+    stay PyYAML's.  A value outside the schema raises
+    ``yaml.representer.RepresenterError``.
     """
     data = doc.to_dict()
     lines: list = []
     for key in sorted(data):
         if key == "name":
-            lines.append(yaml.safe_dump({key: data[key]}, default_flow_style=False)[:-1])
+            lines.append(_name_line(data[key]))
         else:
             _block(lines, key, data[key], "")
     return "\n".join(lines) + "\n"
@@ -409,8 +421,8 @@ def _validate_sweep(section, doc_dict: dict) -> dict:
         node, leaf = _resolve_path(doc_dict, path)
         if not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):
             raise ParameterRangeError(f"sweep path {path!r} must address a numeric field")
-        # an integer field (meter.N, coupling.kick_sign) keeps the ints it is
-        # given, which a float would round past 2**53
+        # an integer field (meter.N, coupling.kick_sign) keeps the ints it is given, of
+        # any size (a float would round past 2**53); one out of range fails its points
         integral = isinstance(node[leaf], int)
         if not isinstance(spec, dict):
             raise ScenarioSyntaxError(f"sweep.{path} must be a mapping")
@@ -423,9 +435,9 @@ def _validate_sweep(section, doc_dict: dict) -> dict:
             values = spec["values"]
             if not isinstance(values, list) or not values:
                 raise ParameterRangeError(f"sweep.{path}.values must be a nonempty list")
-            numbers = [_require_number(v, f"sweep.{path}.values") for v in values]
-            out[str(path)] = {"values": [v if integral and isinstance(v, int) else x
-                                         for v, x in zip(values, numbers)]}
+            out[str(path)] = {"values": [
+                v if integral and type(v) is int else _require_number(v, f"sweep.{path}.values")
+                for v in values]}
         else:
             missing = [k for k in ("start", "stop", "steps") if k not in spec]
             if missing:
@@ -506,108 +518,83 @@ class ResultRecord:
     error: str = ""
 
 
-def _sweep_points(doc: ScenarioDoc):
-    """Each point as {path: value}, the last path varying fastest; one {} when unswept."""
-    data = doc.to_dict()
-    grids = []
+def _variant(doc: ScenarioDoc, section: str, point: dict):
+    """``doc``'s section with the point's values set together and validated, or its error.
+
+    An unswept section is the document's own.
+    """
+    values = {path.split(".")[1]: v for path, v in point.items() if path.split(".")[0] == section}
+    if not values:
+        return getattr(doc, section)
+    try:
+        return _SECTION_RULES[section](getattr(doc, section) | values)
+    except WeakmeterError as exc:
+        return exc
+
+
+def _sweep_points(doc: ScenarioDoc, memo: dict):
+    """Each point as ({path: value}, {section: variant key}), the last path varying fastest.
+
+    Sweep paths address numeric fields of the sections only (checked at
+    parse time) and every rule lives within one section, so a point picks
+    one :func:`_variant` per section, held in ``memo["section", section,
+    key]``: each is validated once per call and distinct combination of the
+    section's swept values.  Only bit-equal values share a variant (repr
+    tells -0.0 from 0.0).  An integer field takes integral values as int;
+    any other value fails its own points.
+    """
+    paths, grids, slots = list(doc.sweep), [], []
     for path, spec in doc.sweep.items():
-        if "values" in spec:
-            values = list(spec["values"])
-        else:
-            values = [float(v) for v in np.linspace(spec["start"], spec["stop"], spec["steps"])]
-        node, leaf = _resolve_path(data, path)
-        if isinstance(node[leaf], int) and not isinstance(node[leaf], bool):
-            # an integer field takes integral values as int; any other value
-            # fails its own point at re-validation
+        values = list(spec["values"]) if "values" in spec else [
+            float(v) for v in np.linspace(spec["start"], spec["stop"], spec["steps"])]
+        section, leaf = path.split(".")
+        if type(getattr(doc, section)[leaf]) is int:
             values = [int(v) if isinstance(v, int) or v.is_integer() else v for v in values]
+        seen: dict = {}  # each value's position among the path's distinct values
+        slots.append([seen.setdefault(v if type(v) is int else repr(v), len(seen))
+                      for v in values])
         grids.append(values)
-    for values in itertools.product(*grids):
-        yield dict(zip(doc.sweep, values))
-
-
-def _angles(section: dict) -> dict:
-    return {k: float(v) * np.pi for k, v in section.items() if k != "id"}
+    touched = {section: [j for j, path in enumerate(paths) if path.split(".")[0] == section]
+               for section in _SECTION_RULES}
+    for at in itertools.product(*(range(len(values)) for values in grids)):
+        point = {path: grids[j][at[j]] for j, path in enumerate(paths)}
+        keys = {section: tuple(slots[j][at[j]] for j in js) for section, js in touched.items()}
+        for section, key in keys.items():
+            if ("section", section, key) not in memo:
+                memo["section", section, key] = _variant(doc, section, point)
+        yield point, keys
 
 
 def _shared(memo: dict, key: tuple, build):
-    """``build()`` once per run_scenario call and key.
-
-    Keys are compared by their repr, which round-trips floats exactly, so
-    only bit-equal inputs share an object.
-    """
-    key = repr(key)
+    """``build()`` once per run_scenario call and key."""
     if key not in memo:
         memo[key] = build()
     return memo[key]
 
 
-@dataclass(frozen=True)
-class _Job:
-    """One valid sweep point: its validated document and its states."""
+def _states(keys: dict, memo: dict):
+    """A point's (pre, post) states, or the error of its first failing section.
 
-    index: int
-    point: dict
-    doc: ScenarioDoc
-    pre: Ket
-    post: Ket
-
-
-def _at_point(doc: ScenarioDoc, point: dict, memo: dict) -> ScenarioDoc:
-    """``doc`` with all of the point's values set, each touched section validated.
-
-    Sweep paths address numeric fields of these sections only (checked at
-    parse time), and every rule lives within one section, so this is
-    :func:`apply_override` of every value followed by one validation.  A
-    section that passed is not checked again for the same values: points
-    with equal values share one validated section object, so within a call
-    a section's identity stands for its values.
+    Sections fail in ``_SECTION_RULES`` order.  Each state is built once
+    per call, variant and orbital dimension.
     """
-    data: dict = {}
-    for path, value in point.items():
-        section = path.split(".", 1)[0]
-        data.setdefault(section, dict(getattr(doc, section)))
-        node, leaf = _resolve_path(data, path)
-        node[leaf] = value
-    checked = {
-        section: _shared(memo, ("section", section, data[section]),
-                         lambda: rule(data[section]))
-        for section, rule in _SECTION_RULES.items() if section in data
-    }
-    return dataclasses.replace(doc, sweep={}, **checked)
+    sections = {section: memo["section", section, key] for section, key in keys.items()}
+    error = next((s for s in sections.values() if isinstance(s, WeakmeterError)), None)
+    if error is not None:
+        return error
+    coupling = sections["coupling"]
+    orbital_dim = COUPLINGS[coupling["variant"], coupling["measure_arm"]].orbital_dim
 
+    def state(section: str):
+        fields = sections[section]
+        return _shared(memo, ("state", section, keys[section], orbital_dim), lambda: named_state(
+            fields["id"], orbital_dim=orbital_dim,
+            **{k: float(v) * np.pi for k, v in fields.items() if k != "id"}))
 
-def _job(doc: ScenarioDoc, index: int, point: dict, memo: dict) -> _Job:
-    doc = _at_point(doc, point, memo)
-    orbital_dim = COUPLINGS[doc.coupling["variant"], doc.coupling["measure_arm"]].orbital_dim
-
-    def state(section: dict):
-        return _shared(memo, ("state", id(section), orbital_dim),
-                       lambda: named_state(section["id"], orbital_dim=orbital_dim,
-                                           **_angles(section)))
-
-    return _Job(index, point, doc, state(doc.preselect), state(doc.postselect))
-
-
-def _distinct(kets) -> tuple[list, dict]:
-    """The distinct ket objects in first-seen order, and id -> position."""
-    out, at = [], {}
-    for ket in kets:
-        if id(ket) not in at:
-            at[id(ket)] = len(out)
-            out.append(ket)
-    return out, at
-
-
-def _observables(job: _Job) -> tuple[list, WeakmeterError | None]:
-    """The job's observables on its states' space, up to the first that fails, and its error."""
-    gprime_t = job.doc.coupling["gprime"] * job.doc.coupling["t"]
-    ops = []
-    for obs_id in job.doc.observables:
-        try:
-            ops.append(lifted_observable(obs_id, job.pre.signature, gprime_t=gprime_t))
-        except WeakmeterError as exc:
-            return ops, exc
-    return ops, None
+    try:
+        return state("preselect"), state("postselect")
+    except WeakmeterError as exc:
+        return exc
 
 
 def _record(name: str, point: dict, chash: str, weak_values: dict, result) -> ResultRecord:
@@ -629,64 +616,68 @@ def _record(name: str, point: dict, chash: str, weak_values: dict, result) -> Re
     )
 
 
-def _run_key(jobs: list, memo: dict, chash: str, records: list) -> None:
-    """Fill the records of the points sharing one (coupling, states' spaces, meter) key.
+def _run_key(doc: ScenarioDoc, key: tuple, jobs: list, memo: dict, chash: str,
+             records: list) -> None:
+    """Fill the records of the (index, point, pre, post) jobs of one group.
 
-    Each point meets the checks of a single-point run in the same order: a
-    degenerate overlap, an observable that does not fit the states, the
-    kick's overflow, the grid's zone limit, annihilation, the fit's
-    conditioning, then the residual flag.  States on different spaces fail
-    in the weak values, if any, else in post-selection.
+    ``key`` is (coupling variant key, meter variant key, pre space, post
+    space).  Each point meets the checks of a single-point run in the same
+    order: a degenerate overlap, an observable that does not fit the
+    states, the kick's overflow, the grid's zone limit, annihilation, the
+    fit's conditioning, then the residual flag.  States on different spaces
+    fail in the weak values, if any, else in post-selection.
     """
-    first = jobs[0]
-    ops, op_error = _observables(first)
-    pres, pre_at = _distinct(job.pre for job in jobs)
-    posts, post_at = _distinct(job.post for job in jobs)
+    coupling, meter = memo["section", "coupling", key[0]], memo["section", "meter", key[1]]
+    ops, op_error = [], None  # the observables on the states' space, up to the first that fails
+    for obs_id in doc.observables:
+        try:
+            ops.append(lifted_observable(obs_id, key[2],
+                                         gprime_t=coupling["gprime"] * coupling["t"]))
+        except WeakmeterError as exc:
+            op_error = exc
+            break
+    pres = list({id(pre): pre for _, _, pre, _ in jobs}.values())  # distinct, first seen first
+    posts = list({id(post): post for _, _, _, post in jobs}.values())
+    pre_at = {id(pre): r for r, pre in enumerate(pres)}
+    post_at = {id(post): p for p, post in enumerate(posts)}
 
-    def fill(job: _Job, weak_values: dict, result) -> None:
-        records[job.index] = _record(job.doc.name, job.point, chash, weak_values, result)
-
-    paired = ops or first.pre.signature == first.post.signature
+    paired = ops or key[2] == key[3]
     if paired:
         try:
             overlaps, tables = weak_value_tables(pres, posts, ops)
         except WeakmeterError as exc:  # pre- and post-states on different spaces
-            for job in jobs:
-                fill(job, {}, exc)
+            for index, point, _, _ in jobs:
+                records[index] = _record(doc.name, point, chash, {}, exc)
             return
         scales = np.outer([post.norm() for post in posts], [pre.norm() for pre in pres])
     pending = []
-    for job in jobs:
-        r, p = pre_at[id(job.pre)], post_at[id(job.post)]
+    for index, point, pre, post in jobs:
+        r, p = pre_at[id(pre)], post_at[id(post)]
         weak_values = {}
         try:
             if paired:
                 check_overlap(overlaps[p, r], scales[p, r])
                 weak_values = {obs_id: complex(table[p, r])
-                               for obs_id, table in zip(first.doc.observables, tables)}
+                               for obs_id, table in zip(doc.observables, tables)}
             if op_error is not None:
                 raise op_error
         except WeakmeterError as exc:
-            fill(job, weak_values, exc)
+            records[index] = _record(doc.name, point, chash, weak_values, exc)
             continue
-        pending.append((job, weak_values))
+        pending.append((index, point, r, p, weak_values))
     if not pending:
         return
 
-    meter_doc, coupling = first.doc.meter, first.doc.coupling
-    spec = _shared(memo, ("coupling", coupling), lambda: CouplingSpec(**coupling))
+    spec = _shared(memo, ("spec", key[0]), lambda: CouplingSpec(**coupling))
     try:
-        meter = _shared(memo, ("meter", meter_doc["N"], meter_doc["delta"]),
-                        lambda: make_meter(meter_doc["N"], meter_doc["delta"]))
+        grid = _shared(memo, ("meter", key[1]), lambda: make_meter(meter["N"], meter["delta"]))
         # the key's factors and grid arrays live only in this call, one key at a time
-        factors = kick_factors(spec, first.pre.signature)
-        results = list(transfer_readouts(factors, meter, pres, posts))
+        results = list(transfer_readouts(kick_factors(spec, key[2]), grid, pres, posts))
     except WeakmeterError as exc:  # no grid, a kick overflow or past the zone, spaces differ
-        for job, weak_values in pending:
-            fill(job, weak_values, exc)
-        return
-    for job, weak_values in pending:
-        fill(job, weak_values, results[pre_at[id(job.pre)]][post_at[id(job.post)]])
+        results = exc
+    for index, point, r, p, weak_values in pending:
+        result = results if isinstance(results, WeakmeterError) else results[r][p]
+        records[index] = _record(doc.name, point, chash, weak_values, result)
 
 
 def run_scenario(doc: ScenarioDoc) -> list[ResultRecord]:
@@ -694,27 +685,27 @@ def run_scenario(doc: ScenarioDoc) -> list[ResultRecord]:
 
     Out-of-range swept values, degenerate post-selections and annihilated
     meters become per-record error fields; they never abort the remaining
-    points.  Points are grouped by (coupling, states' spaces, meter): each
-    group builds its kick factors once and reads every point from the
-    transfer amplitudes <post| U(q) |pre> of its distinct states
-    (:func:`weakmeter.dynamics.transfer_readouts`).  Objects that do not
-    change between points are built once per call.
+    points.  Sections, states, coupling specs and meters are built once per
+    call and distinct value (:func:`_sweep_points`).  Points are grouped by
+    (coupling, meter, states' spaces): each group builds its kick factors
+    once and reads every point from the transfer amplitudes <post| U(q) |pre>
+    of its distinct states (:func:`weakmeter.dynamics.transfer_readouts`).
     """
     chash = doc.config_hash()
     memo: dict = {}
     records: list = []
     groups: dict = {}
-    for index, point in enumerate(_sweep_points(doc)):
-        records.append(None)
-        try:
-            job = _job(doc, index, point, memo)
-        except WeakmeterError as exc:
-            records[index] = _record(doc.name, point, chash, {}, exc)
+    for index, (point, keys) in enumerate(_sweep_points(doc, memo)):
+        states = _states(keys, memo)
+        if isinstance(states, WeakmeterError):
+            records.append(_record(doc.name, point, chash, {}, states))
             continue
-        key = (id(job.doc.coupling), id(job.doc.meter), job.pre.signature, job.post.signature)
-        groups.setdefault(key, []).append(job)
-    for jobs in groups.values():
-        _run_key(jobs, memo, chash, records)
+        records.append(None)
+        pre, post = states
+        key = (keys["coupling"], keys["meter"], pre.signature, post.signature)
+        groups.setdefault(key, []).append((index, point, pre, post))
+    for key, jobs in groups.items():
+        _run_key(doc, key, jobs, memo, chash, records)
     return records
 
 

@@ -81,3 +81,22 @@ def test_acceptance(name, monkeypatch):
     result = CHECKS[name](kick_sign=1)
     report(result)
     assert result.passed, f"{result.name}: " + " | ".join(result.lines)
+
+
+def test_convergence_reads_each_grid_once(monkeypatch):
+    # the target N = 16 delta^2 is the doubling grid's last point: one meter
+    # and one readout per (delta, N), 2 x 4, and its line reads that value
+    built, read = [], []
+    make_meter, meter_readout = verify.make_meter, verify.meter_readout
+    monkeypatch.setattr(verify, "make_meter", lambda n, delta: built.append((n, delta))
+                        or make_meter(n, delta))
+    monkeypatch.setattr(verify, "meter_readout", lambda amps: read.append(1)
+                        or meter_readout(amps))
+    result = CHECKS["convergence"](kick_sign=1)
+    assert result.passed
+    assert built == [(int(m * d**2), d) for d in (1.0, 2.0) for m in (2, 4, 8, 16)]
+    assert len(read) == len(built)
+    # per delta a target line, then the doubling line ending at that N and value
+    for target, doubling in zip(result.lines[::2], result.lines[1::2]):
+        n, err = re.fullmatch(r"delta=\S+: N=(\d+) max rel err (\S+) \(< 1e-3\)", target).groups()
+        assert doubling.split(", ")[-1].startswith(f"N={n}: {err} (halves")

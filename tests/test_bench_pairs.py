@@ -1,4 +1,4 @@
-"""The seed parser, gain rule and set-up probes of ``tools/bench_pairs.py``, on synthetic runs."""
+"""Seed parser, gain rule, set-up and import probes of ``tools/bench_pairs.py``, on fake runs."""
 
 import importlib.util
 import json
@@ -97,6 +97,9 @@ def test_main_records_probes_beside_the_runs(monkeypatch, tmp_path):
     # the parent is 10 s slower in every probe, so the change wins each one
     monkeypatch.setattr(bench_pairs, "probe", lambda tree, workload, seed: (
         next(probes) + (10.0 if tree.name == "parent" else 0.0)))
+    # and 1 s faster in every import probe, so the change wins none
+    monkeypatch.setattr(bench_pairs, "import_probe", lambda tree: (
+        next(probes) - (1.0 if tree.name == "parent" else 0.0)))
     assert bench_pairs.main(["--tag", "t", "--seeds", "1,2", "--workloads", "verify_suite"]) == 0
     entry = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["verify_suite"]
     assert [len(entry["setup_probes"][side]) for side in bench_pairs.SIDES] == \
@@ -104,3 +107,31 @@ def test_main_records_probes_beside_the_runs(monkeypatch, tmp_path):
     row = entry["setup_probe_summary"]
     assert (row["pairs"], row["change_wins"], row["gain"]) == (8, 8, True)
     assert set(entry["summary"]) == set(bench_pairs.METRICS)
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [len(doc["import_probes"][side]) for side in bench_pairs.SIDES] == \
+        [bench_pairs.IMPORT_PROBES] * 2
+    row = doc["import_probe_summary"]
+    assert (row["pairs"], row["change_wins"], row["gain"]) == (bench_pairs.IMPORT_PROBES, 0, False)
+
+
+# -X importtime lines: self and cumulative microseconds, then the module indented by depth
+IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       900 |        900 |   numpy
+import time:       222 |        222 |   weakmeter
+import time:      1500 |       1600 |     weakmeter.dynamics
+import time:       100 |        100 |       yaml.weakmeter_lookalike
+import time:        29 |       2751 | weakmeter.cli
+"""
+
+
+def test_import_self_time_sums_the_weakmeter_modules():
+    assert bench_pairs.weakmeter_self_s(IMPORTTIME) == (222 + 1500 + 29) / 1e6
+
+
+def test_import_probes_alternate_the_first_side(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "import_probe", lambda tree: calls.append(tree) or 0.0)
+    samples = bench_pairs.import_probes({"parent": "P", "change": "C"})
+    assert calls == ["P", "C", "C", "P"] * (bench_pairs.IMPORT_PROBES // 2)
+    assert [len(samples[side]) for side in bench_pairs.SIDES] == [bench_pairs.IMPORT_PROBES] * 2

@@ -673,6 +673,30 @@ class TestTransferReadouts:
         assert isinstance(row[0], IllConditionedFitError)
         assert str(row[0]) == "fit requires a positive coupling, got g=0.0"
 
+    @pytest.mark.parametrize("n_pres, n_posts", [(3, 3), (5, 2)])
+    @pytest.mark.parametrize("per_block", [1, 2, 4])
+    def test_blocks_read_as_single_pairs(self, monkeypatch, n_pres, n_posts, per_block):
+        # a budget of per_block pre-states' rows, so most calls cross block
+        # boundaries; the last pre- and post-state are an annihilating pair
+        import weakmeter.dynamics as dynamics
+
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", per_block * n_posts * METER32.size)
+        sig = named_state("cheshire_in").signature
+        spec = CouplingSpec(variant="measure_sigma_zR", g=1e-3)
+        pres = random_kets(41, n_pres - 1, sig) + [Ket(sig, [1, 0, 0, 0])]
+        posts = random_kets(42, n_posts - 1, sig) + [Ket(sig, [0, 1, 0, 0])]
+        rows = list(transfer_readouts(kick_factors(spec, sig), METER32, pres, posts))
+        assert [len(row) for row in rows] == [n_posts] * n_pres
+        for r, pre in enumerate(pres):
+            for p, post in enumerate(posts):
+                try:
+                    alone = pointer_readout(spec, pre, post, METER32)
+                except AnnihilationError as exc:
+                    assert (r, p) == (n_pres - 1, n_posts - 1)
+                    alone = exc
+                # bit for bit (repr tells -0.0 from 0.0), or the same error
+                assert type(rows[r][p]) is type(alone) and repr(rows[r][p]) == repr(alone)
+
     def test_pointer_readout_is_one_entry_raised(self):
         spec = CouplingSpec(variant="measure_sigma_zR_noisy", g=1e-3)
         pre = named_state("disembody_in", theta=0.6)

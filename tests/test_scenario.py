@@ -470,6 +470,40 @@ sweep:
         assert len(kicks) == 1
         assert chain == []
 
+    def test_sections_and_states_are_built_once_per_distinct_value(self, monkeypatch):
+        # a repeated theta, and alpha -0.0 beside 0.0: each section is validated
+        # and each state built once per bit pattern, in first-seen order, and
+        # each point still reads as it would alone
+        import dataclasses
+
+        import weakmeter.scenario as scenario
+
+        text = ANGLE_GRID.replace("[0.2, 0.4, 0.6]", "[0.2, 0.4, 0.2]")
+        doc = parse_scenario(text.replace("[0.1, 0.2, 0.3]", "[0.1, 0.0, -0.0, 0.1]"))
+        validated, built = [], []
+        rules, named_state = dict(scenario._SECTION_RULES), scenario.named_state
+        for section in ("preselect", "postselect", "coupling"):
+            monkeypatch.setitem(scenario._SECTION_RULES, section, lambda fields, _s=section: (
+                validated.append((_s, repr(fields.get("theta", fields.get("alpha")))))
+                or rules[_s](fields)))
+        monkeypatch.setattr(scenario, "named_state", lambda name, **kw: (
+            built.append((name, repr(kw.get("theta", kw.get("alpha"))))) or named_state(name, **kw)))
+        records = run_scenario(doc)
+        monkeypatch.undo()
+        assert validated == [("preselect", "0.2"), ("postselect", "0.1"), ("postselect", "0.0"),
+                             ("postselect", "-0.0"), ("preselect", "0.4")]
+        assert built == [("disembody_in", repr(0.2 * np.pi)), ("disembody_f", repr(0.1 * np.pi)),
+                         ("disembody_f", "0.0"), ("disembody_f", "-0.0"),
+                         ("disembody_in", repr(0.4 * np.pi))]
+        base = dataclasses.replace(doc, sweep={})
+        for rec in records:
+            alone = base
+            for path, value in rec.point.items():
+                alone = apply_override(alone, path, value)
+            (alone,) = run_scenario(alone)
+            alone = dataclasses.replace(alone, point=rec.point, config_hash=rec.config_hash)
+            assert records_to_jsonl([rec]) == records_to_jsonl([alone]), rec.point
+
     def test_point_values_are_validated_together(self):
         # a point's kick_time is checked against its own t, not the base t
         text = NOISY.replace("t: 100.0}", "t: 100.0, kick_time: 100.0}") + """
@@ -599,6 +633,25 @@ sweep:
                                     "numpy cannot allocate its 2N+1 point grid")
         rows = records_to_csv(records, sweep_paths=["meter.N"]).splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["16", str(n)]
+
+    def test_integer_meter_n_past_the_float_range_fails_alone(self):
+        # a listed int beyond the float range is no non-finite number: it
+        # fails its own point at the meter, as the same value set alone does
+        import dataclasses
+
+        n = 10**400
+        text = DISEMBODY_SWEEP.replace(
+            "  preselect.theta: {start: 0.07, stop: 0.87, steps: 9}",
+            f"  meter.N: {{values: [16, {n}]}}",
+        )
+        doc = parse_scenario(text)
+        assert doc.sweep == {"meter.N": {"values": [16, n]}}
+        records = run_scenario(doc)
+        assert records[0].error == ""
+        assert records[1].error == (f"ParameterRangeError: meter.N = {n}: "
+                                    "numpy cannot allocate its 2N+1 point grid")
+        (alone,) = run_scenario(apply_override(dataclasses.replace(doc, sweep={}), "meter.N", n))
+        assert alone.error == records[1].error
 
 
 ARM_SWEEP = """

@@ -9,6 +9,9 @@ indicators, quotes, line breaks, non-ASCII, long lines, words YAML reads as
 null, bool or number), edge floats in every number field, ``kick_time``
 unset and set, sweeps as value lists and as ranges, and observable lists.
 The text also reads back as the same document, names like ``1e3`` included.
+Plain names (a letter, then letters, digits, ``_`` and ``-``) are written
+without PyYAML unless its resolver reads them as another type (``yes``,
+``No``, ``null``, ``on``); the examples pin both sides of that rule.
 """
 
 import pytest
@@ -77,6 +80,15 @@ def safe_dump_text(doc) -> str:
 @example(base="parallel_noise_1", name="1e3",
          changes=[("coupling.kick_time", 50.0), ("observables", []),
                   ("sweep", {"meter.N": {"start": 8.0, "stop": 1e17, "steps": 3}})])
+@example(base="cheshire", name="yes", changes=[])
+@example(base="cheshire", name="No", changes=[])
+@example(base="cheshire", name="null", changes=[])
+@example(base="cheshire", name="on", changes=[])
+@example(base="cheshire", name="a-b", changes=[])
+@example(base="cheshire", name="a_b", changes=[])
+@example(base="cheshire", name="-a", changes=[])
+@example(base="cheshire", name="1e3", changes=[])
+@example(base="cheshire", name="x" * 200, changes=[])
 def test_text_is_safe_dump(base, name, changes):
     doc = apply_override(BASES[base], "name", name)
     for path, value in changes:

@@ -12,14 +12,20 @@ of a workload come ``SETUP_PROBES`` fresh ``perfbench/run.py --setup-probe``
 processes per side, alternating side by side in the pair's order; each
 prints the set-up seconds of one process (import plus scenario parsing).
 The 5-probe ``setup_s`` of a run is too coarse to resolve its 25% bound on a
-small VM, and the probes add samples of the same quantity.  The file holds
-the run lines, the probe samples, the machine facts, and per workload the
-medians, quartiles (``statistics.quantiles(n=4, method='inclusive')``) and
-the change's wins (a win: a change value strictly lower than the parent
-value of its pair, or of the probe it alternated with; every metric is
-lower-is-better) of each end-to-end metric and of the probes.  ``gain``
-says whether a claim would hold: wins in at least nine tenths of the
-pairs, and a median gap larger than the parent's interquartile range.  The
+small VM, and the probes add samples of the same quantity.  Before the
+pairs, ``IMPORT_PROBES`` fresh processes per side, alternating which side
+goes first, each run ``python -X importtime -c "import weakmeter.cli"``; a
+sample is the sum of the self times of the ``weakmeter*`` modules, a
+quieter measure of the package's own import work than ``setup_s``, which
+numpy and PyYAML dominate.  The file holds the run lines, the probe
+samples, the machine facts, and per workload the medians, quartiles
+(``statistics.quantiles(n=4, method='inclusive')``) and the change's wins
+(a win: a change value strictly lower than the parent value of its pair,
+or of the probe it alternated with; every metric is lower-is-better) of
+each end-to-end metric and of the probes; the import probes get the same
+summary.  ``gain`` says whether a claim would hold: wins in at least nine
+tenths of the pairs, and a median gap larger than the parent's
+interquartile range.  The
 file is rewritten after every pair, so an interrupted session keeps what it
 measured.
 
@@ -56,6 +62,7 @@ WORKLOADS = ("verify_suite", "angle_sweep", "wide_meter")
 METRICS = ("op_s", "peak_mem_mb", "setup_s")
 SIDES = ("parent", "change")
 SETUP_PROBES = 4  # fresh set-up processes per side, pair and workload
+IMPORT_PROBES = 20  # fresh import-time processes per side
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
 
 
@@ -104,6 +111,34 @@ def setup_probes(trees: dict, workload: str, seed: int, order) -> dict:
     for _ in range(SETUP_PROBES):
         for side in order:
             samples[side].append(probe(trees[side], workload, seed))
+    return samples
+
+
+def weakmeter_self_s(importtime: str) -> float:
+    """Seconds: the sum of the ``weakmeter*`` self times in ``-X importtime`` output."""
+    total_us = 0
+    for line in importtime.splitlines():
+        if line.startswith("import time:"):
+            self_us, _, module = line.removeprefix("import time:").split("|")
+            if module.strip().startswith("weakmeter"):
+                total_us += int(self_us)
+    return total_us / 1e6
+
+
+def import_probe(tree: Path) -> float:
+    """weakmeter's own import self time in one fresh process importing ``weakmeter.cli``."""
+    command = [sys.executable, "-X", "importtime", "-c", "import weakmeter.cli"]
+    return weakmeter_self_s(subprocess.run(
+        command, cwd=tree, env=dict(ENV, PYTHONPATH=str(tree / "src")), capture_output=True,
+        text=True, check=True).stderr)
+
+
+def import_probes(trees: dict) -> dict:
+    """``IMPORT_PROBES`` samples per side, the side that goes first alternating."""
+    samples = {side: [] for side in SIDES}
+    for index in range(IMPORT_PROBES):
+        for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+            samples[side].append(import_probe(trees[side]))
     return samples
 
 
@@ -158,10 +193,13 @@ def main(argv=None) -> int:
                     "pair by pair (parent first on even pair index); pairs interleave the "
                     f"workloads; after each pair of runs, {SETUP_PROBES} fresh "
                     "'perfbench/run.py --setup-probe' processes per side, alternating in the "
-                    "pair's order, into setup_probes; quartiles by statistics.quantiles(n=4, "
-                    "method='inclusive'); a win is a pair (or alternated probe pair) whose "
-                    "change value is strictly lower; each entry of runs is the last stdout "
-                    "line of one run, in seed order",
+                    "pair's order, into setup_probes; before the pairs, "
+                    f"{IMPORT_PROBES} fresh 'python -X importtime -c \"import weakmeter.cli\"' "
+                    "processes per side, the first side alternating, each the sum of the "
+                    "weakmeter* self times, into import_probes; quartiles by "
+                    "statistics.quantiles(n=4, method='inclusive'); a win is a pair (or "
+                    "alternated probe pair) whose change value is strictly lower; each entry "
+                    "of runs is the last stdout line of one run, in seed order",
         "machine": [],
         "workloads": {w: {"seeds": args.seeds, "runs": {side: [] for side in SIDES},
                           "setup_probes": {side: [] for side in SIDES}}
@@ -169,6 +207,8 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
         trees = {side: checkout(commit, Path(scratch) / side) for side, commit in commits.items()}
+        doc["import_probes"] = import_probes(trees)
+        doc["import_probe_summary"] = compare(*(doc["import_probes"][side] for side in SIDES))
         for index, seed in enumerate(args.seeds):
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             for workload in args.workloads:
@@ -190,12 +230,14 @@ def main(argv=None) -> int:
                 entry["failed_operations"] = {
                     side: sum(r["failed"] for r in entry["runs"][side]) for side in SIDES}
             out_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    rows = [("all", "import_self_s", doc["import_probe_summary"])]
     for workload, entry in doc["workloads"].items():
-        rows = entry["summary"] | {"setup_probe_s": entry["setup_probe_summary"]}
-        for metric, row in rows.items():
-            print(f"{workload} {metric}: {row['parent_median']:g} -> {row['change_median']:g} "
-                  f"(parent IQR {row['parent_q3'] - row['parent_q1']:.3g}), change wins "
-                  f"{row['change_wins']}/{row['pairs']}, gain {row['gain']}")
+        rows += [(workload, metric, row) for metric, row in (
+            entry["summary"] | {"setup_probe_s": entry["setup_probe_summary"]}).items()]
+    for workload, metric, row in rows:
+        print(f"{workload} {metric}: {row['parent_median']:g} -> {row['change_median']:g} "
+              f"(parent IQR {row['parent_q3'] - row['parent_q1']:.3g}), change wins "
+              f"{row['change_wins']}/{row['pairs']}, gain {row['gain']}")
     return 0
 
 
