@@ -9,7 +9,6 @@ identical inputs produce bit-identical CSV and record streams.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 import math
@@ -228,6 +227,7 @@ class ScenarioDoc:
         }
 
     def config_hash(self) -> str:
+        import hashlib  # loads OpenSSL; imported here so runs that never hash skip it
         return hashlib.sha256(scenario_to_text(self).encode("utf-8")).hexdigest()
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from weakmeter import verify
-from weakmeter.dynamics import CouplingSpec
+from weakmeter.dynamics import CouplingSpec, pointer_readout
 from weakmeter.verify import CHECKS
 
 NOISY_GPTS = (0.05, 0.1)
@@ -69,7 +69,8 @@ def assert_noisy_fit_documented_red(monkeypatch):
         assert (point["flag"] == "ok") == (gap <= 0.05), point.string
     assert sorted(grid) == sorted((g, a) for g in NOISY_GPTS for a in NOISY_ALPHAS)
 
-    assert sorted(spec.gprime * spec.t for spec in specs) == sorted(g for g, _ in grid)
+    # one coupling per g't: its three points share one kernel pass
+    assert sorted(spec.gprime * spec.t for spec in specs) == sorted(NOISY_GPTS)
     assert not any(spec.in_regime for spec in specs)
 
 
@@ -100,3 +101,64 @@ def test_convergence_reads_each_grid_once(monkeypatch):
     for target, doubling in zip(result.lines[::2], result.lines[1::2]):
         n, err = re.fullmatch(r"delta=\S+: N=(\d+) max rel err (\S+) \(< 1e-3\)", target).groups()
         assert doubling.split(", ")[-1].startswith(f"N={n}: {err} (halves")
+
+
+def test_dyson_states_are_the_seeded_draws():
+    # the written-out states are the generator's three normalised draws, bit for bit
+    rng = np.random.default_rng(20240817)
+    draws = []
+    for _ in range(3):
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        draws.append(amps / np.linalg.norm(amps))
+    assert np.array(verify._DYSON_STATES).tobytes() == np.array(draws).tobytes()
+
+
+def test_closed_form_slope_is_the_least_squares_slope(monkeypatch):
+    series = []
+    slope = verify._slope
+    monkeypatch.setattr(verify, "_slope", lambda x, y: series.append((x, y)) or slope(x, y))
+    assert CHECKS["dyson"](kick_sign=1).passed
+    rng = np.random.default_rng(7)
+    series += [(rng.normal(size=n), rng.normal(size=n)) for n in (2, 4, 9, 50)]
+    series.append((np.arange(5.0), 3.0 * np.arange(5.0) - 1.0))
+    assert len(series) == 6
+    for x, y in series:
+        assert slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=0, abs=1e-12)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("the check took a route it no longer needs")
+
+
+@pytest.mark.parametrize("name, keys", [("noisy_fit", 2), ("disembodiment", 3)])
+def test_fit_checks_build_each_coupling_key_once(name, keys, monkeypatch):
+    # noisy_fit: one pass per g't over its three post-states; disembodiment:
+    # each variant's factors read once per case.  Only the six points are
+    # read, and every entry equals the single pair's.
+    specs, reads = {}, []
+    kick_factors, transfer_readouts = verify.kick_factors, verify.transfer_readouts
+
+    def recording_factors(spec, system):
+        factors = kick_factors(spec, system)
+        specs[id(factors)] = spec
+        return factors
+
+    def recording_readouts(factors, meter, pres, posts):
+        rows = list(transfer_readouts(factors, meter, pres, posts))
+        reads.append((specs[id(factors)], meter, pres, posts, rows))
+        return iter(rows)
+
+    monkeypatch.setattr(verify, "kick_factors", recording_factors)
+    monkeypatch.setattr(verify, "transfer_readouts", recording_readouts)
+    monkeypatch.setattr(verify, "pointer_readout", forbidden)
+    CHECKS[name](kick_sign=1)
+    assert len(specs) == keys
+    assert len({(spec.variant, spec.gprime_t) for spec in specs.values()}) == keys
+    assert sum(len(pres) * len(posts) for _, _, pres, posts, _ in reads) == 6
+    for spec, meter, pres, posts, rows in reads:
+        for pre, row in zip(pres, rows):
+            for post, (readout, fit) in zip(posts, row):
+                want_readout, want_fit = pointer_readout(spec, pre, post, meter)
+                assert (readout, fit) == (want_readout, want_fit)
+                assert np.complex128(fit.value).tobytes() == \
+                    np.complex128(want_fit.value).tobytes()

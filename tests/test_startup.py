@@ -34,6 +34,34 @@ def test_import_verify_and_run_load_no_scipy():
     assert proc.stdout.strip() == ""
 
 
+# Runs in a fresh interpreter: the first line lists what verify loaded of
+# OpenSSL and numpy.random, the second whether a scenario run then hashed
+LEAN = """
+import sys
+import weakmeter, weakmeter.cli, weakmeter.verify
+weakmeter.verify.run_checks()
+print(" ".join(name for name in ("hashlib", "_hashlib", "numpy.random") if name in sys.modules))
+from weakmeter.cli import load_bundle
+from weakmeter.scenario import parse_scenario, run_scenario
+doc = parse_scenario(load_bundle("disembodiment"))
+run_scenario(doc)
+print("hashlib" in sys.modules, doc.config_hash())
+"""
+
+
+def test_verify_loads_neither_openssl_nor_numpy_random():
+    # hashlib (OpenSSL) loads at the first config hash, never for verify
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LEAN], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    verify_line, run_line = proc.stdout.split("\n")[:2]
+    assert verify_line == ""
+    assert run_line.split() == [
+        "True", "85830322b8afc79b71bc719445a8b14adea2791925c295bcdebe49aac12b14f6"]
+
+
 # eigh counted from before the package is imported
 TABLES = """
 import numpy as np
