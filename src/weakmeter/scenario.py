@@ -763,23 +763,10 @@ def _json_value(value):
 
 
 def records_to_jsonl(records) -> str:
-    """Structured record stream: one JSON object per line, sorted keys."""
+    """Structured record stream: one JSON object per line, a key per record field, sorted."""
     lines = []
     for rec in records:
-        obj = {
-            "scenario": rec.scenario,
-            "point": rec.point,
-            "weak_values": {k: _json_value(v) for k, v in rec.weak_values.items()},
-            "mean_q": rec.mean_q,
-            "mean_p": rec.mean_p,
-            "var_q": rec.var_q,
-            "var_p": rec.var_p,
-            "success_probability": rec.success_probability,
-            "fit_value": _json_value(rec.fit_value),
-            "fit_offset": _json_value(rec.fit_offset),
-            "fit_residual": rec.fit_residual,
-            "config_hash": rec.config_hash,
-            "error": rec.error,
-        }
+        obj = {name: _json_value(value) for name, value in vars(rec).items()}
+        obj["weak_values"] = {k: _json_value(v) for k, v in rec.weak_values.items()}
         lines.append(json.dumps(obj, sort_keys=True, allow_nan=True))
     return "\n".join(lines) + "\n"

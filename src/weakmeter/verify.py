@@ -186,7 +186,7 @@ def check_disembodiment(kick_sign: int = 1) -> CheckResult:
             f"LxSx_L {fit_noise.value:.6f} (err {rel_noise:.2%}), "
             f"LxSx_R |{zero_mag:.2e}| <= 1e-3 {'ok' if good else 'BAD'}"
         )
-    return CheckResult("disembodiment", ok, lines=lines)
+    return CheckResult("disembodiment", ok, informational=kick_sign != 1, lines=lines)
 
 
 _POINTER_CASES = (

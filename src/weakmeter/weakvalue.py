@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegeneratePostselectionError, UnknownIdError
+from .errors import DegeneratePostselectionError, SignatureError, UnknownIdError
 from .hilbert import Ket, Operator, SpaceSignature, extend, inner
 from .optics import (
     ARM_PROJECTORS,
     ORBITAL,
-    ORBITAL_SIGNATURES,
-    PATH_SIGNATURE,
-    POLARIZATION_SIGNATURE,
+    PATH,
+    POLARIZATION,
     check_orbital_dim,
     orbital_matrix,
 )
@@ -38,77 +36,78 @@ _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PI_L, _PI_R = ARM_PROJECTORS["L"], ARM_PROJECTORS["R"]
 _I_GPRIME_T = "i g't"
 
-
-class _Entry(NamedTuple):
-    """One catalog observable as its factors; ``None`` marks an absent factor.
-
-    Without a ``coefficient`` the operator is arm (x) (orbital (x) polarization)
-    on the factors present.  With one it is the effective observable
-    1 (x) sigma_z + coefficient * orbital (x) polarization on orbital (x)
-    polarization, the coefficient being i g't or -1.
-    """
-
-    arm: np.ndarray | None
-    orbital: str | None  # "L_x" or "L_z", see optics.orbital_matrix
-    polarization: np.ndarray | None
-    coefficient: str | int | None = None
-
-
+# Each id is its terms (coefficient, {factor label: matrix or orbital_matrix
+# name}): a product id one term of coefficient 1, an effective_* id
+# 1 (x) sigma_z + coefficient * orbital (x) polarization, with i g't or -1.
+# None is an identity that the term still requires.
+_SZ = (1, {ORBITAL: None, POLARIZATION: _SIGMA_Z})
 _CATALOG = {
-    "pi_L": _Entry(_PI_L, None, None),
-    "pi_R": _Entry(_PI_R, None, None),
-    "sigma_z": _Entry(None, None, _SIGMA_Z),
-    "sigma_x": _Entry(None, None, _SIGMA_X),
-    "sigma_z_L": _Entry(_PI_L, None, _SIGMA_Z),
-    "sigma_z_R": _Entry(_PI_R, None, _SIGMA_Z),
-    "sigma_x_L": _Entry(_PI_L, None, _SIGMA_X),
-    "sigma_x_R": _Entry(_PI_R, None, _SIGMA_X),
-    "L_x": _Entry(None, "L_x", None),
-    "L_z": _Entry(None, "L_z", None),
-    "Lx_sigma_x": _Entry(None, "L_x", _SIGMA_X),
-    "Lx_sigma_z": _Entry(None, "L_x", _SIGMA_Z),
-    "Lz_sigma_z": _Entry(None, "L_z", _SIGMA_Z),
-    "Lx_sigma_x_L": _Entry(_PI_L, "L_x", _SIGMA_X),
-    "Lx_sigma_x_R": _Entry(_PI_R, "L_x", _SIGMA_X),
-    "Lx_sigma_z_L": _Entry(_PI_L, "L_x", _SIGMA_Z),
-    "Lx_sigma_z_R": _Entry(_PI_R, "L_x", _SIGMA_Z),
-    "Lz_sigma_z_L": _Entry(_PI_L, "L_z", _SIGMA_Z),
-    "Lz_sigma_z_R": _Entry(_PI_R, "L_z", _SIGMA_Z),
-    "effective_spin_orbit": _Entry(None, "L_x", _SIGMA_X @ _SIGMA_Z, _I_GPRIME_T),
-    "effective_parallel_lx": _Entry(None, "L_x", np.eye(2, dtype=complex), _I_GPRIME_T),
-    "effective_parallel_lz": _Entry(None, "L_z", np.eye(2, dtype=complex), _I_GPRIME_T),
-    "effective_three_body": _Entry(None, "L_x", _SIGMA_X, -1),
+    "pi_L": ((1, {PATH: _PI_L}),),
+    "pi_R": ((1, {PATH: _PI_R}),),
+    "sigma_z": ((1, {POLARIZATION: _SIGMA_Z}),),
+    "sigma_x": ((1, {POLARIZATION: _SIGMA_X}),),
+    "sigma_z_L": ((1, {PATH: _PI_L, POLARIZATION: _SIGMA_Z}),),
+    "sigma_z_R": ((1, {PATH: _PI_R, POLARIZATION: _SIGMA_Z}),),
+    "sigma_x_L": ((1, {PATH: _PI_L, POLARIZATION: _SIGMA_X}),),
+    "sigma_x_R": ((1, {PATH: _PI_R, POLARIZATION: _SIGMA_X}),),
+    "L_x": ((1, {ORBITAL: "L_x"}),),
+    "L_z": ((1, {ORBITAL: "L_z"}),),
+    "Lx_sigma_x": ((1, {ORBITAL: "L_x", POLARIZATION: _SIGMA_X}),),
+    "Lx_sigma_z": ((1, {ORBITAL: "L_x", POLARIZATION: _SIGMA_Z}),),
+    "Lz_sigma_z": ((1, {ORBITAL: "L_z", POLARIZATION: _SIGMA_Z}),),
+    "Lx_sigma_x_L": ((1, {PATH: _PI_L, ORBITAL: "L_x", POLARIZATION: _SIGMA_X}),),
+    "Lx_sigma_x_R": ((1, {PATH: _PI_R, ORBITAL: "L_x", POLARIZATION: _SIGMA_X}),),
+    "Lx_sigma_z_L": ((1, {PATH: _PI_L, ORBITAL: "L_x", POLARIZATION: _SIGMA_Z}),),
+    "Lx_sigma_z_R": ((1, {PATH: _PI_R, ORBITAL: "L_x", POLARIZATION: _SIGMA_Z}),),
+    "Lz_sigma_z_L": ((1, {PATH: _PI_L, ORBITAL: "L_z", POLARIZATION: _SIGMA_Z}),),
+    "Lz_sigma_z_R": ((1, {PATH: _PI_R, ORBITAL: "L_z", POLARIZATION: _SIGMA_Z}),),
+    "effective_spin_orbit": (
+        _SZ, (_I_GPRIME_T, {ORBITAL: "L_x", POLARIZATION: _SIGMA_X @ _SIGMA_Z})),
+    "effective_parallel_lx": (
+        _SZ, (_I_GPRIME_T, {ORBITAL: "L_x", POLARIZATION: np.eye(2, dtype=complex)})),
+    "effective_parallel_lz": (
+        _SZ, (_I_GPRIME_T, {ORBITAL: "L_z", POLARIZATION: np.eye(2, dtype=complex)})),
+    "effective_three_body": (_SZ, (-1, {ORBITAL: "L_x", POLARIZATION: _SIGMA_X})),
 }
 
 
-def _terms(obs_id: str, orbital_dim: int):
-    """(signature, matrix, cross, coefficient) of a catalog entry.
-
-    An entry with a ``coefficient`` is matrix + coefficient * cross (see
-    :func:`_combined`); any other is ``matrix``, with ``cross`` None.
-    """
+def _entry(obs_id: str) -> tuple:
+    """The terms of catalog id ``obs_id``; :class:`UnknownIdError` for any other value."""
     try:
-        arm, orbital, pol, coefficient = _CATALOG[obs_id]
+        return _CATALOG[obs_id]
     except (KeyError, TypeError):
         raise UnknownIdError(
             f"unknown observable id {obs_id!r}; valid ids: {observable_ids()}") from None
-    check_orbital_dim(orbital_dim)
-    d = orbital_dim
-    if coefficient is not None:
-        sig = ORBITAL_SIGNATURES[d].concat(POLARIZATION_SIGNATURE)
-        return (sig, np.kron(np.eye(d, dtype=complex), _SIGMA_Z),
-                np.kron(orbital_matrix(orbital, d), pol), coefficient)
-    factors = []
-    if arm is not None:
-        factors.append((PATH_SIGNATURE, arm))
-    if orbital is not None:
-        factors.append((ORBITAL_SIGNATURES[d], orbital_matrix(orbital, d)))
-    if pol is not None:
-        factors.append((POLARIZATION_SIGNATURE, pol))
-    sig, matrix = factors[-1]
-    for factor_sig, factor in reversed(factors[:-1]):  # arm (x) (orbital (x) polarization)
-        sig, matrix = factor_sig.concat(sig), np.kron(factor, matrix)
-    return sig, matrix, None, None
+
+
+def _lift(factors: dict, system: SpaceSignature) -> np.ndarray:
+    """f_1 (x) (f_2 (x) (...)) over ``system``'s factors in their order, read-only.
+
+    f_i is the identity where ``factors`` maps the label to None or omits it;
+    a name is lifted at the system's orbital dimension.  A factor the system
+    lacks or holds at another dimension raises :func:`extend`'s SignatureError.
+    """
+    dims = dict(system.factors)
+    for label, factor in factors.items():
+        if label not in dims:
+            raise SignatureError(
+                f"factor {label!r} of operator absent from target {system.labels}")
+        if isinstance(factor, np.ndarray) and len(factor) != dims[label]:
+            raise SignatureError(f"factor {label!r} has dimension {len(factor)} in operator, "
+                                 f"{dims[label]} in target")
+    lifted = []
+    for label, dim in system.factors:
+        factor = factors.get(label)
+        if factor is None:
+            factor = np.eye(dim, dtype=complex)
+        elif isinstance(factor, str):
+            factor = orbital_matrix(factor, dim)
+        lifted.append(factor)
+    matrix = lifted[-1].copy()
+    for factor in reversed(lifted[:-1]):
+        matrix = np.kron(factor, matrix)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _combined(matrix: np.ndarray, cross, coefficient, gprime_t: float) -> np.ndarray:
@@ -118,46 +117,46 @@ def _combined(matrix: np.ndarray, cross, coefficient, gprime_t: float) -> np.nda
     return matrix - cross if coefficient == -1 else matrix + (1j * gprime_t) * cross
 
 
-def observable(obs_id: str, *, orbital_dim: int = 2, gprime_t: float = 0.0) -> Operator:
-    """Catalog operator by id, on the signature of the factors its entry holds.
-
-    The ``effective_*`` entries are the non-Hermitian observables whose weak
-    values the noisy meter registers; they take the integrated noise
-    strength ``gprime_t``.  ``effective_parallel_lz`` uses the orbital
-    factor as given: on the doublet the L_z restriction is the zero matrix
-    (L_z maps {v_a, v_b} into the forbidden direction), so there it reduces
-    to sigma_z.  Every id takes the same ``orbital_dim`` rule
-    (:func:`~weakmeter.optics.check_orbital_dim`), whether or not its entry
-    holds an orbital factor.
-    """
-    sig, matrix, cross, coefficient = _terms(obs_id, orbital_dim)
-    return Operator(sig, _combined(matrix, cross, coefficient, gprime_t))
-
-
 @functools.cache
 def _lifted(obs_id: str, system: SpaceSignature):
-    """(matrix, cross, coefficient) of :func:`_terms`, each matrix extended to ``system``.
+    """(matrix, cross, coefficient) for :func:`_combined`: the terms lifted onto ``system``.
 
-    The entry takes the system's orbital dimension, 2 when it has no
-    orbital factor.  Cached for the life of the process: the key holds no
-    coupling strength, time or grid size, so it ranges over the catalog ids
-    and system signatures in use only.  The matrices are read-only.
+    ``cross`` and ``coefficient`` are None for a product id.  Every id takes
+    the system's orbital dimension, 2 without an orbital factor.  Cached per
+    process: the key holds no strength, time or grid size.
     """
-    sig, *terms, coefficient = _terms(obs_id, dict(system.factors).get(ORBITAL, 2))
-    matrix, cross = (None if term is None else extend(Operator(sig, term), system).matrix
-                     for term in terms)
-    return matrix, cross, coefficient
+    (_, factors), *rest = _entry(obs_id)
+    check_orbital_dim(dict(system.factors).get(ORBITAL, 2))
+    matrix = _lift(factors, system)
+    if not rest:
+        return matrix, None, None
+    ((coefficient, cross),) = rest
+    return matrix, _lift(cross, system), coefficient
 
 
 def lifted_observable(obs_id: str, system: SpaceSignature, *, gprime_t: float = 0.0) -> np.ndarray:
-    """The matrix of ``extend(observable(obs_id, ...), system)``, from a per-process table.
+    """``extend(observable(obs_id, ...), system).matrix`` up to the sign of a zero, from a table.
 
-    The observable takes the system's orbital dimension (see :func:`_lifted`).
-    Equal to it entry by entry (a zero may differ in sign: an ``effective_*``
-    entry lifts its two terms and combines them after).  An id without a
-    ``gprime_t`` term returns the shared read-only matrix.
+    An id without a ``gprime_t`` term returns the shared read-only matrix.
     """
     return _combined(*_lifted(obs_id, system), gprime_t)
+
+
+def observable(obs_id: str, *, orbital_dim: int = 2, gprime_t: float = 0.0) -> Operator:
+    """Catalog operator by id: :func:`lifted_observable` on the factors its terms name.
+
+    The factors go path, orbital, polarization.  The ``effective_*`` entries
+    are the non-Hermitian observables the noisy meter registers, at the
+    integrated noise strength ``gprime_t``; on the doublet
+    ``effective_parallel_lz`` is sigma_z (L_z restricts to zero there).
+    Every id takes :func:`~weakmeter.optics.check_orbital_dim`'s rule.
+    """
+    terms = _entry(obs_id)
+    check_orbital_dim(orbital_dim)
+    named = {label for _, factors in terms for label in factors}
+    dims = {PATH: 2, ORBITAL: orbital_dim, POLARIZATION: 2}
+    own = SpaceSignature(tuple((label, dim) for label, dim in dims.items() if label in named))
+    return Operator(own, lifted_observable(obs_id, own, gprime_t=gprime_t))
 
 
 def observable_ids() -> tuple[str, ...]:

@@ -97,9 +97,11 @@ def test_main_records_probes_beside_the_runs(monkeypatch, tmp_path):
     # the parent is 10 s slower in every probe, so the change wins each one
     monkeypatch.setattr(bench_pairs, "probe", lambda tree, workload, seed: (
         next(probes) + (10.0 if tree.name == "parent" else 0.0)))
-    # and 1 s faster in every import probe, so the change wins none
+    # and 10 s faster in every import self time, so the change wins none, but
+    # 10 s slower in every cumulative import time, so it wins each of those
     monkeypatch.setattr(bench_pairs, "import_probe", lambda tree: (
-        next(probes) - (1.0 if tree.name == "parent" else 0.0)))
+        next(probes) - (10.0 if tree.name == "parent" else 0.0),
+        next(probes) + (10.0 if tree.name == "parent" else 0.0)))
     assert bench_pairs.main(["--tag", "t", "--seeds", "1,2", "--workloads", "verify_suite"]) == 0
     entry = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["verify_suite"]
     assert [len(entry["setup_probes"][side]) for side in bench_pairs.SIDES] == \
@@ -112,6 +114,10 @@ def test_main_records_probes_beside_the_runs(monkeypatch, tmp_path):
         [bench_pairs.IMPORT_PROBES] * 2
     row = doc["import_probe_summary"]
     assert (row["pairs"], row["change_wins"], row["gain"]) == (bench_pairs.IMPORT_PROBES, 0, False)
+    assert [len(doc["import_cumulative_probes"][side]) for side in bench_pairs.SIDES] == \
+        [bench_pairs.IMPORT_PROBES] * 2
+    row = doc["import_cumulative_probe_summary"]
+    assert (row["pairs"], row["change_wins"]) == (bench_pairs.IMPORT_PROBES,) * 2
 
 
 # -X importtime lines: self and cumulative microseconds, then the module indented by depth
@@ -129,9 +135,20 @@ def test_import_self_time_sums_the_weakmeter_modules():
     assert bench_pairs.weakmeter_self_s(IMPORTTIME) == (222 + 1500 + 29) / 1e6
 
 
+def test_cli_cumulative_time_is_the_weakmeter_cli_line():
+    # the top-level line nests weakmeter and everything the two import, numpy too
+    assert bench_pairs.cli_cumulative_s(IMPORTTIME) == 2751 / 1e6
+    with pytest.raises(ValueError, match="no weakmeter.cli line"):
+        bench_pairs.cli_cumulative_s(IMPORTTIME.replace("weakmeter.cli", "weakmeter.verify"))
+
+
 def test_import_probes_alternate_the_first_side(monkeypatch):
     calls = []
-    monkeypatch.setattr(bench_pairs, "import_probe", lambda tree: calls.append(tree) or 0.0)
-    samples = bench_pairs.import_probes({"parent": "P", "change": "C"})
+    monkeypatch.setattr(bench_pairs, "import_probe",
+                        lambda tree: calls.append(tree) or (len(calls), -len(calls)))
+    self_s, cumulative_s = bench_pairs.import_probes({"parent": "P", "change": "C"})
     assert calls == ["P", "C", "C", "P"] * (bench_pairs.IMPORT_PROBES // 2)
-    assert [len(samples[side]) for side in bench_pairs.SIDES] == [bench_pairs.IMPORT_PROBES] * 2
+    # both series come from the same probe
+    assert self_s["parent"][:2] == [1, 4] and cumulative_s["parent"][:2] == [-1, -4]
+    assert [len(series[side]) for series in (self_s, cumulative_s)
+            for side in bench_pairs.SIDES] == [bench_pairs.IMPORT_PROBES] * 4

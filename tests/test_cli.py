@@ -450,6 +450,12 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert "FAILED: noisy_fit" in out
 
+    def test_alternate_kick_sign_grades_no_pointer_fit(self, capsys):
+        # under -1 every pointer-fit check is INFO, so the red noisy_fit does not fail the run
+        code, out, _ = run_cli(capsys, "verify", "--kick-sign", "-1")
+        assert code == EXIT_OK
+        assert out.endswith("all checks passed\n") and "FAIL" not in out
+
     def test_unknown_check_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--only", "nonsense")
         assert code == EXIT_USAGE

@@ -297,6 +297,21 @@ class TestSerialization:
         assert obj["weak_values"]["sigma_z_R"]["re"] == pytest.approx(1.0)
         assert obj["config_hash"] == doc.config_hash()
 
+    def test_jsonl_keys_are_the_record_fields(self):
+        import dataclasses
+        import json
+
+        from weakmeter.scenario import ResultRecord
+
+        fields = {field.name for field in dataclasses.fields(ResultRecord)}
+        text = DISEMBODY_SWEEP.replace("preselect.theta: {start: 0.07, stop: 0.87, steps: 9}",
+                                       "coupling.g: {values: [1.0e-3, 10.0]}")
+        read, failed = run_scenario(parse_scenario(text))
+        assert read.fit_value is not None and not read.error
+        assert failed.error and failed.fit_value is None
+        for line in records_to_jsonl([read, failed]).splitlines():
+            assert set(json.loads(line)) == fields
+
     def test_csv_error_row_is_quoted_and_parseable(self):
         import csv
         import io

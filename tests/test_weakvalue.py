@@ -477,6 +477,42 @@ class TestLiftedObservable:
                 # equal up to the sign of a zero
                 np.testing.assert_array_equal(got, want, err_msg=f"{obs_id} {gprime_t}")
 
+    def test_lifts_without_extend_or_operator(self, monkeypatch):
+        # one kron over each state signature's factors: the table never takes
+        # the extend-and-Operator round trip, yet every pair keeps its matrix
+        # or its extend error
+        from weakmeter import weakvalue
+
+        want = {}
+        for dim in (2, 3):
+            for state, angles in self.SYSTEMS.values():
+                target = named_state(state, orbital_dim=dim, **angles).signature
+                for obs_id in observable_ids():
+                    for gprime_t in (0.0, 0.3):
+                        try:
+                            want[obs_id, target, gprime_t] = extend(observable(
+                                obs_id, orbital_dim=dim, gprime_t=gprime_t), target).matrix
+                        except SignatureError as exc:
+                            want[obs_id, target, gprime_t] = str(exc)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lift called extend or Operator")
+
+        monkeypatch.setattr(weakvalue, "extend", refuse)
+        monkeypatch.setattr(weakvalue, "Operator", refuse)
+        weakvalue._lifted.cache_clear()
+        try:
+            for (obs_id, target, gprime_t), expected in want.items():
+                if isinstance(expected, str):
+                    with pytest.raises(SignatureError, match=f"^{re.escape(expected)}$"):
+                        lifted_observable(obs_id, target, gprime_t=gprime_t)
+                    continue
+                got = lifted_observable(obs_id, target, gprime_t=gprime_t)
+                np.testing.assert_array_equal(got, expected, err_msg=f"{obs_id} {target}")
+        finally:
+            weakvalue._lifted.cache_clear()
+        assert len({target for _, target, _ in want}) == 5  # path-pol has no orbital dimension
+
     def test_entries_without_gprime_t_are_shared_and_read_only(self):
         target = named_state("disembody_in", theta=0.5).signature
         first = lifted_observable("Lx_sigma_x_L", target)

@@ -14,15 +14,19 @@ prints the set-up seconds of one process (import plus scenario parsing).
 The 5-probe ``setup_s`` of a run is too coarse to resolve its 25% bound on a
 small VM, and the probes add samples of the same quantity.  Before the
 pairs, ``IMPORT_PROBES`` fresh processes per side, alternating which side
-goes first, each run ``python -X importtime -c "import weakmeter.cli"``; a
-sample is the sum of the self times of the ``weakmeter*`` modules, a
-quieter measure of the package's own import work than ``setup_s``, which
-numpy and PyYAML dominate.  The file holds the run lines, the probe
-samples, the machine facts, and per workload the medians, quartiles
+goes first, each run ``python -X importtime -c "import weakmeter.cli"``.
+Each gives two samples from the same output: the sum of the self times of
+the ``weakmeter*`` modules (``import_probes``), a quieter measure of the
+package's own import work than ``setup_s``, which numpy and PyYAML
+dominate; and the cumulative time of the ``weakmeter.cli`` line
+(``import_cumulative_probes``), which nests ``weakmeter`` and everything the
+two import, so it also sees a module the package adds or drops outside
+itself.  The file holds the run lines, the probe samples, the machine
+facts, and per workload the medians, quartiles
 (``statistics.quantiles(n=4, method='inclusive')``) and the change's wins
 (a win: a change value strictly lower than the parent value of its pair,
 or of the probe it alternated with; every metric is lower-is-better) of
-each end-to-end metric and of the probes; the import probes get the same
+each end-to-end metric and of the probes; each import series gets the same
 summary.  ``gain`` says whether a claim would hold: wins in at least nine
 tenths of the pairs, and a median gap larger than the parent's
 interquartile range.  The
@@ -125,21 +129,34 @@ def weakmeter_self_s(importtime: str) -> float:
     return total_us / 1e6
 
 
-def import_probe(tree: Path) -> float:
-    """weakmeter's own import self time in one fresh process importing ``weakmeter.cli``."""
+def cli_cumulative_s(importtime: str) -> float:
+    """Seconds: the cumulative time of the ``weakmeter.cli`` line in ``-X importtime`` output."""
+    for line in importtime.splitlines():
+        if line.startswith("import time:"):
+            _, cumulative_us, module = line.removeprefix("import time:").split("|")
+            if module.strip() == "weakmeter.cli":
+                return int(cumulative_us) / 1e6
+    raise ValueError("no weakmeter.cli line in the -X importtime output")
+
+
+def import_probe(tree: Path) -> tuple[float, float]:
+    """weakmeter's own import self time and ``weakmeter.cli``'s cumulative time, one process."""
     command = [sys.executable, "-X", "importtime", "-c", "import weakmeter.cli"]
-    return weakmeter_self_s(subprocess.run(
+    importtime = subprocess.run(
         command, cwd=tree, env=dict(ENV, PYTHONPATH=str(tree / "src")), capture_output=True,
-        text=True, check=True).stderr)
+        text=True, check=True).stderr
+    return weakmeter_self_s(importtime), cli_cumulative_s(importtime)
 
 
-def import_probes(trees: dict) -> dict:
-    """``IMPORT_PROBES`` samples per side, the side that goes first alternating."""
-    samples = {side: [] for side in SIDES}
+def import_probes(trees: dict) -> tuple[dict, dict]:
+    """Self-time and cumulative samples, ``IMPORT_PROBES`` per side, the first side alternating."""
+    self_s, cumulative_s = ({side: [] for side in SIDES} for _ in range(2))
     for index in range(IMPORT_PROBES):
         for side in SIDES if index % 2 == 0 else SIDES[::-1]:
-            samples[side].append(import_probe(trees[side]))
-    return samples
+            own, cumulative = import_probe(trees[side])
+            self_s[side].append(own)
+            cumulative_s[side].append(cumulative)
+    return self_s, cumulative_s
 
 
 def compare(parent: list, change: list) -> dict:
@@ -196,7 +213,8 @@ def main(argv=None) -> int:
                     "pair's order, into setup_probes; before the pairs, "
                     f"{IMPORT_PROBES} fresh 'python -X importtime -c \"import weakmeter.cli\"' "
                     "processes per side, the first side alternating, each the sum of the "
-                    "weakmeter* self times, into import_probes; quartiles by "
+                    "weakmeter* self times, into import_probes, and the cumulative time of "
+                    "the weakmeter.cli line, into import_cumulative_probes; quartiles by "
                     "statistics.quantiles(n=4, method='inclusive'); a win is a pair (or "
                     "alternated probe pair) whose change value is strictly lower; each entry "
                     "of runs is the last stdout line of one run, in seed order",
@@ -207,8 +225,10 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
         trees = {side: checkout(commit, Path(scratch) / side) for side, commit in commits.items()}
-        doc["import_probes"] = import_probes(trees)
-        doc["import_probe_summary"] = compare(*(doc["import_probes"][side] for side in SIDES))
+        doc["import_probes"], doc["import_cumulative_probes"] = import_probes(trees)
+        for series in ("import", "import_cumulative"):
+            doc[f"{series}_probe_summary"] = compare(*(doc[f"{series}_probes"][side]
+                                                       for side in SIDES))
         for index, seed in enumerate(args.seeds):
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             for workload in args.workloads:
@@ -230,7 +250,8 @@ def main(argv=None) -> int:
                 entry["failed_operations"] = {
                     side: sum(r["failed"] for r in entry["runs"][side]) for side in SIDES}
             out_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    rows = [("all", "import_self_s", doc["import_probe_summary"])]
+    rows = [("all", "import_self_s", doc["import_probe_summary"]),
+            ("all", "import_cli_cumulative_s", doc["import_cumulative_probe_summary"])]
     for workload, entry in doc["workloads"].items():
         rows += [(workload, metric, row) for metric, row in (
             entry["summary"] | {"setup_probe_s": entry["setup_probe_summary"]}).items()]
