@@ -382,11 +382,13 @@ def _validate_observables(section) -> tuple[str, ...]:
     if not isinstance(section, list):
         raise ScenarioSyntaxError("observables must be a list of catalog ids")
     valid = observable_ids()
-    for obs in section:
+    for index, obs in enumerate(section):
         if obs not in valid:
             raise UnknownIdError(
                 f"unknown observable {obs!r} in observables; valid ids: {list(valid)}"
             )
+        if obs in section[:index]:  # records hold one weak value per id
+            raise ScenarioSyntaxError(f"observable {obs!r} is listed twice in observables")
     return tuple(str(obs) for obs in section)
 
 
@@ -532,69 +534,29 @@ def _variant(doc: ScenarioDoc, section: str, point: dict):
         return exc
 
 
-def _sweep_points(doc: ScenarioDoc, memo: dict):
-    """Each point as ({path: value}, {section: variant key}), the last path varying fastest.
+def _sweep_points(doc: ScenarioDoc):
+    """Each point as ({path: value}, {section: key}), the last path varying fastest.
 
     Sweep paths address numeric fields of the sections only (checked at
-    parse time) and every rule lives within one section, so a point picks
-    one :func:`_variant` per section, held in ``memo["section", section,
-    key]``: each is validated once per call and distinct combination of the
-    section's swept values.  Only bit-equal values share a variant (repr
-    tells -0.0 from 0.0).  An integer field takes integral values as int;
-    any other value fails its own points.
+    parse time), so a section's key is the point's values on the section's
+    paths: an int as it is, a float by repr, so only bit-equal values share
+    a key (-0.0 is not 0.0).  An unswept section's key is ().  An integer
+    field takes integral values as int; any other value fails its own points.
     """
-    paths, grids, slots = list(doc.sweep), [], []
+    grids, owners = [], []
     for path, spec in doc.sweep.items():
         values = list(spec["values"]) if "values" in spec else [
             float(v) for v in np.linspace(spec["start"], spec["stop"], spec["steps"])]
         section, leaf = path.split(".")
         if type(getattr(doc, section)[leaf]) is int:
             values = [int(v) if isinstance(v, int) or v.is_integer() else v for v in values]
-        seen: dict = {}  # each value's position among the path's distinct values
-        slots.append([seen.setdefault(v if type(v) is int else repr(v), len(seen))
-                      for v in values])
         grids.append(values)
-    touched = {section: [j for j, path in enumerate(paths) if path.split(".")[0] == section]
-               for section in _SECTION_RULES}
-    for at in itertools.product(*(range(len(values)) for values in grids)):
-        point = {path: grids[j][at[j]] for j, path in enumerate(paths)}
-        keys = {section: tuple(slots[j][at[j]] for j in js) for section, js in touched.items()}
-        for section, key in keys.items():
-            if ("section", section, key) not in memo:
-                memo["section", section, key] = _variant(doc, section, point)
-        yield point, keys
-
-
-def _shared(memo: dict, key: tuple, build):
-    """``build()`` once per run_scenario call and key."""
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
-
-
-def _states(keys: dict, memo: dict):
-    """A point's (pre, post) states, or the error of its first failing section.
-
-    Sections fail in ``_SECTION_RULES`` order.  Each state is built once
-    per call, variant and orbital dimension.
-    """
-    sections = {section: memo["section", section, key] for section, key in keys.items()}
-    error = next((s for s in sections.values() if isinstance(s, WeakmeterError)), None)
-    if error is not None:
-        return error
-    coupling = sections["coupling"]
-    orbital_dim = COUPLINGS[coupling["variant"], coupling["measure_arm"]].orbital_dim
-
-    def state(section: str):
-        fields = sections[section]
-        return _shared(memo, ("state", section, keys[section], orbital_dim), lambda: named_state(
-            fields["id"], orbital_dim=orbital_dim,
-            **{k: float(v) * np.pi for k, v in fields.items() if k != "id"}))
-
-    try:
-        return state("preselect"), state("postselect")
-    except WeakmeterError as exc:
-        return exc
+        owners.append(section)
+    for values in itertools.product(*grids):
+        yield dict(zip(doc.sweep, values)), {
+            section: tuple(v if type(v) is int else repr(v)
+                           for v, owner in zip(values, owners) if owner == section)
+            for section in _SECTION_RULES}
 
 
 def _record(name: str, point: dict, chash: str, weak_values: dict, result) -> ResultRecord:
@@ -616,22 +578,28 @@ def _record(name: str, point: dict, chash: str, weak_values: dict, result) -> Re
     )
 
 
-def _run_key(doc: ScenarioDoc, key: tuple, jobs: list, memo: dict, chash: str,
-             records: list) -> None:
+def _run_key(doc: ScenarioDoc, key: tuple, jobs: list, variants: dict, built: dict,
+             chash: str, records: list) -> None:
     """Fill the records of the (index, point, pre, post) jobs of one group.
 
-    ``key`` is (coupling variant key, meter variant key, pre space, post
-    space).  Each point meets the checks of a single-point run in the same
-    order: a degenerate overlap, an observable that does not fit the
-    states, the kick's overflow, the grid's zone limit, annihilation, the
-    fit's conditioning, then the residual flag.  States on different spaces
-    fail in the weak values, if any, else in post-selection.
+    ``key`` is (coupling key, meter key).  ``variants`` and ``built`` are
+    :func:`run_scenario`'s tables; the group's coupling spec and meter go
+    into ``built`` under their keys, each built once per call, and the meter
+    only once a point is left to read.  Each point meets the checks of a
+    single-point run in the same order: a degenerate overlap, an observable
+    that does not fit the states, the kick's overflow, the grid's zone
+    limit, annihilation, the fit's conditioning, then the residual flag.
+    States on different spaces fail in the weak values, if any, else in
+    post-selection.
     """
-    coupling, meter = memo["section", "coupling", key[0]], memo["section", "meter", key[1]]
+    coupling_key, meter_key = key
+    coupling, meter = variants["coupling"][coupling_key], variants["meter"][meter_key]
+    _, _, first_pre, first_post = jobs[0]
+    system = first_pre.signature  # every state of the call is on the document's spaces
     ops, op_error = [], None  # the observables on the states' space, up to the first that fails
     for obs_id in doc.observables:
         try:
-            ops.append(lifted_observable(obs_id, key[2],
+            ops.append(lifted_observable(obs_id, system,
                                          gprime_t=coupling["gprime"] * coupling["t"]))
         except WeakmeterError as exc:
             op_error = exc
@@ -641,7 +609,7 @@ def _run_key(doc: ScenarioDoc, key: tuple, jobs: list, memo: dict, chash: str,
     pre_at = {id(pre): r for r, pre in enumerate(pres)}
     post_at = {id(post): p for p, post in enumerate(posts)}
 
-    paired = ops or key[2] == key[3]
+    paired = ops or system == first_post.signature
     if paired:
         try:
             overlaps, tables = weak_value_tables(pres, posts, ops)
@@ -668,11 +636,15 @@ def _run_key(doc: ScenarioDoc, key: tuple, jobs: list, memo: dict, chash: str,
     if not pending:
         return
 
-    spec = _shared(memo, ("spec", key[0]), lambda: CouplingSpec(**coupling))
+    specs, grids = built["coupling"], built["meter"]
+    if coupling_key not in specs:
+        specs[coupling_key] = CouplingSpec(**coupling)
     try:
-        grid = _shared(memo, ("meter", key[1]), lambda: make_meter(meter["N"], meter["delta"]))
+        if meter_key not in grids:
+            grids[meter_key] = make_meter(meter["N"], meter["delta"])
         # the key's factors and grid arrays live only in this call, one key at a time
-        results = list(transfer_readouts(kick_factors(spec, key[2]), grid, pres, posts))
+        results = list(transfer_readouts(kick_factors(specs[coupling_key], system),
+                                         grids[meter_key], pres, posts))
     except WeakmeterError as exc:  # no grid, a kick overflow or past the zone, spaces differ
         results = exc
     for index, point, r, p, weak_values in pending:
@@ -685,27 +657,47 @@ def run_scenario(doc: ScenarioDoc) -> list[ResultRecord]:
 
     Out-of-range swept values, degenerate post-selections and annihilated
     meters become per-record error fields; they never abort the remaining
-    points.  Sections, states, coupling specs and meters are built once per
-    call and distinct value (:func:`_sweep_points`).  Points are grouped by
-    (coupling, meter, states' spaces): each group builds its kick factors
-    once and reads every point from the transfer amplitudes <post| U(q) |pre>
-    of its distinct states (:func:`weakmeter.dynamics.transfer_readouts`).
+    points.  A sweep varies numbers only, so the state ids, the coupling
+    variant and arm, and with them the states' spaces, are the document's.
+    Each section is validated, and each state, coupling spec and meter
+    built, once per call and distinct value (:func:`_sweep_points`).
+    Points are grouped by (coupling, meter): each group builds its kick
+    factors once and reads every point from the transfer amplitudes
+    <post| U(q) |pre> of its distinct states
+    (:func:`weakmeter.dynamics.transfer_readouts`).
     """
     chash = doc.config_hash()
-    memo: dict = {}
+    orbital_dim = COUPLINGS[doc.coupling["variant"], doc.coupling["measure_arm"]].orbital_dim
+    variants = {section: {} for section in _SECTION_RULES}  # key: validated section or its error
+    built = {section: {} for section in _SECTION_RULES}  # key: state, coupling spec or meter
     records: list = []
     groups: dict = {}
-    for index, (point, keys) in enumerate(_sweep_points(doc, memo)):
-        states = _states(keys, memo)
-        if isinstance(states, WeakmeterError):
-            records.append(_record(doc.name, point, chash, {}, states))
+    for index, (point, keys) in enumerate(_sweep_points(doc)):
+        for section, key in keys.items():
+            if key not in variants[section]:
+                variants[section][key] = _variant(doc, section, point)
+        # the first failing section in _SECTION_RULES order, else the first failing state
+        error = next((variants[section][key] for section, key in keys.items()
+                      if isinstance(variants[section][key], WeakmeterError)), None)
+        if error is None:
+            try:
+                for section in ("preselect", "postselect"):
+                    if keys[section] not in built[section]:
+                        fields = variants[section][keys[section]]
+                        built[section][keys[section]] = named_state(
+                            fields["id"], orbital_dim=orbital_dim,
+                            **{k: float(v) * np.pi for k, v in fields.items() if k != "id"})
+            except WeakmeterError as exc:
+                error = exc
+        if error is not None:
+            records.append(_record(doc.name, point, chash, {}, error))
             continue
         records.append(None)
-        pre, post = states
-        key = (keys["coupling"], keys["meter"], pre.signature, post.signature)
-        groups.setdefault(key, []).append((index, point, pre, post))
+        groups.setdefault((keys["coupling"], keys["meter"]), []).append(
+            (index, point, built["preselect"][keys["preselect"]],
+             built["postselect"][keys["postselect"]]))
     for key, jobs in groups.items():
-        _run_key(doc, key, jobs, memo, chash, records)
+        _run_key(doc, key, jobs, variants, built, chash, records)
     return records
 
 

@@ -139,7 +139,12 @@ def lifted_observable(obs_id: str, system: SpaceSignature, *, gprime_t: float = 
 
     An id without a ``gprime_t`` term returns the shared read-only matrix.
     """
-    return _combined(*_lifted(obs_id, system), gprime_t)
+    try:
+        lifted = _lifted(obs_id, system)
+    except TypeError:  # an unhashable id, which the cache cannot key: not a catalog id
+        _entry(obs_id)
+        raise
+    return _combined(*lifted, gprime_t)
 
 
 def observable(obs_id: str, *, orbital_dim: int = 2, gprime_t: float = 0.0) -> Operator:

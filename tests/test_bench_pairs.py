@@ -120,6 +120,41 @@ def test_main_records_probes_beside_the_runs(monkeypatch, tmp_path):
     assert (row["pairs"], row["change_wins"]) == (bench_pairs.IMPORT_PROBES,) * 2
 
 
+# set-up medians (seconds) of a change refused as a regression, against a 25% bound
+@pytest.mark.parametrize("parent, change, within", [
+    (0.1161, 0.1522, False),  # wide_meter, +31%
+    (0.1127, 0.1265, True),  # angle_sweep, +12%
+], ids=["wide_meter", "angle_sweep"])
+def test_within_bound_is_the_regression_rule(parent, change, within):
+    bound = bench_pairs.bounds()["setup_s"]
+    assert bound == 0.25
+    row = bench_pairs.within_bound(summary([parent] * 10, [change] * 10), bound)
+    assert (row["parent_median"], row["change_median"]) == (parent, change)
+    assert row["bound"] == bound and row["within_bound"] is within
+
+
+def test_main_flags_each_metric_outside_its_bound(monkeypatch, tmp_path, capsys):
+    # the change doubles op_s and adds 5% to peak_mem_mb (bound 10%) and setup_s
+    def fake_run(tree, workload, seed, seconds):
+        scale = {"op_s": 2.0} if tree.name == "change" else {}
+        metrics = {metric: {"value": scale.get(metric, 1.05 if tree.name == "change" else 1.0)}
+                   for metric in bench_pairs.METRICS}
+        return {"metrics": metrics, "failed": 0}, ["cpu test"]
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "checkout", lambda commit, into: into)
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "probe", lambda tree, workload, seed: 1.0)
+    monkeypatch.setattr(bench_pairs, "import_probe", lambda tree: (1.0, 1.0))
+    assert bench_pairs.main(["--tag", "t", "--seeds", "1,2", "--workloads", "wide_meter"]) == 0
+    rows = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["wide_meter"]["summary"]
+    assert {metric: (row["bound"], row["within_bound"]) for metric, row in rows.items()} == {
+        "op_s": (0.25, False), "peak_mem_mb": (0.1, True), "setup_s": (0.25, True)}
+    flagged = [line for line in capsys.readouterr().out.splitlines() if "OUTSIDE BOUND" in line]
+    assert flagged == ["OUTSIDE BOUND: wide_meter op_s 1 -> 2 (+100.0%, bound +25%)"]
+
+
 # -X importtime lines: self and cumulative microseconds, then the module indented by depth
 IMPORTTIME = """\
 import time: self [us] | cumulative | imported package

@@ -65,6 +65,12 @@ class TestRun:
         assert code == EXIT_PARSE
         assert "line" in err
 
+    def test_repeated_observable_gives_parse_exit(self, capsys):
+        code, out, err = run_cli(capsys, "run", "bundle:cheshire",
+                                 "--set", "observables=[pi_L,pi_R,pi_L]")
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: observable 'pi_L' is listed twice in observables\n"
+
     def test_missing_file_gives_parse_exit(self, capsys):
         code, _, err = run_cli(capsys, "run", "/no/such/file.yaml")
         assert code == EXIT_PARSE

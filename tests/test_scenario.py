@@ -67,6 +67,11 @@ class TestParsing:
         with pytest.raises(UnknownIdError, match="sigma_y_R"):
             parse_scenario(text)
 
+    def test_repeated_observable_is_rejected(self):
+        # a record holds one weak value per id, so a repeat would drop a CSV row
+        with pytest.raises(ScenarioSyntaxError, match="^observable 'pi_L' is listed twice"):
+            parse_scenario(MINIMAL.replace("sigma_z_R]", "pi_L]"))
+
     def test_unknown_state_id(self):
         with pytest.raises(UnknownIdError, match="ghost_in"):
             parse_scenario(MINIMAL.replace("cheshire_in", "ghost_in"))
@@ -518,6 +523,53 @@ sweep:
             (alone,) = run_scenario(alone)
             alone = dataclasses.replace(alone, point=rec.point, config_hash=rec.config_hash)
             assert records_to_jsonl([rec]) == records_to_jsonl([alone]), rec.point
+
+    def test_states_and_meters_are_shared_across_groups(self, monkeypatch):
+        # theta x g x N makes four (coupling, meter) groups over two thetas: the
+        # states' spaces are the document's, so three states are built, not a
+        # pair per group, and each distinct N builds its meter once
+        import weakmeter.scenario as scenario
+
+        states, meters = [], []
+        named_state, make_meter = scenario.named_state, scenario.make_meter
+        monkeypatch.setattr(scenario, "named_state", lambda name, **kw: (
+            states.append(name) or named_state(name, **kw)))
+        monkeypatch.setattr(scenario, "make_meter", lambda n, delta: (
+            meters.append(n) or make_meter(n, delta)))
+        kicks = count_kick_factors(monkeypatch)
+        text = DISEMBODY_SWEEP.replace(
+            "  preselect.theta: {start: 0.07, stop: 0.87, steps: 9}",
+            "  preselect.theta: {values: [0.3, 0.5]}\n"
+            "  coupling.g: {values: [0.001, 0.002]}\n"
+            "  meter.N: {values: [16, 20]}")
+        records = run_scenario(parse_scenario(text))
+        assert len(records) == 8 and all(rec.error == "" for rec in records)
+        assert states == ["disembody_in", "disembody_f", "disembody_in"]
+        assert meters == [16, 20]
+        assert [spec.g for spec in kicks] == [0.001, 0.001, 0.002, 0.002]
+
+    @pytest.mark.parametrize("observables", ["[sigma_z_R]", "[]"],
+                             ids=["with-observables", "meter-only"])
+    def test_all_degenerate_points_build_no_meter(self, monkeypatch, observables):
+        # the meter is built only for a group with a point left to read, so a
+        # meter that would warn of truncation stays silent when every point fails
+        import warnings
+
+        import weakmeter.scenario as scenario
+
+        with pytest.warns(UserWarning, match="truncation"):
+            scenario.make_meter(8, 4.0)
+        meters = []
+        monkeypatch.setattr(scenario, "make_meter", lambda *args: meters.append(args))
+        text = DISEMBODY_SWEEP.replace("alpha: 0.25", "alpha: 0.5")
+        text = text.replace("meter: {N: 16, delta: 2.0}", "meter: {N: 8, delta: 4.0}")
+        text = text.replace("[sigma_z_R]", observables)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run_scenario(parse_scenario(text))
+        assert len(records) == 9
+        assert all(rec.error.startswith("DegeneratePostselectionError: ") for rec in records)
+        assert meters == []
 
     def test_point_values_are_validated_together(self):
         # a point's kick_time is checked against its own t, not the base t

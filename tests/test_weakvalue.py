@@ -434,6 +434,15 @@ class TestCatalogPin:
             assert str(err.value) == (
                 f"unknown observable id {bad!r}; valid ids: {tuple(REF_CATALOG)}")
 
+    def test_unhashable_id_is_unknown_when_lifted(self):
+        # the lifted table is a cache keyed on the id, which an unhashable id cannot key
+        system = named_state("cheshire_in").signature
+        for bad in (["pi_L"], {"pi_L": 1}, "sigma_y"):
+            with pytest.raises(UnknownIdError) as err:
+                lifted_observable(bad, system)
+            assert str(err.value) == (
+                f"unknown observable id {bad!r}; valid ids: {tuple(REF_CATALOG)}")
+
     @pytest.mark.parametrize("obs_id", ["L_x", "Lz_sigma_z", "Lx_sigma_x_R",
                                         "effective_spin_orbit", "effective_three_body",
                                         "pi_L", "sigma_z"])

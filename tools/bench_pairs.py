@@ -29,7 +29,10 @@ or of the probe it alternated with; every metric is lower-is-better) of
 each end-to-end metric and of the probes; each import series gets the same
 summary.  ``gain`` says whether a claim would hold: wins in at least nine
 tenths of the pairs, and a median gap larger than the parent's
-interquartile range.  The
+interquartile range.  Each run metric's row also holds its ``bound`` from
+``BENCHMARK.json`` and ``within_bound``: whether the change's median is at
+most the parent's times (1 + bound), the regression rule a change must
+pass; the rows outside their bound are printed last.  The
 file is rewritten after every pair, so an interrupted session keeps what it
 measured.
 
@@ -65,6 +68,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("verify_suite", "angle_sweep", "wide_meter")
 METRICS = ("op_s", "peak_mem_mb", "setup_s")
 SIDES = ("parent", "change")
+BENCHMARK = ROOT / "BENCHMARK.json"
 SETUP_PROBES = 4  # fresh set-up processes per side, pair and workload
 IMPORT_PROBES = 20  # fresh import-time processes per side
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -174,6 +178,18 @@ def compare(parent: list, change: list) -> dict:
                   "gain": wins >= 0.9 * pairs and gap > row["parent_q3"] - row["parent_q1"]}
 
 
+def bounds() -> dict:
+    """Each end-to-end metric's bound in ``BENCHMARK``: the largest relative worsening allowed."""
+    return {metric["name"]: metric["bound"]
+            for metric in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
+
+
+def within_bound(row: dict, bound: float) -> dict:
+    """``row`` with its ``bound``, and whether the change's median keeps within it."""
+    return row | {"bound": bound,
+                  "within_bound": row["change_median"] <= row["parent_median"] * (1 + bound)}
+
+
 def summary(runs: dict) -> dict:
     return {metric: compare(*([r["metrics"][metric]["value"] for r in runs[side]]
                               for side in SIDES))
@@ -198,6 +214,7 @@ def main(argv=None) -> int:
                "change": git("rev-parse", args.change) if args.change
                else git("stash", "create") or git("rev-parse", "HEAD")}
     out_path = ROOT / f"BENCH_{args.tag}.json"
+    metric_bounds = bounds()
     doc = {
         "tag": args.tag,
         "change": args.note,
@@ -244,7 +261,8 @@ def main(argv=None) -> int:
                 for side, samples in setup_probes(trees, workload, seed, order).items():
                     entry["setup_probes"][side].extend(samples)
                 if index:
-                    entry["summary"] = summary(entry["runs"])
+                    entry["summary"] = {metric: within_bound(row, metric_bounds[metric])
+                                        for metric, row in summary(entry["runs"]).items()}
                 entry["setup_probe_summary"] = compare(*(entry["setup_probes"][side]
                                                          for side in SIDES))
                 entry["failed_operations"] = {
@@ -259,6 +277,11 @@ def main(argv=None) -> int:
         print(f"{workload} {metric}: {row['parent_median']:g} -> {row['change_median']:g} "
               f"(parent IQR {row['parent_q3'] - row['parent_q1']:.3g}), change wins "
               f"{row['change_wins']}/{row['pairs']}, gain {row['gain']}")
+    for workload, metric, row in rows:
+        if not row.get("within_bound", True):
+            print(f"OUTSIDE BOUND: {workload} {metric} {row['parent_median']:g} -> "
+                  f"{row['change_median']:g} ({row['change_over_parent'] - 1:+.1%}, "
+                  f"bound {row['bound']:+.0%})")
     return 0
 
 
