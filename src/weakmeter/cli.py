@@ -127,8 +127,7 @@ def cmd_verify(args) -> int:
     _emit(table, args.out)
     if args.out:
         sys.stdout.write(table)
-    failed = [r for r in results if not r.passed and not r.informational]
-    return EXIT_VERIFY if failed else EXIT_OK
+    return EXIT_VERIFY if any(r.status == "FAIL" for r in results) else EXIT_OK
 
 
 def _basis_labels(ket: Ket) -> list[str]:

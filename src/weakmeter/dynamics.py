@@ -561,12 +561,30 @@ def _weighted_line_fits(y: np.ndarray, w: np.ndarray, q: np.ndarray, g: float):
                 np.count_nonzero(w, axis=-1), spread)
 
 
+def _unwrap_rows(logs: np.ndarray, live: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unwrap each row's log phase over its live points, anchored at the point nearest q = 0.
+
+    Zeros are skipped, so one neither hides a jump nor makes one.  A point
+    moves by whole turns only where its row jumps by more than pi.
+    """
+    phase = logs.imag  # a view: the unwrap moves the imaginary parts in place
+    # a row whose phases span at most pi (dead points' 0 included) has no such jump
+    for row in np.flatnonzero(phase.max(axis=-1) - phase.min(axis=-1) > np.pi):
+        points = np.flatnonzero(live[row])
+        principal = phase[row, points]
+        turns = np.round((np.unwrap(principal) - principal) / (2 * np.pi))
+        phase[row, points] += 2 * np.pi * (turns - turns[np.argmin(np.abs(q[points]))])
+    return logs
+
+
 def _pointer_fitter(meter: DiscreteGaussianMeter, g: float):
     """Row fit of log(ratios) = a + i g q A, for rows of final / meter.amplitudes.
 
     Only the meter's fit support takes part, weighted by |meter|^2 (its
     ``weights``) so tail noise cannot dominate; zeros of a row have no
-    usable log and are dropped.  Returns :func:`_weighted_line_fits` per row.
+    usable log and are dropped.  The log is unwrapped (:func:`_unwrap_rows`), so
+    no 2 pi jump from <post|pre>'s phase or the kick's reaches the fit.
+    Returns :func:`_weighted_line_fits` per row.
     """
     support, weights = meter.support, meter.weights
     q = meter.q[support]
@@ -576,8 +594,8 @@ def _pointer_fitter(meter: DiscreteGaussianMeter, g: float):
         # each row reduces in the order a row alone would
         ratios = ratios.take(support, axis=-1)
         live = ratios != 0.0
-        return _weighted_line_fits(np.log(np.where(live, ratios, 1.0)),
-                                   np.where(live, weights, 0.0), q, g)
+        logs = _unwrap_rows(np.log(np.where(live, ratios, 1.0)), live, q)
+        return _weighted_line_fits(logs, np.where(live, weights, 0.0), q, g)
 
     return fit
 

@@ -1,10 +1,10 @@
 """Built-in verification suite: every headline result, checked at fixed tolerance.
 
-Each check returns a :class:`CheckResult`; the CLI renders them as a
-pass/fail table and the test suite asserts them one by one.  With
-``kick_sign=-1`` the pointer-fit checks run under the alternate kick
-bookkeeping and are reported as informational rather than pass/fail (their
-fitted values come out sign-flipped by construction).
+Each check returns a :class:`CheckResult` of graded points, from which its
+verdict and lines derive; the CLI renders them as a pass/fail table and the
+test suite asserts them one by one.  With ``kick_sign=-1`` the pointer-fit
+checks run under the alternate kick bookkeeping and are reported as
+informational rather than pass/fail (their fits come out sign-flipped).
 """
 
 from __future__ import annotations
@@ -29,21 +29,69 @@ from .meter import continuous_reference, make_meter, meter_readout
 from .optics import named_state
 from .weakvalue import check_overlap, lifted_observable, weak_value_tables
 
-__all__ = ["CheckResult", "CHECK_NAMES", "run_checks", "render_table"]
+__all__ = ["Point", "CheckResult", "CHECK_NAMES", "run_checks", "render_table"]
+
+
+@dataclass(frozen=True)
+class Point:
+    """One graded number: ``value`` passes when ``value side bound`` holds.
+
+    ``side`` is ``"<="`` or ``">="``, non-strict, so a value lying exactly on
+    its bound passes.  A distance also carries the reading ``got`` and the
+    target ``want`` it was measured between.  A ``wall_time`` point grades
+    seconds of wall time, the one kind of value that differs run to run.
+    """
+
+    label: str
+    value: float
+    bound: float
+    side: str = "<="
+    got: complex | None = None
+    want: complex | None = None
+    wall_time: bool = False
+
+    @classmethod
+    def distance(cls, label, got, want, bound, relative=False) -> Point:
+        """``|got - want|``, over ``|want|`` when ``relative``, at most ``bound``."""
+        value = abs(got - want) / abs(want) if relative else abs(got - want)
+        return cls(label, value, bound, got=got, want=want)
+
+    @property
+    def margin(self) -> float:
+        """How far ``value`` sits inside its bound; negative outside it."""
+        return self.bound - self.value if self.side == "<=" else self.value - self.bound
+
+    @property
+    def ok(self) -> bool:
+        return self.margin >= 0.0
+
+    def line(self) -> str:
+        reading = "" if self.got is None else f" ({self.got:.6g} vs {self.want:.6g})"
+        return (f"{self.label}{reading}: {self.value:.3e} {self.side} {self.bound:g} "
+                f"{'ok' if self.ok else 'BAD'}")
 
 
 @dataclass
 class CheckResult:
+    """A check's points and notes; it passes when every point is ok."""
+
     name: str
-    passed: bool
+    points: list
     informational: bool = False
-    lines: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(point.ok for point in self.points)
 
     @property
     def status(self) -> str:
-        if self.informational:
-            return "INFO"
-        return "PASS" if self.passed else "FAIL"
+        """INFO, PASS or FAIL: the one rule the table and the exit code read."""
+        return "INFO" if self.informational else "PASS" if self.passed else "FAIL"
+
+    @property
+    def lines(self) -> list[str]:
+        return [point.line() for point in self.points] + self.notes
 
 
 def _weak_values(pres, post, obs_ids) -> dict:
@@ -71,45 +119,28 @@ def _fit(entry):
 def check_cheshire(kick_sign: int = 1) -> CheckResult:
     """Quartet (pi_L, pi_R, sigma_z_L, sigma_z_R) = (1, 0, 0, 1) to 1e-12."""
     start = time.perf_counter()
-    pre = named_state("cheshire_in")
-    post = named_state("cheshire_f")
     expected = {"pi_L": 1.0, "pi_R": 0.0, "sigma_z_L": 0.0, "sigma_z_R": 1.0}
-    values = _weak_values([pre], post, expected)
-    lines, ok = [], True
-    for obs_id, want in expected.items():
-        (got,) = values[obs_id]
-        good = abs(got - want) <= 1e-12
-        ok &= good
-        lines.append(f"{obs_id}: {got:.3e} (expect {want}) {'ok' if good else 'BAD'}")
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 1.0
-    lines.append(f"runtime {elapsed * 1e3:.1f} ms (< 1 s)")
-    return CheckResult("cheshire", ok, lines=lines)
+    values = _weak_values([named_state("cheshire_in")], named_state("cheshire_f"), expected)
+    points = [Point.distance(obs_id, values[obs_id][0], want, 1e-12)
+              for obs_id, want in expected.items()]
+    points.append(Point("wall time (s)", time.perf_counter() - start, 1.0, wall_time=True))
+    return CheckResult("cheshire", points)
 
 
 def check_amplification(kick_sign: int = 1) -> CheckResult:
     """sigma_z_R = tan(theta/2) with the rest of the table pinned, to 1e-12."""
-    post = named_state("amp_f")
     thetas = [np.pi / 6, np.pi / 4, np.pi / 2, 2 * np.pi / 3, 0.9 * np.pi]
     fixed = {"pi_L": 1.0, "pi_R": 0.0, "sigma_z_L": 0.0, "sigma_x_L": 1.0, "sigma_x_R": 0.0}
-    values = _weak_values([named_state("amp_in", theta=theta) for theta in thetas], post,
-                          [*fixed, "sigma_z_R"])
-    lines, ok = [], True
+    values = _weak_values([named_state("amp_in", theta=theta) for theta in thetas],
+                          named_state("amp_f"), [*fixed, "sigma_z_R"])
+    points = []
     for r, theta in enumerate(thetas):
-        errs = [abs(values[o][r] - want) for o, want in fixed.items()]
-        got = values["sigma_z_R"][r]
-        errs.append(abs(got - np.tan(theta / 2)))
-        good = max(errs) <= 1e-12
-        ok &= good
-        lines.append(
-            f"theta={theta:.6f}: sigma_z_R = {got.real:.12f} "
-            f"(tan(theta/2) = {np.tan(theta / 2):.12f}), max err {max(errs):.2e}"
-        )
-    beyond = values["sigma_z_R"][thetas.index(0.9 * np.pi)]
-    good = beyond.real > 1.0
-    ok &= good
-    lines.append(f"theta=0.9pi gives {beyond.real:.4f} > 1: beyond the eigenvalue range")
-    return CheckResult("amplification", ok, lines=lines)
+        got, want = values["sigma_z_R"][r], np.tan(theta / 2)
+        errs = [abs(values[o][r] - w) for o, w in fixed.items()] + [abs(got - want)]
+        points.append(Point(f"theta={theta:.6f} max err", max(errs), 1e-12, got=got, want=want))
+    beyond = values["sigma_z_R"][thetas.index(0.9 * np.pi)].real
+    points.append(Point("theta=0.9pi Re sigma_z_R, beyond the eigenvalues", beyond, 1.0, ">="))
+    return CheckResult("amplification", points)
 
 
 def check_noisy_fit(kick_sign: int = 1) -> CheckResult:
@@ -119,42 +150,35 @@ def check_noisy_fit(kick_sign: int = 1) -> CheckResult:
     g't here: the preparation is an eigenstate of the noise operator, so
     with the kick after the noise window the fit returns i tan(alpha)
     exactly.  The 0.05 points sit just inside 5%; the 0.1 points do not.
-    Both fitted and formula values are reported so the gap is visible.  The
-    acceptance test reads the point lines (g't, alpha, fit, formula, rel err,
-    ok/BAD), so keep their format when editing them.
+    Each point holds the fit as ``got`` and the formula as ``want``, so the
+    gap is visible; each kernel pass's wall time is a point of its own.
     """
     meter = make_meter(64, 4.0)
     pre = named_state("noisy_in")
     posts = {alpha: named_state("noisy_f", alpha=alpha)
              for alpha in (np.pi / 6, np.pi / 4, np.pi / 3)}
-    lines, ok = [], True
+    points = []
     for gpt in (0.05, 0.1):
-        # one kernel pass per g't reads all three points; each reports the pass's time
+        # one kernel pass per g't reads all three points
         start = time.perf_counter()
         spec = CouplingSpec(variant="spin_orbit", g=1e-3, gprime=gpt, t=1.0,
                             kick_sign=kick_sign)
         (row,) = transfer_readouts(kick_factors(spec, pre.signature), meter, [pre],
                                    list(posts.values()))
-        fits = [_fit(entry) for entry in row]
+        fits = [_fit(entry).value for entry in row]
         elapsed = time.perf_counter() - start
-        for alpha, fit in zip(posts, fits):
-            target = (gpt + 1j) * np.tan(alpha)
-            rel = abs(fit.value - target) / abs(target)
-            good = rel <= 0.05 and elapsed < 10.0
-            ok &= good
-            lines.append(
-                f"g't={gpt} alpha={alpha:.4f}: fit {fit.value:.6f}, "
-                f"formula {target:.6f}, rel err {rel:.2%} "
-                f"({elapsed:.2f} s) {'ok' if good else 'BAD'}"
-            )
-    lines.append('exact-dynamics prediction is i*tan(alpha); see README "Known red check"')
-    return CheckResult("noisy_fit", ok, informational=kick_sign != 1, lines=lines)
+        points.append(Point(f"g't={gpt} pass (s)", elapsed, 10.0, wall_time=True))
+        points += [Point.distance(f"g't={gpt} alpha={alpha:.4f} fit vs formula, rel err", fit,
+                                  (gpt + 1j) * np.tan(alpha), 0.05, relative=True)
+                   for alpha, fit in zip(posts, fits)]
+    return CheckResult("noisy_fit", points, informational=kick_sign != 1, notes=[
+        'exact-dynamics prediction is i*tan(alpha); see README "Known red check"'])
 
 
 def check_disembodiment(kick_sign: int = 1) -> CheckResult:
     """Quartet (0, tan(theta/2)tan(alpha), 1, 0) exact; meter fits within 1-2%."""
     meter = make_meter(64, 4.0)
-    lines, ok = [], True
+    points = []
     cases = [(np.pi / 2, np.pi / 4, 0.01), (2 * np.pi / 3, np.pi / 3, 0.02)]
     pres = [named_state("disembody_in", theta=theta) for theta, _, _ in cases]
     posts = [named_state("disembody_f", alpha=alpha) for _, alpha, _ in cases]
@@ -164,29 +188,21 @@ def check_disembodiment(kick_sign: int = 1) -> CheckResult:
                for variant in ("measure_sigma_zR_noisy", "measure_LxSx_L", "measure_LxSx_R")]
     for (theta, alpha, fit_tol), pre, post in zip(cases, pres, posts):
         signal = np.tan(theta / 2) * np.tan(alpha)
-        table = {"sigma_z_L": 0.0, "sigma_z_R": signal, "Lx_sigma_x_L": 1.0,
-                 "Lx_sigma_x_R": 0.0}
+        table = {"sigma_z_L": 0.0, "sigma_z_R": signal, "Lx_sigma_x_L": 1.0, "Lx_sigma_x_R": 0.0}
         values = _weak_values([pre], post, table)
         errs = [abs(values[o][0] - want) for o, want in table.items()]
-        formula_ok = max(errs) <= 1e-12
-        ok &= formula_ok
-        lines.append(f"theta={theta:.4f} alpha={alpha:.4f}: quartet max err {max(errs):.2e}")
-
+        case = f"theta={theta:.4f} alpha={alpha:.4f}"
+        points.append(Point(f"{case} quartet max err", max(errs), 1e-12,
+                            got=values["sigma_z_R"][0], want=signal))
         fit_sig, fit_noise, fit_zero = (
             _fit(next(transfer_readouts(f, meter, [pre], [post]))[0]) for f in factors)
-        want_sig = kick_sign * signal
-        want_noise = kick_sign * 1.0
-        rel_sig = abs(fit_sig.value - want_sig) / abs(want_sig)
-        rel_noise = abs(fit_noise.value - want_noise)
-        zero_mag = abs(fit_zero.value)
-        good = rel_sig <= fit_tol and rel_noise <= fit_tol and zero_mag <= 1e-3
-        ok &= good
-        lines.append(
-            f"  fits: sigma_zR {fit_sig.value:.6f} (rel {rel_sig:.2%}), "
-            f"LxSx_L {fit_noise.value:.6f} (err {rel_noise:.2%}), "
-            f"LxSx_R |{zero_mag:.2e}| <= 1e-3 {'ok' if good else 'BAD'}"
-        )
-    return CheckResult("disembodiment", ok, informational=kick_sign != 1, lines=lines)
+        points += [
+            Point.distance(f"{case} sigma_zR fit, rel err", fit_sig.value, kick_sign * signal,
+                           fit_tol, relative=True),
+            Point.distance(f"{case} LxSx_L fit, err", fit_noise.value, kick_sign * 1.0, fit_tol),
+            Point.distance(f"{case} LxSx_R |fit|", fit_zero.value, 0.0, 1e-3),
+        ]
+    return CheckResult("disembodiment", points, informational=kick_sign != 1)
 
 
 _POINTER_CASES = (
@@ -200,10 +216,9 @@ _POINTER_CASES = (
 def check_pointer_shift(kick_sign: int = 1) -> CheckResult:
     """Richardson-extrapolated mean_p / g matches Re(A_w) to 0.1%."""
     meter = make_meter(64, 4.0)
-    lines, ok = [], True
+    points = []
     for pre_id, pre_kw, post_id, post_kw, variant, expect in _POINTER_CASES:
-        pre = named_state(pre_id, **pre_kw)
-        post = named_state(post_id, **post_kw)
+        pre, post = named_state(pre_id, **pre_kw), named_state(post_id, **post_kw)
 
         def shift_over_g(g: float) -> float:
             spec = CouplingSpec(variant=variant, g=g, kick_sign=kick_sign)
@@ -212,15 +227,9 @@ def check_pointer_shift(kick_sign: int = 1) -> CheckResult:
 
         f = [shift_over_g(1e-2 / 2**k) for k in range(3)]
         extrapolated = (8 * f[2] - 6 * f[1] + f[0]) / 3
-        want = kick_sign * expect
-        rel = abs(extrapolated - want) / abs(want)
-        good = rel <= 1e-3
-        ok &= good
-        lines.append(
-            f"{pre_id}/{post_id}: mean_p/g -> {extrapolated:.6f}, "
-            f"Re(A_w) = {want:.6f}, rel err {rel:.2e} {'ok' if good else 'BAD'}"
-        )
-    return CheckResult("pointer_shift", ok, informational=kick_sign != 1, lines=lines)
+        points.append(Point.distance(f"{pre_id}/{post_id} mean_p/g vs Re(A_w), rel err",
+                                     extrapolated, kick_sign * expect, 1e-3, relative=True))
+    return CheckResult("pointer_shift", points, informational=kick_sign != 1)
 
 
 # check_dyson's pre-states on the noisy_in space: three draws of
@@ -271,21 +280,19 @@ def check_dyson(kick_sign: int = 1) -> CheckResult:
             )
         errors.append(err)
     slope = _slope(np.log(scales), np.log(errors))
-    ok = slope >= 2.5
-    scale_text = ", ".join(f"{s:g}" for s in scales)
-    lines = [f"errors over scales [{scale_text}]: " + ", ".join(f"{e:.3e}" for e in errors),
-             f"log-log slope {slope:.3f} (>= 2.5)"]
-    return CheckResult("dyson", ok, lines=lines)
+    return CheckResult("dyson", [Point("log-log slope", slope, 2.5, ">=")], notes=[
+        ", ".join(f"scale {s:g}: error {e:.3e}" for s, e in zip(scales, errors))])
 
 
 def check_convergence(kick_sign: int = 1) -> CheckResult:
     """Discrete moments reach the continuous closed forms: <1e-3 at N=16*delta^2.
 
     The error halves (at least) under N-doubling until it saturates at the
-    grid-discreteness floor, which sits far below the 1e-3 target.
+    grid-discreteness floor, which sits far below the 1e-3 target: each
+    doubling step's error is at most max(the step's earlier error / 2, 1e-6).
     """
     g, a_w = 0.05, 1.0 + 1.0j
-    lines, ok = [], True
+    points = []
     for delta in (1.0, 2.0):
         ref = continuous_reference(delta, g, a_w)
         targets = np.array([ref.mean_q, ref.mean_p, ref.var_q, ref.var_p])
@@ -301,19 +308,11 @@ def check_convergence(kick_sign: int = 1) -> CheckResult:
         # the doubling grid ends at the target N = 16 delta^2, read once
         grid = [int(m * delta**2) for m in (2, 4, 8, 16)]
         errs = [max_rel_err(n) for n in grid]
-        n_target, err_target = grid[-1], errs[-1]
-        ok &= err_target < 1e-3
-        lines.append(f"delta={delta}: N={n_target} max rel err {err_target:.2e} (< 1e-3)")
-        halved = all(
-            later <= max(earlier / 2, 1e-6)
-            for earlier, later in zip(errs, errs[1:])
-        )
-        ok &= halved
-        lines.append(
-            "  doubling N: " + ", ".join(f"N={n}: {e:.2e}" for n, e in zip(grid, errs))
-            + (" (halves until the discreteness floor)" if halved else " NOT halving")
-        )
-    return CheckResult("convergence", ok, lines=lines)
+        points.append(Point(f"delta={delta} N={grid[-1]} max rel err", errs[-1], 1e-3))
+        points += [Point(f"delta={delta} N={n} max rel err, halved from N={n // 2}",
+                         later, max(earlier / 2, 1e-6))
+                   for n, earlier, later in zip(grid[1:], errs, errs[1:])]
+    return CheckResult("convergence", points)
 
 
 def check_parallel_noise(kick_sign: int = 1) -> CheckResult:
@@ -331,24 +330,16 @@ def check_parallel_noise(kick_sign: int = 1) -> CheckResult:
     (dim,) = {COUPLINGS[variant, None].orbital_dim for variant in variants}
     pres = [named_state("disembody_in", theta=x, orbital_dim=dim) for x in angles]
     posts = [named_state("disembody_f", alpha=x, orbital_dim=dim) for x in angles]
-    lines, ok = [], True
+    points = []
     for variant in variants:
-        worst = {}
         for arm in ("L", "R"):
             spec = CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=100.0,
                                 measure_arm=arm, kick_sign=kick_sign)
-            factors = kick_factors(spec, pres[0].signature)
-            entries = [entry for row in transfer_readouts(factors, meter, pres, posts)
-                       for entry in row]
-            worst[arm] = min(abs(_fit(entry).value) for entry in entries)
-        good = worst["L"] > 1e-3 and worst["R"] > 1e-3
-        ok &= good
-        lines.append(
-            f"{variant}: min |fit| over theta,alpha in (0.2,1.2): "
-            f"left arm {worst['L']:.4f}, right arm {worst['R']:.4f} "
-            f"(both > 1e-3) {'ok' if good else 'BAD'}"
-        )
-    return CheckResult("parallel_noise", ok, informational=kick_sign != 1, lines=lines)
+            rows = transfer_readouts(kick_factors(spec, pres[0].signature), meter, pres, posts)
+            points.append(Point(f"{variant} arm {arm} min |fit| over theta,alpha in (0.2,1.2)",
+                                min(abs(_fit(entry).value) for row in rows for entry in row),
+                                1e-3, ">="))
+    return CheckResult("parallel_noise", points, informational=kick_sign != 1)
 
 
 def check_three_body(kick_sign: int = 1) -> CheckResult:
@@ -362,20 +353,16 @@ def check_three_body(kick_sign: int = 1) -> CheckResult:
     spec = CouplingSpec(variant="three_body", g=1e-3, kick_sign=kick_sign)
     _, fit = pointer_readout(spec, pre, post, meter)
     probed = kick_sign * fit.value
-    rel_direct = abs(probed - direct) / abs(direct)
-    rel_quoted = abs(probed - quoted) / abs(quoted)
-    matches = [name for name, rel in (("direct", rel_direct), ("quoted", rel_quoted))
-               if rel <= 0.05]
-    ok = len(matches) == 1
-    verdict = matches[0] if ok else "ambiguous"
-    lines = [
-        f"direct ratio:  {direct:.6f}",
-        f"quoted form:   {quoted:.6f}",
-        f"meter oracle:  {probed:.6f} (rel to direct {rel_direct:.2%}, "
-        f"to quoted {rel_quoted:.2%})",
-        f"verdict: the dynamics agree with the {verdict} value",
-    ]
-    return CheckResult("three_body", ok, informational=kick_sign != 1, lines=lines)
+    # exactly one form matches: the closer within 5%, the farther not
+    (near_rel, near, near_form), (far_rel, far, far_form) = sorted(
+        (abs(probed - form) / abs(form), name, form)
+        for name, form in (("direct", direct), ("quoted", quoted)))
+    return CheckResult("three_body", [
+        Point(f"meter oracle vs the {near} form, rel err", near_rel, 0.05,
+              got=probed, want=near_form),
+        Point(f"meter oracle vs the {far} form, rel err", far_rel, 0.05, ">=",
+              got=probed, want=far_form),
+    ], informational=kick_sign != 1, notes=[f"closer form: the {near} value"])
 
 
 CHECKS = {
@@ -406,12 +393,7 @@ def render_table(results) -> str:
     lines = []
     for res in results:
         lines.append(f"{res.name:<{width}}  {res.status}")
-        for detail in res.lines:
-            lines.append(f"{'':<{width}}    {detail}")
-    failed = [r.name for r in results if not r.passed and not r.informational]
-    lines.append("")
-    if failed:
-        lines.append(f"FAILED: {', '.join(failed)}")
-    else:
-        lines.append("all checks passed")
+        lines += [f"{'':<{width}}    {detail}" for detail in res.lines]
+    failed = [r.name for r in results if r.status == "FAIL"]
+    lines += ["", f"FAILED: {', '.join(failed)}" if failed else "all checks passed"]
     return "\n".join(lines) + "\n"

@@ -13,11 +13,12 @@ i tan(alpha); the relative gap to the formula is
 gprime*t / sqrt(1 + (gprime*t)^2), 4.99 percent at 0.05 and 9.95 percent at
 0.1.  All six points lie outside the measurement-time regime where the
 formula holds, so the test pins the FAIL verdict, the fitted value, the gap
-and the per-point ok/BAD flags from the check's point lines, rather than
+and each point's ok flag, read from the check's graded points, rather than
 loosening the tolerance or moving the points.
 """
 
-import re
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,10 +29,6 @@ from weakmeter.verify import CHECKS
 
 NOISY_GPTS = (0.05, 0.1)
 NOISY_ALPHAS = (np.pi / 6, np.pi / 4, np.pi / 3)
-NOISY_POINT = re.compile(
-    r"g't=(?P<gpt>[^ ]+) alpha=(?P<alpha>[^:]+): fit (?P<fit>[^,]+), "
-    r"formula (?P<formula>[^,]+), rel err (?P<rel>[^%]+)% \([^)]*\) (?P<flag>ok|BAD)"
-)
 
 
 def report(result):
@@ -53,21 +50,17 @@ def assert_noisy_fit_documented_red(monkeypatch):
     report(result)
     assert result.status == "FAIL" and not result.informational
 
-    points = [m for m in map(NOISY_POINT.fullmatch, result.lines) if m]
-    grid = []
-    for point in points:
-        gpt = float(point["gpt"])
-        # alpha is printed to 4 decimals; snap it to the exact grid value
-        alpha = next(a for a in NOISY_ALPHAS if abs(a - float(point["alpha"])) <= 5e-5)
-        grid.append((gpt, alpha))
+    # the fit points, g't by g't and alpha by alpha; got is the fit, want the formula
+    points = [point for point in result.points if not point.wall_time]
+    grid = [(g, a) for g in NOISY_GPTS for a in NOISY_ALPHAS]
+    assert len(points) == len(grid)
+    for (gpt, alpha), point in zip(grid, points):
         tan = np.tan(alpha)
-        fit = complex(point["fit"])
-        assert abs(fit - 1j * tan) <= 1e-4 * tan, point.string
-        assert complex(point["formula"]) == pytest.approx((gpt + 1j) * tan, abs=1e-6)
+        assert abs(point.got - 1j * tan) <= 1e-4 * tan, point.line()
+        assert point.want == pytest.approx((gpt + 1j) * tan, abs=1e-6)
         gap = gpt / np.sqrt(1 + gpt**2)
-        assert float(point["rel"]) == pytest.approx(100 * gap, abs=0.005), point.string
-        assert (point["flag"] == "ok") == (gap <= 0.05), point.string
-    assert sorted(grid) == sorted((g, a) for g in NOISY_GPTS for a in NOISY_ALPHAS)
+        assert point.value == pytest.approx(gap, abs=5e-5), point.line()
+        assert point.ok == (gap <= 0.05), point.line()
 
     # one coupling per g't: its three points share one kernel pass
     assert sorted(spec.gprime * spec.t for spec in specs) == sorted(NOISY_GPTS)
@@ -106,7 +99,7 @@ def test_statuses_under_each_kick_sign(kick_sign):
 
 def test_convergence_reads_each_grid_once(monkeypatch):
     # the target N = 16 delta^2 is the doubling grid's last point: one meter
-    # and one readout per (delta, N), 2 x 4, and its line reads that value
+    # and one readout per (delta, N), 2 x 4, and its point reads that value
     built, read = [], []
     make_meter, meter_readout = verify.make_meter, verify.meter_readout
     monkeypatch.setattr(verify, "make_meter", lambda n, delta: built.append((n, delta))
@@ -117,10 +110,33 @@ def test_convergence_reads_each_grid_once(monkeypatch):
     assert result.passed
     assert built == [(int(m * d**2), d) for d in (1.0, 2.0) for m in (2, 4, 8, 16)]
     assert len(read) == len(built)
-    # per delta a target line, then the doubling line ending at that N and value
-    for target, doubling in zip(result.lines[::2], result.lines[1::2]):
-        n, err = re.fullmatch(r"delta=\S+: N=(\d+) max rel err (\S+) \(< 1e-3\)", target).groups()
-        assert doubling.split(", ")[-1].startswith(f"N={n}: {err} (halves")
+    # per delta the target point, then one point per doubling step, the last
+    # at the target N; each step's bound halves the error before it, to 1e-6
+    assert len(result.points) == 2 * 4
+    for target, *steps in (result.points[:4], result.points[4:]):
+        assert target.bound == 1e-3 and steps[-1].value == target.value
+        for earlier, later in zip(steps, steps[1:]):
+            assert later.bound == max(earlier.value / 2, 1e-6)
+
+
+def test_a_failing_graded_number_is_flagged(monkeypatch):
+    # a clock that advances 2 s per call puts cheshire's wall time past its 1 s
+    ticks = itertools.count(0.0, 2.0)
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    results = verify.run_checks()
+    assert {r.name for r in results if r.status == "FAIL"} == {"cheshire", "noisy_fit"}
+    for result in results:
+        flagged = [line for line in result.lines if line.endswith(" BAD")]
+        assert bool(flagged) == (not result.passed), result.name
+
+
+@pytest.mark.parametrize("kick_sign", [1, -1])
+def test_renderings_agree_once_the_wall_times_are_dropped(kick_sign):
+    def rendering():
+        return [(r.name, r.status, [p.line() for p in r.points if not p.wall_time], r.notes)
+                for r in verify.run_checks(kick_sign=kick_sign)]
+
+    assert rendering() == rendering()
 
 
 def test_dyson_states_are_the_seeded_draws():

@@ -187,3 +187,48 @@ def test_import_probes_alternate_the_first_side(monkeypatch):
     assert self_s["parent"][:2] == [1, 4] and cumulative_s["parent"][:2] == [-1, -4]
     assert [len(series[side]) for series in (self_s, cumulative_s)
             for side in bench_pairs.SIDES] == [bench_pairs.IMPORT_PROBES] * 4
+
+
+# a verify_suite run's stdout, shortened to two checks
+RUN_STDOUT = """\
+machine nproc=2 affinity=2 python=3.11.7 numpy=2.4.6 scipy=1.17.1
+workload verify_suite seed=5 seconds=2.0 trace=0 passes=248 (+1 warm-up)
+op_s is the sum of the per-call medians below; pass median 0.00767898 s over n=248; p95 0.0109 s
+  dyson: median 0.00152111 s over n=248; p95 0.00221245 s (10 beyond)
+  cheshire: median 0.000132608 s over n=9; no percentile has 10 samples beyond it
+setup_s: median 0.157437 s over n=5; no percentile has 10 samples beyond it (fresh processes)
+metric op_s 0.00761123 s
+{"correct": true, "attempted": 496, "failed": 0, "metrics": {}}
+"""
+
+
+def test_call_medians_read_each_per_call_line():
+    assert bench_pairs.call_medians(RUN_STDOUT.splitlines()) == {
+        "dyson": 0.00152111, "cheshire": 0.000132608}
+
+
+def test_main_summarizes_each_call_without_a_bound(monkeypatch, tmp_path):
+    # the change doubles dyson and leaves cheshire; a label missing from one
+    # run gets no row
+    def fake_run(tree, workload, seed, seconds):
+        metrics = {metric: {"value": 1.0} for metric in bench_pairs.METRICS}
+        calls = bench_pairs.call_medians(RUN_STDOUT.splitlines())
+        if tree.name == "change":
+            calls["dyson"] *= 2
+            if seed == 2:
+                calls["three_body"] = 1.0
+        return {"metrics": metrics, "failed": 0, "calls": calls}, ["cpu test"]
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "checkout", lambda commit, into: into)
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "probe", lambda tree, workload, seed: 1.0)
+    monkeypatch.setattr(bench_pairs, "import_probe", lambda tree: (1.0, 1.0))
+    assert bench_pairs.main(["--tag", "t", "--seeds", "1,2", "--workloads", "verify_suite"]) == 0
+    entry = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["verify_suite"]
+    rows = entry["call_summary"]
+    assert set(rows) == {"dyson", "cheshire"}
+    assert rows["dyson"]["change_over_parent"] == 2.0 and rows["cheshire"]["change_over_parent"] == 1.0
+    assert not any("bound" in row for row in rows.values())
+    assert entry["runs"]["parent"][0]["calls"] == {"dyson": 0.00152111, "cheshire": 0.000132608}

@@ -409,6 +409,25 @@ class TestZoneLimit:
             assert row[4:10] == [""] * 6  # no reading, no fit
 
 
+class TestOverlapPhase:
+    """alpha - 1 (in units of pi) flips the post-state's sign, and the pointer fit ignores it."""
+
+    @pytest.mark.parametrize("bundle", ["disembodiment", "disembodiment_noise", "three_body"])
+    def test_sign_flipped_post_state_reads_the_same_fit(self, capsys, bundle):
+        # the overlap <post|pre> then sits near the negative real axis, where
+        # the principal log of the pointer jumps by 2 pi i inside the support
+        fits = {}
+        for alpha in ("0.75", "-0.25"):
+            code, out, err = run_cli(capsys, "run", f"bundle:{bundle}", "--set", "sweep={}",
+                                     "--set", f"alpha={alpha}")
+            assert code == EXIT_OK, err
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert rows and all(row["error"] == "" for row in rows)
+            fits[alpha] = [complex(float(row["fit_re"]), float(row["fit_im"])) for row in rows]
+        for fit, twin in zip(fits["0.75"], fits["-0.25"]):
+            assert abs(fit - twin) <= 1e-12
+
+
 class TestShowState:
     def test_amp_in_amplitudes(self, capsys):
         code, out, _ = run_cli(capsys, "show-state", "amp_in", "--theta", "0.5")

@@ -620,11 +620,18 @@ class TestTransferAmplitudes:
 
 
 def lstsq_fit(final, meter, g):
-    """The weighted least-squares pointer fit solved densely, as the reference."""
+    """The weighted least-squares pointer fit solved densely, as the reference.
+
+    The log's phase is unwrapped over the masked points: each point's
+    principal phase moves by the whole turns ``np.unwrap`` adds there, counted
+    from the point nearest q = 0, which keeps its principal value.
+    """
     ref = meter.amplitudes
     mask = (np.abs(ref) > 1e-8) & (np.abs(final) > 0.0)
     q, weights = meter.q[mask], np.abs(ref[mask]) ** 2
     y = np.log(final[mask] / ref[mask])
+    turns = np.round((np.unwrap(y.imag) - y.imag) / (2 * np.pi))
+    y = y + 2j * np.pi * (turns - turns[np.argmin(np.abs(q))])
     design = np.stack([np.ones(mask.sum(), dtype=complex), 1j * g * q], axis=1)
     root_w = np.sqrt(weights)
     beta, *_ = np.linalg.lstsq(design * root_w[:, None], y * root_w, rcond=None)

@@ -5,7 +5,9 @@ B = V diag(b) V^dagger, and random pre/post states, two routes must agree:
 the pointer fit of :func:`transfer_readouts` on the factors of
 :func:`kick_factors_from_terms`, and the weak value
 A_w = <post| A e^{igB} |pre> / <post| e^{igB} |pre>.  The tolerance is
-derived in :func:`fit_error_bound`.
+derived in :func:`fit_error_bound`.  A second property: a global phase on
+either state moves only the fit's offset, even where it puts <post|pre> on
+the principal log's cut.
 """
 
 import math
@@ -98,3 +100,42 @@ def test_pointer_fit_reads_the_weak_value(d, seed, log_g):
     a_w = np.vdot(post, A @ kick_b @ pre) / np.vdot(post, kick_b @ pre)
     c = (post.conj() @ v) * np.exp(1j * g * b) * (v.conj().T @ pre)
     assert abs(fit.value - a_w) <= fit_error_bound(g, c / c.sum(), a)
+
+
+def read(system, factors, pre, post):
+    ((entry,),) = transfer_readouts(factors, METER, [Ket(system, pre)], [Ket(system, post)])
+    return entry
+
+
+@PROPERTY
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       log_g=st.floats(-5.0, -3.0), phi=st.floats(-math.pi, math.pi))
+def test_global_phase_moves_only_the_offset(d, seed, log_g, phi):
+    # <post|pre> > 0 first; then a phase on the pre-state, on the post-state,
+    # on both, and pi on the pre-state, which puts the overlap on the
+    # principal log's cut.  P_s, the moments, the fit and the residual do not
+    # move beyond rounding (log f carries ~1e-15 of it, which the slope
+    # divides by g); the offset moves by i (phase of pre - phase of post).
+    rng = np.random.default_rng(seed)
+    g = 10.0**log_g
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    a, b = rng.uniform(-1.0, 1.0, size=(2, d))
+    pre, post = unit(rng, d), unit(rng, d)
+    overlap = np.vdot(post, pre)
+    assume(abs(overlap) >= 0.2)
+    post = post * overlap / abs(overlap)
+    system = SpaceSignature((("system", d),))
+    factors = kick_factors_from_terms(system, g, (v * a) @ v.conj().T,
+                                      (v * b) @ v.conj().T, np.zeros((d, d)))
+    readout, fit = read(system, factors, pre, post)
+    for pre_phase, post_phase in ((phi, 0.0), (0.0, phi), (phi, phi), (math.pi, 0.0)):
+        moved_readout, moved_fit = read(system, factors, pre * np.exp(1j * pre_phase),
+                                        post * np.exp(1j * post_phase))
+        for field in ("success_probability", "mean_q", "mean_p", "var_q", "var_p"):
+            assert getattr(moved_readout, field) == pytest.approx(
+                getattr(readout, field), rel=1e-12, abs=1e-15), field
+        assert abs(moved_fit.value - fit.value) <= 1e-13 / g
+        assert moved_fit.residual == pytest.approx(fit.residual, rel=1e-6, abs=1e-13)
+        shift = moved_fit.offset - fit.offset - 1j * (pre_phase - post_phase)
+        assert abs(shift.real) <= 1e-13
+        assert abs(np.exp(1j * shift.imag) - 1.0) <= 1e-13

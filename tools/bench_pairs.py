@@ -7,7 +7,9 @@ the workloads interleaved; each run is
 
     python3 perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0
 
-in its checkout, and its last stdout line is kept.  After each pair of runs
+in its checkout, and its last stdout line is kept, with the per-call
+medians it prints (``  <label>: median <x> s over n=<n>``, one per verify
+check or sweep document) as ``calls``.  After each pair of runs
 of a workload come ``SETUP_PROBES`` fresh ``perfbench/run.py --setup-probe``
 processes per side, alternating side by side in the pair's order; each
 prints the set-up seconds of one process (import plus scenario parsing).
@@ -32,7 +34,9 @@ tenths of the pairs, and a median gap larger than the parent's
 interquartile range.  Each run metric's row also holds its ``bound`` from
 ``BENCHMARK.json`` and ``within_bound``: whether the change's median is at
 most the parent's times (1 + bound), the regression rule a change must
-pass; the rows outside their bound are printed last.  The
+pass; the rows outside their bound are printed last.  ``call_summary``
+compares each label's per-call medians the same way, with no bound: it
+shows whether a move in ``op_s`` sits in one call or in all of them.  The
 file is rewritten after every pair, so an interrupted session keeps what it
 measured.
 
@@ -55,6 +59,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -72,6 +77,7 @@ BENCHMARK = ROOT / "BENCHMARK.json"
 SETUP_PROBES = 4  # fresh set-up processes per side, pair and workload
 IMPORT_PROBES = 20  # fresh import-time processes per side
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+CALL_LINE = re.compile(r"  (?P<label>\S+): median (?P<median>\S+) s over n=\d+")
 
 
 def git(*args: str) -> str:
@@ -95,14 +101,20 @@ def checkout(commit: str, into: Path) -> Path:
     return into
 
 
+def call_medians(lines: list[str]) -> dict:
+    """{label: seconds}: the per-call median lines of one run's stdout."""
+    return {m["label"]: float(m["median"]) for m in map(CALL_LINE.match, lines) if m}
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, list[str]]:
-    """The last stdout line of one benchmark run in ``tree``, and its machine lines."""
+    """One benchmark run in ``tree``: its last stdout line with its ``calls``, and its
+    machine lines."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     lines = subprocess.run(command, cwd=tree, env=ENV, capture_output=True, text=True,
                            check=True).stdout.splitlines()
-    return json.loads(lines[-1]), [line[len("machine "):] for line in lines
-                                   if line.startswith("machine ")]
+    return json.loads(lines[-1]) | {"calls": call_medians(lines)}, [
+        line[len("machine "):] for line in lines if line.startswith("machine ")]
 
 
 def probe(tree: Path, workload: str, seed: int) -> float:
@@ -196,6 +208,14 @@ def summary(runs: dict) -> dict:
             for metric in METRICS}
 
 
+def call_summary(runs: dict) -> dict:
+    """:func:`compare` of each call label's medians, for the labels every run prints."""
+    calls = [r.get("calls", {}) for side in SIDES for r in runs[side]]
+    labels = [label for label in calls[0] if all(label in c for c in calls)]
+    return {label: compare(*([r["calls"][label] for r in runs[side]] for side in SIDES))
+            for label in labels}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--tag", required=True, help="the file is BENCH_<tag>.json")
@@ -234,7 +254,8 @@ def main(argv=None) -> int:
                     "the weakmeter.cli line, into import_cumulative_probes; quartiles by "
                     "statistics.quantiles(n=4, method='inclusive'); a win is a pair (or "
                     "alternated probe pair) whose change value is strictly lower; each entry "
-                    "of runs is the last stdout line of one run, in seed order",
+                    "of runs is the last stdout line of one run, in seed order, with its "
+                    "per-call median lines as calls",
         "machine": [],
         "workloads": {w: {"seeds": args.seeds, "runs": {side: [] for side in SIDES},
                           "setup_probes": {side: [] for side in SIDES}}
@@ -263,6 +284,7 @@ def main(argv=None) -> int:
                 if index:
                     entry["summary"] = {metric: within_bound(row, metric_bounds[metric])
                                         for metric, row in summary(entry["runs"]).items()}
+                    entry["call_summary"] = call_summary(entry["runs"])
                 entry["setup_probe_summary"] = compare(*(entry["setup_probes"][side]
                                                          for side in SIDES))
                 entry["failed_operations"] = {
