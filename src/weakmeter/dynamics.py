@@ -33,6 +33,7 @@ joint-state view with the system basis as post-states.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -547,7 +548,8 @@ def _weighted_line_fits(y: np.ndarray, w: np.ndarray, q: np.ndarray, g: float):
     ``q``; a zero weight drops its point.  Returns the arrays (A, a, weighted
     rms residual, support size, weighted spread of q) with one entry per row.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a g below 1/float max overflows the division by i g; _fit_row reports it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s0 = w.sum(axis=-1)
         q_mean = (w * q).sum(axis=-1) / s0
         dq = q - q_mean[:, None]
@@ -609,8 +611,10 @@ def _fit_row(fits, row: int) -> EffectiveWeakValueFit:
     value, offset, residual, support, spread = (part[row] for part in fits)
     if support < 2 or not spread > 0.0:
         raise IllConditionedFitError("all fit weight sits at a single grid point")
-    return EffectiveWeakValueFit(value=complex(value), offset=complex(offset),
-                                 residual=float(residual))
+    value, offset = complex(value), complex(offset)
+    if not (cmath.isfinite(value) and cmath.isfinite(offset)):
+        raise IllConditionedFitError(f"fit is not finite: value {value}, offset {offset}")
+    return EffectiveWeakValueFit(value=value, offset=offset, residual=float(residual))
 
 
 def fit_effective_weak_value(final_meter, reference: DiscreteGaussianMeter,

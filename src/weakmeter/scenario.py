@@ -31,6 +31,16 @@ from .meter import check_meter, make_meter
 from .optics import STATE_IDS, check_state, named_state
 from .weakvalue import check_overlap, lifted_observable, observable_ids, weak_value_tables
 
+# CPython's own SHA-256, as hashlib falls back to: hashlib would map OpenSSL's
+# libcrypto for one digest per run.  Resolved once here, never per call.
+try:
+    from _sha2 import sha256 as _sha256  # 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 __all__ = [
     "DEFAULTS",
     "ScenarioLoader",
@@ -227,8 +237,7 @@ class ScenarioDoc:
         }
 
     def config_hash(self) -> str:
-        import hashlib  # loads OpenSSL; imported here so runs that never hash skip it
-        return hashlib.sha256(scenario_to_text(self).encode("utf-8")).hexdigest()
+        return _sha256(scenario_to_text(self).encode("utf-8")).hexdigest()
 
 
 # Every string the canonical text writes as it is: ids, variants, arms, keys

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -122,6 +123,35 @@ class TestRun:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert len(rows) == 4
         assert all(row[-1].startswith(cause) for row in rows)
+
+    @pytest.mark.parametrize("g", ["1e-310", "5e-324"])
+    @pytest.mark.parametrize("bundle", ["disembodiment", "parallel_noise_1"])
+    def test_subnormal_coupling_fails_every_row(self, capsys, bundle, g):
+        # 1/g overflows a double, so the fit's division by i g is not finite:
+        # each row reports it, with no fit, no overflow warning and no NaN
+        argv = ("run", f"bundle:{bundle}", "--set", f"coupling.g={g}")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_COMPUTE
+        assert err == "all sweep points failed; see the error column\n"
+        header, *rows = csv.reader(io.StringIO(out))
+        fit = [header.index(column) for column in ("fit_re", "fit_im", "residual")]
+        assert rows
+        for row in rows:
+            assert row[-1].startswith("IllConditionedFitError: fit is not finite")
+            assert [row[i] for i in fit] == ["", "", ""]
+
+        code, out, err = run_cli(capsys, *argv, "--format", "records")
+        assert code == EXIT_COMPUTE
+        assert err == "all sweep points failed; see the error column\n"
+
+        def reject(constant):
+            raise AssertionError(f"records hold the non-JSON constant {constant}")
+
+        records = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+        assert records
+        for rec in records:
+            assert rec["error"].startswith("IllConditionedFitError: fit is not finite")
+            assert rec["fit_value"] is rec["fit_offset"] is rec["fit_residual"] is None
 
     def test_overflowing_noise_product_gives_parse_exit(self, capsys):
         code, out, err = run_cli(capsys, "run", "bundle:noisy_spin_orbit",

@@ -1,9 +1,9 @@
 """Benchmark a change against its parent in alternating pairs, into one BENCH_<tag>.json.
 
-The protocol of ROADMAP rule 11: each side runs in its own ``git archive``
-checkout; for every seed and workload one run of each side, the side that
-runs first alternating pair by pair (the parent first on even pair index),
-the workloads interleaved; each run is
+The protocol of ROADMAP item 15, the standing benchmark rule: each side
+runs in its own ``git archive`` checkout; for every seed and workload one
+run of each side, the side that runs first alternating pair by pair (the
+parent first on even pair index), the workloads interleaved; each run is
 
     python3 perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0
 
