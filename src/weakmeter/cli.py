@@ -122,7 +122,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_checks(only=args.only or None, kick_sign=args.kick_sign)
+    results = run_checks(only=args.only or None)
     table = render_table(results)
     _emit(table, args.out)
     if args.out:
@@ -241,10 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="run the built-in verification suite")
     verify_p.add_argument("--only", action="append", choices=CHECK_NAMES,
                           help="run only the named check (repeatable)")
-    verify_p.add_argument("--kick-sign", type=int, choices=(1, -1), default=1,
-                          dest="kick_sign",
-                          help="-1 reruns the pointer-fit checks under the alternate "
-                               "kick bookkeeping (reported as informational)")
     verify_p.add_argument("--out", metavar="PATH")
     verify_p.set_defaults(func=cmd_verify)
 

@@ -5,9 +5,9 @@ Sign and ordering conventions (fixed once, used everywhere):
 * A delta kick generated by -g delta(.) A (x) q_hat is applied as the
   unitary exp(+i g A (x) q_hat), so a post-selected meter acquires the
   factor exp(+i g q A_w) and the momentum mean shifts by +g Re(A_w).
-  ``kick_sign=-1`` flips the kick exponent (only) to reproduce the
-  alternate bookkeeping in which the linear term reads -i g A q; fitted
-  values then come out sign-flipped.
+  ``kick_sign=-1`` flips the kick exponent (only).  Where no static term
+  acts on the states that are read, the fitted values come out negated;
+  elsewhere it is the physical sign of the kick relative to g' S.
 * ``kick_time`` places the instantaneous kick inside the static-noise
   window [0, t].  The default (kick_time = t) lets the noise act for the
   full window before the measurement kick; this is the ordering whose
@@ -645,8 +645,9 @@ def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, 
     Yields one list per pre-state r with one entry per post-state p: the
     pair (:class:`MeterReadout`, :class:`EffectiveWeakValueFit`) that
     :func:`meter_readout` and :func:`fit_effective_weak_value` give for that
-    meter, or the error post-selection or the fit would raise (returned, not
-    raised).  A kick past the grid's zone limit raises, as in
+    meter, with the error the fit would raise in place of a failed fit, or
+    the error post-selection would raise (errors are returned, not raised).
+    A kick past the grid's zone limit raises, as in
     :func:`transfer_amplitudes`.  The fit takes log F directly.  The rows of
     as many pre-states as fit in ``BLOCK_ENTRIES`` grid entries (one at
     least) are stacked and read by one readout and one fit; every row
@@ -668,11 +669,23 @@ def transfer_readouts(factors: KickFactors, meter: DiscreteGaussianMeter, pres, 
                 try:
                     _require_survivor(math.sqrt(readouts[i].success_probability),
                                       pre_norm * post_norm)
+                except AnnihilationError as exc:
+                    row.append(exc)
+                    continue
+                try:
                     _require_coupling(g)
                     row.append((readouts[i], _fit_row(fits, i)))
-                except (AnnihilationError, IllConditionedFitError) as exc:
-                    row.append(exc)
+                except IllConditionedFitError as exc:
+                    row.append((readouts[i], exc))
             yield row
+
+
+def _fit_or_raise(entry) -> EffectiveWeakValueFit:
+    """The pointer fit of one :func:`transfer_readouts` entry; an error in it is raised."""
+    fit = entry if isinstance(entry, Exception) else entry[1]
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def pointer_readout(spec: CouplingSpec, pre: Ket, post: Ket,
@@ -682,7 +695,6 @@ def pointer_readout(spec: CouplingSpec, pre: Ket, post: Ket,
     :func:`transfer_readouts` for one pair; its error, if any, is raised.
     """
     ((entry,),) = transfer_readouts(kick_factors(spec, pre.signature), meter, [pre], [post])
-    if isinstance(entry, Exception):
-        raise entry
+    _fit_or_raise(entry)
     return entry
 

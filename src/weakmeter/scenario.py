@@ -574,6 +574,8 @@ def _record(name: str, point: dict, chash: str, weak_values: dict, result) -> Re
         return ResultRecord(scenario=name, point=point, weak_values=weak_values,
                             config_hash=chash, error=f"{type(result).__name__}: {result}")
     readout, fit = result
+    if isinstance(fit, WeakmeterError):  # the fit's error, with the readout's fields kept
+        return dataclasses.replace(_record(name, point, chash, weak_values, fit), **vars(readout))
     error = ""
     if fit.residual > MAX_FIT_RESIDUAL:
         error = f"fit-residual: {fit.residual:.3e} exceeds {MAX_FIT_RESIDUAL:.0e}"

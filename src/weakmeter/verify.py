@@ -2,9 +2,8 @@
 
 Each check returns a :class:`CheckResult` of graded points, from which its
 verdict and lines derive; the CLI renders them as a pass/fail table and the
-test suite asserts them one by one.  With ``kick_sign=-1`` the pointer-fit
-checks run under the alternate kick bookkeeping and are reported as
-informational rather than pass/fail (their fits come out sign-flipped).
+test suite asserts them one by one.  The checks take no argument: each runs
+the conventions of :mod:`weakmeter.dynamics` at its own fixed points.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import numpy as np
 from .dynamics import (
     COUPLINGS,
     CouplingSpec,
+    _fit_or_raise,
     evolve_dyson2,
     evolve_exact,
     kick_factors,
@@ -77,7 +77,6 @@ class CheckResult:
 
     name: str
     points: list
-    informational: bool = False
     notes: list = field(default_factory=list)
 
     @property
@@ -86,8 +85,8 @@ class CheckResult:
 
     @property
     def status(self) -> str:
-        """INFO, PASS or FAIL: the one rule the table and the exit code read."""
-        return "INFO" if self.informational else "PASS" if self.passed else "FAIL"
+        """PASS or FAIL: the one rule the table and the exit code read."""
+        return "PASS" if self.passed else "FAIL"
 
     @property
     def lines(self) -> list[str]:
@@ -109,14 +108,7 @@ def _weak_values(pres, post, obs_ids) -> dict:
     return {obs_id: table[0] for obs_id, table in zip(obs_ids, tables)}
 
 
-def _fit(entry):
-    """The pointer fit of one :func:`transfer_readouts` entry; an error entry is raised."""
-    if isinstance(entry, Exception):
-        raise entry
-    return entry[1]
-
-
-def check_cheshire(kick_sign: int = 1) -> CheckResult:
+def check_cheshire() -> CheckResult:
     """Quartet (pi_L, pi_R, sigma_z_L, sigma_z_R) = (1, 0, 0, 1) to 1e-12."""
     start = time.perf_counter()
     expected = {"pi_L": 1.0, "pi_R": 0.0, "sigma_z_L": 0.0, "sigma_z_R": 1.0}
@@ -127,7 +119,7 @@ def check_cheshire(kick_sign: int = 1) -> CheckResult:
     return CheckResult("cheshire", points)
 
 
-def check_amplification(kick_sign: int = 1) -> CheckResult:
+def check_amplification() -> CheckResult:
     """sigma_z_R = tan(theta/2) with the rest of the table pinned, to 1e-12."""
     thetas = [np.pi / 6, np.pi / 4, np.pi / 2, 2 * np.pi / 3, 0.9 * np.pi]
     fixed = {"pi_L": 1.0, "pi_R": 0.0, "sigma_z_L": 0.0, "sigma_x_L": 1.0, "sigma_x_R": 0.0}
@@ -143,7 +135,7 @@ def check_amplification(kick_sign: int = 1) -> CheckResult:
     return CheckResult("amplification", points)
 
 
-def check_noisy_fit(kick_sign: int = 1) -> CheckResult:
+def check_noisy_fit() -> CheckResult:
     """Exact evolution + pointer fit against (g't + i) tan(alpha), 5% relative.
 
     The first-order formula and the exact pointer response differ at order
@@ -161,21 +153,20 @@ def check_noisy_fit(kick_sign: int = 1) -> CheckResult:
     for gpt in (0.05, 0.1):
         # one kernel pass per g't reads all three points
         start = time.perf_counter()
-        spec = CouplingSpec(variant="spin_orbit", g=1e-3, gprime=gpt, t=1.0,
-                            kick_sign=kick_sign)
+        spec = CouplingSpec(variant="spin_orbit", g=1e-3, gprime=gpt, t=1.0)
         (row,) = transfer_readouts(kick_factors(spec, pre.signature), meter, [pre],
                                    list(posts.values()))
-        fits = [_fit(entry).value for entry in row]
+        fits = [_fit_or_raise(entry).value for entry in row]
         elapsed = time.perf_counter() - start
         points.append(Point(f"g't={gpt} pass (s)", elapsed, 10.0, wall_time=True))
         points += [Point.distance(f"g't={gpt} alpha={alpha:.4f} fit vs formula, rel err", fit,
                                   (gpt + 1j) * np.tan(alpha), 0.05, relative=True)
                    for alpha, fit in zip(posts, fits)]
-    return CheckResult("noisy_fit", points, informational=kick_sign != 1, notes=[
+    return CheckResult("noisy_fit", points, notes=[
         'exact-dynamics prediction is i*tan(alpha); see README "Known red check"'])
 
 
-def check_disembodiment(kick_sign: int = 1) -> CheckResult:
+def check_disembodiment() -> CheckResult:
     """Quartet (0, tan(theta/2)tan(alpha), 1, 0) exact; meter fits within 1-2%."""
     meter = make_meter(64, 4.0)
     points = []
@@ -183,8 +174,8 @@ def check_disembodiment(kick_sign: int = 1) -> CheckResult:
     pres = [named_state("disembody_in", theta=theta) for theta, _, _ in cases]
     posts = [named_state("disembody_f", alpha=alpha) for _, alpha, _ in cases]
     # each variant's kick factors are built once and read for both cases
-    factors = [kick_factors(CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=1.0,
-                                         kick_sign=kick_sign), pres[0].signature)
+    factors = [kick_factors(CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=1.0),
+                            pres[0].signature)
                for variant in ("measure_sigma_zR_noisy", "measure_LxSx_L", "measure_LxSx_R")]
     for (theta, alpha, fit_tol), pre, post in zip(cases, pres, posts):
         signal = np.tan(theta / 2) * np.tan(alpha)
@@ -195,14 +186,14 @@ def check_disembodiment(kick_sign: int = 1) -> CheckResult:
         points.append(Point(f"{case} quartet max err", max(errs), 1e-12,
                             got=values["sigma_z_R"][0], want=signal))
         fit_sig, fit_noise, fit_zero = (
-            _fit(next(transfer_readouts(f, meter, [pre], [post]))[0]) for f in factors)
+            _fit_or_raise(next(transfer_readouts(f, meter, [pre], [post]))[0]) for f in factors)
         points += [
-            Point.distance(f"{case} sigma_zR fit, rel err", fit_sig.value, kick_sign * signal,
+            Point.distance(f"{case} sigma_zR fit, rel err", fit_sig.value, signal,
                            fit_tol, relative=True),
-            Point.distance(f"{case} LxSx_L fit, err", fit_noise.value, kick_sign * 1.0, fit_tol),
+            Point.distance(f"{case} LxSx_L fit, err", fit_noise.value, 1.0, fit_tol),
             Point.distance(f"{case} LxSx_R |fit|", fit_zero.value, 0.0, 1e-3),
         ]
-    return CheckResult("disembodiment", points, informational=kick_sign != 1)
+    return CheckResult("disembodiment", points)
 
 
 _POINTER_CASES = (
@@ -213,7 +204,7 @@ _POINTER_CASES = (
 )
 
 
-def check_pointer_shift(kick_sign: int = 1) -> CheckResult:
+def check_pointer_shift() -> CheckResult:
     """Richardson-extrapolated mean_p / g matches Re(A_w) to 0.1%."""
     meter = make_meter(64, 4.0)
     points = []
@@ -221,15 +212,15 @@ def check_pointer_shift(kick_sign: int = 1) -> CheckResult:
         pre, post = named_state(pre_id, **pre_kw), named_state(post_id, **post_kw)
 
         def shift_over_g(g: float) -> float:
-            spec = CouplingSpec(variant=variant, g=g, kick_sign=kick_sign)
+            spec = CouplingSpec(variant=variant, g=g)
             readout, _ = pointer_readout(spec, pre, post, meter)
             return readout.mean_p / g
 
         f = [shift_over_g(1e-2 / 2**k) for k in range(3)]
         extrapolated = (8 * f[2] - 6 * f[1] + f[0]) / 3
         points.append(Point.distance(f"{pre_id}/{post_id} mean_p/g vs Re(A_w), rel err",
-                                     extrapolated, kick_sign * expect, 1e-3, relative=True))
-    return CheckResult("pointer_shift", points, informational=kick_sign != 1)
+                                     extrapolated, expect, 1e-3, relative=True))
+    return CheckResult("pointer_shift", points)
 
 
 # check_dyson's pre-states on the noisy_in space: three draws of
@@ -257,7 +248,7 @@ def _slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(dx @ (y - y.mean()) / (dx @ dx))
 
 
-def check_dyson(kick_sign: int = 1) -> CheckResult:
+def check_dyson() -> CheckResult:
     """Exact-minus-truncated error scales with exponent >= 2.5 over 4 octaves.
 
     The pre-states are three random states drawn once from
@@ -269,8 +260,7 @@ def check_dyson(kick_sign: int = 1) -> CheckResult:
     scales = np.array([1.0, 0.5, 0.25, 0.125])
     errors = []
     for s in scales:
-        spec = CouplingSpec(variant="spin_orbit", g=1e-4 * s, gprime=0.2 * s, t=1.0,
-                            kick_sign=kick_sign)
+        spec = CouplingSpec(variant="spin_orbit", g=1e-4 * s, gprime=0.2 * s, t=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             err = max(
@@ -284,7 +274,7 @@ def check_dyson(kick_sign: int = 1) -> CheckResult:
         ", ".join(f"scale {s:g}: error {e:.3e}" for s, e in zip(scales, errors))])
 
 
-def check_convergence(kick_sign: int = 1) -> CheckResult:
+def check_convergence() -> CheckResult:
     """Discrete moments reach the continuous closed forms: <1e-3 at N=16*delta^2.
 
     The error halves (at least) under N-doubling until it saturates at the
@@ -315,7 +305,7 @@ def check_convergence(kick_sign: int = 1) -> CheckResult:
     return CheckResult("convergence", points)
 
 
-def check_parallel_noise(kick_sign: int = 1) -> CheckResult:
+def check_parallel_noise() -> CheckResult:
     """Both arms keep a sigma_z-mediated response above 1e-3 under parallel noise.
 
     The states are ``disembody_in`` and ``disembody_f`` on a 3 x 3 angle grid,
@@ -333,16 +323,15 @@ def check_parallel_noise(kick_sign: int = 1) -> CheckResult:
     points = []
     for variant in variants:
         for arm in ("L", "R"):
-            spec = CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=100.0,
-                                measure_arm=arm, kick_sign=kick_sign)
+            spec = CouplingSpec(variant=variant, g=1e-3, gprime=1e-3, t=100.0, measure_arm=arm)
             rows = transfer_readouts(kick_factors(spec, pres[0].signature), meter, pres, posts)
+            fits = [_fit_or_raise(entry).value for row in rows for entry in row]
             points.append(Point(f"{variant} arm {arm} min |fit| over theta,alpha in (0.2,1.2)",
-                                min(abs(_fit(entry).value) for row in rows for entry in row),
-                                1e-3, ">="))
-    return CheckResult("parallel_noise", points, informational=kick_sign != 1)
+                                min(map(abs, fits)), 1e-3, ">="))
+    return CheckResult("parallel_noise", points)
 
 
-def check_three_body(kick_sign: int = 1) -> CheckResult:
+def check_three_body() -> CheckResult:
     """Adjudicate i tan(alpha) - 1 (direct) against 1 + i tan(alpha) (quoted)."""
     meter = make_meter(64, 4.0)
     alpha = np.pi / 4
@@ -350,19 +339,18 @@ def check_three_body(kick_sign: int = 1) -> CheckResult:
     quoted = 1.0 + 1j * np.tan(alpha)
     pre = named_state("noisy_in")
     post = named_state("noisy_f", alpha=alpha)
-    spec = CouplingSpec(variant="three_body", g=1e-3, kick_sign=kick_sign)
+    spec = CouplingSpec(variant="three_body", g=1e-3)
     _, fit = pointer_readout(spec, pre, post, meter)
-    probed = kick_sign * fit.value
     # exactly one form matches: the closer within 5%, the farther not
     (near_rel, near, near_form), (far_rel, far, far_form) = sorted(
-        (abs(probed - form) / abs(form), name, form)
+        (abs(fit.value - form) / abs(form), name, form)
         for name, form in (("direct", direct), ("quoted", quoted)))
     return CheckResult("three_body", [
         Point(f"meter oracle vs the {near} form, rel err", near_rel, 0.05,
-              got=probed, want=near_form),
+              got=fit.value, want=near_form),
         Point(f"meter oracle vs the {far} form, rel err", far_rel, 0.05, ">=",
-              got=probed, want=far_form),
-    ], informational=kick_sign != 1, notes=[f"closer form: the {near} value"])
+              got=fit.value, want=far_form),
+    ], notes=[f"closer form: the {near} value"])
 
 
 CHECKS = {
@@ -380,12 +368,12 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def run_checks(only=None, kick_sign: int = 1) -> list[CheckResult]:
+def run_checks(only=None) -> list[CheckResult]:
     names = list(only) if only else list(CHECK_NAMES)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check name(s) {unknown}; valid: {list(CHECK_NAMES)}")
-    return [CHECKS[name](kick_sign=kick_sign) for name in names]
+    return [CHECKS[name]() for name in names]
 
 
 def render_table(results) -> str:

@@ -17,6 +17,7 @@ and each point's ok flag, read from the check's graded points, rather than
 loosening the tolerance or moving the points.
 """
 
+import inspect
 import itertools
 from types import SimpleNamespace
 
@@ -46,9 +47,9 @@ def assert_noisy_fit_documented_red(monkeypatch):
         return spec
 
     monkeypatch.setattr(verify, "CouplingSpec", recording_spec)
-    result = CHECKS["noisy_fit"](kick_sign=1)
+    result = CHECKS["noisy_fit"]()
     report(result)
-    assert result.status == "FAIL" and not result.informational
+    assert result.status == "FAIL"
 
     # the fit points, g't by g't and alpha by alpha; got is the fit, want the formula
     points = [point for point in result.points if not point.wall_time]
@@ -72,29 +73,26 @@ def test_acceptance(name, monkeypatch):
     if name == "noisy_fit":
         assert_noisy_fit_documented_red(monkeypatch)
         return
-    result = CHECKS[name](kick_sign=1)
+    result = CHECKS[name]()
     report(result)
     assert result.passed, f"{result.name}: " + " | ".join(result.lines)
 
 
-# Every check's status under each kick sign.  Under -1 each check that reads
-# a pointer fit reports INFO; the weak-value, dyson and convergence checks
-# are still graded.
-WEAK_VALUE_CHECKS = {"cheshire": "PASS", "amplification": "PASS", "dyson": "PASS",
-                     "convergence": "PASS"}
-STATUSES = {
-    1: WEAK_VALUE_CHECKS | {"noisy_fit": "FAIL", "disembodiment": "PASS",
-                            "pointer_shift": "PASS", "parallel_noise": "PASS",
-                            "three_body": "PASS"},
-    -1: WEAK_VALUE_CHECKS | dict.fromkeys(["noisy_fit", "disembodiment", "pointer_shift",
-                                           "parallel_noise", "three_body"], "INFO"),
-}
+# Every check's verdict: each passes but the documented red noisy_fit
+STATUSES = {"cheshire": "PASS", "amplification": "PASS", "noisy_fit": "FAIL",
+            "disembodiment": "PASS", "pointer_shift": "PASS", "dyson": "PASS",
+            "convergence": "PASS", "parallel_noise": "PASS", "three_body": "PASS"}
 
 
-@pytest.mark.parametrize("kick_sign", [1, -1])
-def test_statuses_under_each_kick_sign(kick_sign):
-    results = verify.run_checks(kick_sign=kick_sign)
-    assert {r.name: r.status for r in results} == STATUSES[kick_sign]
+def test_statuses():
+    results = verify.run_checks()
+    assert {r.name: r.status for r in results} == STATUSES
+
+
+def test_checks_take_no_argument():
+    # a verdict derives from the check's fixed points alone
+    assert {name: list(inspect.signature(check).parameters)
+            for name, check in CHECKS.items()} == dict.fromkeys(CHECKS, [])
 
 
 def test_convergence_reads_each_grid_once(monkeypatch):
@@ -106,7 +104,7 @@ def test_convergence_reads_each_grid_once(monkeypatch):
                         or make_meter(n, delta))
     monkeypatch.setattr(verify, "meter_readout", lambda amps: read.append(1)
                         or meter_readout(amps))
-    result = CHECKS["convergence"](kick_sign=1)
+    result = CHECKS["convergence"]()
     assert result.passed
     assert built == [(int(m * d**2), d) for d in (1.0, 2.0) for m in (2, 4, 8, 16)]
     assert len(read) == len(built)
@@ -130,11 +128,10 @@ def test_a_failing_graded_number_is_flagged(monkeypatch):
         assert bool(flagged) == (not result.passed), result.name
 
 
-@pytest.mark.parametrize("kick_sign", [1, -1])
-def test_renderings_agree_once_the_wall_times_are_dropped(kick_sign):
+def test_renderings_agree_once_the_wall_times_are_dropped():
     def rendering():
         return [(r.name, r.status, [p.line() for p in r.points if not p.wall_time], r.notes)
-                for r in verify.run_checks(kick_sign=kick_sign)]
+                for r in verify.run_checks()]
 
     assert rendering() == rendering()
 
@@ -153,7 +150,7 @@ def test_closed_form_slope_is_the_least_squares_slope(monkeypatch):
     series = []
     slope = verify._slope
     monkeypatch.setattr(verify, "_slope", lambda x, y: series.append((x, y)) or slope(x, y))
-    assert CHECKS["dyson"](kick_sign=1).passed
+    assert CHECKS["dyson"]().passed
     rng = np.random.default_rng(7)
     series += [(rng.normal(size=n), rng.normal(size=n)) for n in (2, 4, 9, 50)]
     series.append((np.arange(5.0), 3.0 * np.arange(5.0) - 1.0))
@@ -187,7 +184,7 @@ def test_fit_checks_build_each_coupling_key_once(name, keys, monkeypatch):
     monkeypatch.setattr(verify, "kick_factors", recording_factors)
     monkeypatch.setattr(verify, "transfer_readouts", recording_readouts)
     monkeypatch.setattr(verify, "pointer_readout", forbidden)
-    CHECKS[name](kick_sign=1)
+    CHECKS[name]()
     assert len(specs) == keys
     assert len({(spec.variant, spec.gprime_t) for spec in specs.values()}) == keys
     assert sum(len(pres) * len(posts) for _, _, pres, posts, _ in reads) == 6

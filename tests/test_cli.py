@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from weakmeter.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _attach_negative_numbers,
+    build_parser,
     list_bundles,
     load_bundle,
     main,
@@ -128,17 +133,21 @@ class TestRun:
     @pytest.mark.parametrize("bundle", ["disembodiment", "parallel_noise_1"])
     def test_subnormal_coupling_fails_every_row(self, capsys, bundle, g):
         # 1/g overflows a double, so the fit's division by i g is not finite:
-        # each row reports it, with no fit, no overflow warning and no NaN
+        # each row reports it, with no fit, no overflow warning and no NaN,
+        # and keeps the meter readout the fit did not need
         argv = ("run", f"bundle:{bundle}", "--set", f"coupling.g={g}")
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_COMPUTE
         assert err == "all sweep points failed; see the error column\n"
         header, *rows = csv.reader(io.StringIO(out))
         fit = [header.index(column) for column in ("fit_re", "fit_im", "residual")]
+        readout = [header.index(column) for column in ("mean_q", "mean_p", "success_prob")]
         assert rows
         for row in rows:
             assert row[-1].startswith("IllConditionedFitError: fit is not finite")
             assert [row[i] for i in fit] == ["", "", ""]
+            assert all(np.isfinite(float(row[i])) for i in readout)
+            assert float(row[header.index("success_prob")]) > 0.0
 
         code, out, err = run_cli(capsys, *argv, "--format", "records")
         assert code == EXIT_COMPUTE
@@ -152,6 +161,8 @@ class TestRun:
         for rec in records:
             assert rec["error"].startswith("IllConditionedFitError: fit is not finite")
             assert rec["fit_value"] is rec["fit_offset"] is rec["fit_residual"] is None
+            assert all(np.isfinite(rec[field]) for field in
+                       ("mean_q", "mean_p", "var_q", "var_p", "success_probability"))
 
     def test_overflowing_noise_product_gives_parse_exit(self, capsys):
         code, out, err = run_cli(capsys, "run", "bundle:noisy_spin_orbit",
@@ -505,11 +516,12 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert "FAILED: noisy_fit" in out
 
-    def test_alternate_kick_sign_grades_no_pointer_fit(self, capsys):
-        # under -1 every pointer-fit check is INFO, so the red noisy_fit does not fail the run
-        code, out, _ = run_cli(capsys, "verify", "--kick-sign", "-1")
-        assert code == EXIT_OK
-        assert out.endswith("all checks passed\n") and "FAIL" not in out
+    def test_retired_kick_sign_flag_is_a_usage_error(self, capsys):
+        # the kick's sign is the scenario field coupling.kick_sign, not a verify mode
+        code, out, err = run_cli(capsys, "verify", "--kick-sign", "-1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.endswith("weakmeter: error: unrecognized arguments: --kick-sign -1\n")
+        assert "Traceback" not in err
 
     def test_unknown_check_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--only", "nonsense")
@@ -522,3 +534,19 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
+
+    def test_readme_commands_parse(self):
+        # every `weakmeter ...` line of README's sh blocks, continuations
+        # joined and comments dropped, parses as main parses it; nothing runs
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        commands = [argv[1:] for argv in (shlex.split(line, comments=True) for line in lines)
+                    if argv[:1] == ["weakmeter"]]
+        assert {argv[0] for argv in commands} == {"list", "run", "sweep", "show-state", "verify"}
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(_attach_negative_numbers(argv))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: weakmeter {shlex.join(argv)}")

@@ -203,14 +203,28 @@ class TestEvolveExact:
         expected = 1 + 1j * g * ref.q
         assert np.max(np.abs(ratio - expected)) < 1e-5
 
-    def test_kick_sign_switch_conjugates_shift(self):
-        pre = named_state("cheshire_in")
-        post = named_state("cheshire_f")
-        fits = []
-        for sign in (1, -1):
-            spec = CouplingSpec(variant="measure_sigma_zR", g=1e-3, kick_sign=sign)
-            fits.append(run_and_fit(spec, pre, post, METER64).value)
-        assert fits[1] == pytest.approx(-fits[0], abs=1e-8)
+    # coupling.kick_sign flips the kick alone.  Where no static term acts on
+    # the states read (measure_sigma_zR has none; noisy_in is an eigenstate of
+    # spin_orbit's noise, at noisy_fit's six points) the fit is negated; where
+    # one acts (parallel_1 arm L at parallel_noise's angles) the sign of g
+    # relative to g' S is physics and the fit moves by more than a negation.
+    @pytest.mark.parametrize("points, negated", [
+        ([({"variant": "measure_sigma_zR", "g": 1e-3}, named_state("cheshire_in"),
+           named_state("cheshire_f"), METER64)], True),
+        ([({"variant": "spin_orbit", "g": 1e-3, "gprime": gpt, "t": 1.0},
+           named_state("noisy_in"), named_state("noisy_f", alpha=alpha), METER64)
+          for gpt in (0.05, 0.1) for alpha in (np.pi / 6, np.pi / 4, np.pi / 3)], True),
+        ([({"variant": "parallel_1", "g": 1e-3, "gprime": 1e-3, "t": 100.0, "measure_arm": "L"},
+           named_state("disembody_in", theta=x, orbital_dim=3),
+           named_state("disembody_f", alpha=x, orbital_dim=3), METER32)
+          for x in (0.25, 0.7, 1.15)], False),
+    ], ids=["measure_sigma_zR", "spin_orbit-noisy_fit", "parallel_1-arm_L"])
+    def test_kick_sign_switch_conjugates_shift(self, points, negated):
+        for fields, pre, post, meter in points:
+            plus, minus = (run_and_fit(CouplingSpec(**fields, kick_sign=sign), pre, post,
+                                       meter).value for sign in (1, -1))
+            gap = abs(plus + minus) / abs(plus)
+            assert (gap <= 1e-15) if negated else (gap > 1e-5), (fields, plus, minus, gap)
 
     @KICK_TIMES
     @KICK_SIGNS
@@ -675,10 +689,13 @@ class TestTransferReadouts:
         assert isinstance(row[0], AnnihilationError) and str(row[0]) == str(chain.value)
         readout, fit = row[1]
         assert readout.success_probability == pytest.approx(1.0, abs=1e-12)
+        # a fit that fails keeps the readout beside its error
         zero = CouplingSpec(variant="measure_sigma_zR", g=0.0)
-        (row,) = transfer_readouts(kick_factors(zero, sig), METER32, [pre], [pre])
-        assert isinstance(row[0], IllConditionedFitError)
-        assert str(row[0]) == "fit requires a positive coupling, got g=0.0"
+        ((entry,),) = transfer_readouts(kick_factors(zero, sig), METER32, [pre], [pre])
+        readout, fit = entry
+        assert isinstance(fit, IllConditionedFitError)
+        assert str(fit) == "fit requires a positive coupling, got g=0.0"
+        assert readout.success_probability == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_pres, n_posts", [(3, 3), (5, 2)])
     @pytest.mark.parametrize("per_block", [1, 2, 4])
